@@ -27,10 +27,19 @@ from .graphs import (
     to_edge_list_text,
     universal_vertices,
 )
-from .groups import GroupConstructionError, GroupSpec, build_group, power_graph
+from .groups import (
+    FAMILIES,
+    FAMILY_USAGE,
+    Family,
+    GroupConstructionError,
+    GroupSpec,
+    build_group,
+    family_expr,
+    power_graph,
+)
 from .linalg import InternalConsistencyError, kappa_matrix_tree
 from .numth import FactoredNat, divisors_desc, euler_phi
-from .spectra import expr_to_graph, family_expr, kappa_from_spectrum, parse_expr, spectrum
+from .spectra import expr_to_graph, kappa_from_spectrum, parse_expr, spectrum
 
 
 class UsageError(ValueError):
@@ -39,25 +48,7 @@ class UsageError(ValueError):
 
 METHODS = ("auto", "matrix-tree", "formula", "spectrum", "smatrix")
 KINDS = ("group", "graph", "expr", "zn", "replaced")
-
-# families with a trusted closed form (extraspecial is excluded from `auto`
-# because its circulating closed form disagrees with the determinant oracle;
-# it stays available behind an explicit --method formula)
-_FORMULA_FAMILIES = (
-    "cyclic",
-    "elementary",
-    "quaternion",
-    "heisenberg",
-    "psl2",
-    "frobenius_pq",
-)
-_SPECTRUM_FAMILIES = (
-    "quaternion",
-    "elementary",
-    "heisenberg",
-    "frobenius_pq",
-    "extraspecial_exp_p2",
-)
+TARGET_HELP = f"group spec ({FAMILY_USAGE}), edge-list file, expression string, or n"
 
 
 @dataclass(frozen=True)
@@ -97,61 +88,38 @@ class ResultRecord:
         )
 
 
-def _load_target(req: Request):
-    """Resolve the request target to (graph, group_spec, clique_spec, expr)."""
+def _load_target(req: Request, group_spec: GroupSpec | None = None):
+    """Resolve the request target to (graph, clique_spec, expr); a group
+    target is parsed here unless its spec is given."""
     kind = req.kind
     if kind == "group":
-        spec = GroupSpec.parse(req.target)
-        return power_graph(build_group(spec)), spec, None, None
+        return power_graph(build_group(group_spec or GroupSpec.parse(req.target))), None, None
     if kind == "graph":
         with open(req.target, "r", encoding="utf-8") as fh:
-            return from_edge_list_text(fh.read()), None, None, None
+            return from_edge_list_text(fh.read()), None, None
     if kind == "expr":
         expr = parse_expr(req.target)
-        return expr_to_graph(expr), None, None, expr
+        return expr_to_graph(expr), None, expr
     if kind == "zn":
         n = int(req.target)
         cspec = F.divisor_clique_spec(n)
-        return clique_replaced(cspec), None, cspec, None
+        return clique_replaced(cspec), cspec, None
     if kind == "replaced":
         if not req.sizes:
             raise UsageError("replaced targets need --sizes x1,x2,...")
         with open(req.target, "r", encoding="utf-8") as fh:
             base = from_edge_list_text(fh.read())
         cspec = CliqueReplacedSpec(base, req.sizes)
-        return clique_replaced(cspec), None, cspec, None
+        return clique_replaced(cspec), cspec, None
     raise UsageError(f"unknown target kind {kind!r}")
 
 
-def _group_formula(spec: GroupSpec) -> FactoredNat:
-    family, params = spec.family, spec.params
-    if family == "cyclic":
-        return F.kappa_cyclic(*params)
-    if family == "elementary":
-        p, n = params
-        return F.kappa_epo({p: (p**n - 1) // (p - 1)})
-    if family == "quaternion":
-        return F.kappa_quaternion(*params)
-    if family == "heisenberg":
-        return F.kappa_heisenberg(*params)
-    if family == "extraspecial_exp_p2":
-        return F.kappa_extraspecial_exp_p2(*params)
-    if family == "psl2":
-        return F.kappa_psl2(*params)
-    if family == "frobenius_pq":
-        return F.kappa_frobenius_pq(*params)
-    raise UsageError(f"no closed form for family {family!r}")
-
-
-def _valid_methods(kind: str, group_spec: GroupSpec | None) -> list[str]:
+def _valid_methods(kind: str, family: Family | None) -> list[str]:
     if kind == "group":
         out = ["auto", "matrix-tree"]
-        if group_spec and (
-            group_spec.family in _FORMULA_FAMILIES
-            or group_spec.family == "extraspecial_exp_p2"
-        ):
+        if family.closed_form:
             out.append("formula")
-        if group_spec and group_spec.family in _SPECTRUM_FAMILIES:
+        if family.clique_expr:
             out.append("spectrum")
         return out
     if kind == "graph":
@@ -165,12 +133,16 @@ def _valid_methods(kind: str, group_spec: GroupSpec | None) -> list[str]:
 
 def compute_kappa(req: Request) -> ResultRecord:
     start = time.perf_counter()
+    bound = req.factor_bound
+    if bound is not None and bound < 2:
+        raise UsageError(f"--factor-bound must be >= 2, got {bound}")
     group_spec = GroupSpec.parse(req.target) if req.kind == "group" else None
-    valid = _valid_methods(req.kind, group_spec)
+    family = FAMILIES[group_spec.family] if group_spec else None
+    valid = _valid_methods(req.kind, family)
     method = req.method
     if method == "auto":
         if req.kind == "group":
-            method = "formula" if (group_spec.family in _FORMULA_FAMILIES) else "matrix-tree"
+            method = "formula" if family.trusted else "matrix-tree"
         elif req.kind == "expr":
             method = "spectrum"
         elif req.kind in ("zn", "replaced"):
@@ -181,14 +153,13 @@ def compute_kappa(req: Request) -> ResultRecord:
         raise UsageError(
             f"method {method!r} not valid for this target; valid: {', '.join(valid)}"
         )
-    graph, group_spec, clique_spec, expr = _load_target(req)
-    bound = req.factor_bound
+    graph, clique_spec, expr = _load_target(req, group_spec)
     if method == "matrix-tree":
         value = kappa_matrix_tree(graph)
-        kappa = FactoredNat.from_int(value, bound if bound else max(graph.n, 1000))
+        kappa = FactoredNat.from_int(value, bound if bound is not None else max(graph.n, 1000))
     elif method == "formula":
         if req.kind == "group":
-            kappa = _group_formula(group_spec)
+            kappa = family.closed_form(*group_spec.params)
         else:
             kappa = (
                 F.kappa_cyclic(int(req.target))
@@ -311,15 +282,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_kappa = sub.add_parser("kappa", help="compute a spanning-tree count")
     p_kappa.add_argument("kind", choices=KINDS)
-    p_kappa.add_argument(
-        "target",
-        help="group spec (family:params), edge-list file, expression string, or n",
-    )
+    p_kappa.add_argument("target", help=TARGET_HELP)
     p_kappa.add_argument("--sizes", help="comma-separated block sizes for 'replaced'")
     p_kappa.add_argument("--method", choices=METHODS, default="auto")
     p_kappa.add_argument("--output", choices=("decimal", "factored", "json"), default="decimal")
     p_kappa.add_argument("--factor-bound", type=int, default=None, metavar="N",
-                         help="trial-division bound for factoring determinant results")
+                         help="trial-division bound (at least 2) for factoring results")
     p_kappa.set_defaults(fn=cmd_kappa)
 
     p_verify = sub.add_parser("verify", help="run the formula-vs-oracle suites")
@@ -330,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_export = sub.add_parser("export", help="write a constructed graph to a file")
     p_export.add_argument("kind", choices=KINDS)
-    p_export.add_argument("target")
+    p_export.add_argument("target", help=TARGET_HELP)
     p_export.add_argument("--sizes", help="comma-separated block sizes for 'replaced'")
     p_export.add_argument("--format", choices=("dot", "edges", "json"), required=True)
     p_export.add_argument("--out", help="output file (default stdout)")

@@ -13,7 +13,6 @@ from fractions import Fraction
 from math import gcd
 
 from .graphs import CliqueReplacedSpec, complement, divisor_graph
-from .groups import GroupSpec
 from .linalg import IntMatrix, InternalConsistencyError, det_bareiss
 from .numth import (
     FactoredNat,
@@ -24,7 +23,7 @@ from .numth import (
     is_prime_power,
     product,
 )
-from .spectra import family_expr, kappa_from_spectrum, spectrum
+from .spectra import Clique, CliqueExpr, Join, copies, kappa_from_spectrum, spectrum
 
 
 def kappa_cayley(n: int) -> FactoredNat:
@@ -319,6 +318,12 @@ class ExponentVerdict:
     matches: tuple[bool, bool]
 
 
+def extraspecial_published_expr(p: int) -> CliqueExpr:
+    """The published clique decomposition K(p) * (p+1)#K(p^2-p) of the power
+    graph of the order-p^3 exponent-p^2 group."""
+    return Join(Clique(p), copies(p + 1, Clique(p * p - p)))
+
+
 def extraspecial_exponent_verdict(p: int) -> ExponentVerdict:
     """Evaluate the published clique decomposition K(p) * (p+1)#K(p^2-p) of the
     order-p^3 exponent-p^2 group spectrally, and report which (if either) of
@@ -329,8 +334,7 @@ def extraspecial_exponent_verdict(p: int) -> ExponentVerdict:
     """
     if p == 2 or not is_prime(p):
         raise ValueError(f"p = {p} must be an odd prime")
-    expr = family_expr(GroupSpec("extraspecial_exp_p2", (p,)))
-    value = kappa_from_spectrum(spectrum(expr))
+    value = kappa_from_spectrum(spectrum(extraspecial_published_expr(p)))
     candidates = (2 * p**3 - p - 5, 2 * p**3 - p - 4)
     matches = tuple(value == FactoredNat.prime_power(p, c) for c in candidates)
     return ExponentVerdict(p, value, candidates, matches)

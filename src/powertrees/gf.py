@@ -1,4 +1,4 @@
-"""Arithmetic in GF(p^n) with table-backed elements.
+"""Arithmetic in GF(p^n) backed by addition and multiplication tables.
 
 Field elements are encoded as integers 0..q-1 whose base-p digits are the
 polynomial coefficients, least-significant digit = constant coefficient.
@@ -9,7 +9,6 @@ makes the encoding reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product as iproduct
 
 from .numth import is_prime
@@ -110,9 +109,6 @@ class Gf:
     def neg(self, a: int) -> int:
         return self.neg_table[a]
 
-    def sub(self, a: int, b: int) -> int:
-        return self.add_table[a][self.neg_table[b]]
-
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inverse of 0 in a field")
@@ -136,49 +132,3 @@ class Gf:
             x = self.mul_table[x][a]
             k += 1
         return k
-
-    def element(self, v: int) -> "GfElement":
-        return GfElement(self, v)
-
-
-@dataclass(frozen=True)
-class GfElement:
-    """A field element bound to its field; supports +, -, *, /, **."""
-
-    field: Gf
-    value: int
-
-    def __post_init__(self):
-        if not 0 <= self.value < self.field.q:
-            raise ValueError("element encoding out of range")
-
-    @property
-    def coeffs(self) -> tuple[int, ...]:
-        return tuple(self.field._decode(self.value))
-
-    def _lift(self, other) -> int:
-        if isinstance(other, GfElement):
-            if other.field is not self.field:
-                raise ValueError("elements from different fields")
-            return other.value
-        return other % self.field.q if isinstance(other, int) else NotImplemented
-
-    def __add__(self, other):
-        return GfElement(self.field, self.field.add(self.value, self._lift(other)))
-
-    def __sub__(self, other):
-        return GfElement(self.field, self.field.sub(self.value, self._lift(other)))
-
-    def __neg__(self):
-        return GfElement(self.field, self.field.neg(self.value))
-
-    def __mul__(self, other):
-        return GfElement(self.field, self.field.mul(self.value, self._lift(other)))
-
-    def __truediv__(self, other):
-        return GfElement(
-            self.field, self.field.mul(self.value, self.field.inv(self._lift(other)))
-        )
-
-    def __pow__(self, e: int):
-        return GfElement(self.field, self.field.pow(self.value, e))

@@ -10,9 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 
-from .linalg import IntMatrix
 from .numth import divisors_desc
 
 
@@ -147,13 +145,6 @@ def join(g1: SimpleGraph, g2: SimpleGraph) -> SimpleGraph:
     return SimpleGraph(g.n, list(g.edges()) + cross, g.labels)
 
 
-def union_all(gs) -> SimpleGraph:
-    gs = list(gs)
-    if not gs:
-        raise ValueError("union_all needs at least one graph")
-    return reduce(union, gs)
-
-
 def induced_subgraph(g: SimpleGraph, vertices) -> SimpleGraph:
     verts = list(vertices)
     if len(set(verts)) != len(verts):
@@ -257,25 +248,6 @@ def clique_replaced(spec: CliqueReplacedSpec) -> SimpleGraph:
         f"{base.label(i)}.{t}" for i in range(base.n) for t in range(sizes[i])
     ]
     return SimpleGraph(starts[-1], edges, labels)
-
-
-def adjacency_matrix(g: SimpleGraph) -> IntMatrix:
-    n = g.n
-    return IntMatrix(
-        n, n, tuple(1 if j in g.adj[i] else 0 for i in range(n) for j in range(n))
-    )
-
-
-def laplacian_matrix(g: SimpleGraph) -> IntMatrix:
-    n = g.n
-    data = []
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                data.append(len(g.adj[i]))
-            else:
-                data.append(-1 if j in g.adj[i] else 0)
-    return IntMatrix(n, n, tuple(data))
 
 
 # --- file formats ---

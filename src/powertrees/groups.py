@@ -1,5 +1,6 @@
-"""Finite groups: construction of the named families, Cayley-table ingestion,
-element orders, cyclic subgroups, and power graphs.
+"""Finite groups: the registry of named families (construction, closed forms
+and clique forms), Cayley-table ingestion, element orders, cyclic subgroups,
+and power graphs.
 
 Every group is materialized in a concrete representation (residues, vectors
 over GF(p), normal forms, matrices over GF(q), affine maps) and then flattened
@@ -11,27 +12,17 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from typing import Callable
 
+from . import formulas as F
 from .gf import Gf
 from .graphs import SimpleGraph
-from .numth import is_prime
+from .numth import FactoredNat, is_prime
+from .spectra import Clique, CliqueExpr, Join, epo_expr, union_of
 
 
 class GroupConstructionError(ValueError):
     """Invalid family parameters or an input table that is not a group."""
-
-
-_FAMILIES = (
-    "cyclic",
-    "elementary",
-    "dihedral",
-    "quaternion",
-    "heisenberg",
-    "extraspecial_exp_p2",
-    "psl2",
-    "frobenius_pq",
-    "cayley_table",
-)
 
 
 @dataclass(frozen=True)
@@ -42,33 +33,34 @@ class GroupSpec:
     params: tuple = ()
 
     def __post_init__(self):
-        if self.family not in _FAMILIES:
-            raise GroupConstructionError(f"unknown family {self.family!r}")
-        validator = _VALIDATORS[self.family]
-        validator(*self.params)
+        family = FAMILIES.get(self.family)
+        if family is None:
+            raise GroupConstructionError(
+                f"unknown family {self.family!r}; known: {FAMILY_USAGE}"
+            )
+        if len(self.params) != len(family.params):
+            raise GroupConstructionError(
+                f"{family.usage} takes {len(family.params)} parameter(s), "
+                f"got {len(self.params)}"
+            )
+        family.validate(*self.params)
 
     @classmethod
     def parse(cls, text: str) -> "GroupSpec":
         """Parse the flat CLI grammar family:param[:param], e.g. 'psl2:3:2'.
 
-        'frobenius' and 'extraspecial' are accepted as short aliases, and
-        'table:PATH' names a Cayley-table file.
+        A family is named by its name or its alias (FAMILY_USAGE lists them).
+        Parameters are integers, except the file path of 'table:PATH'.
         """
-        parts = text.split(":")
-        family = {
-            "frobenius": "frobenius_pq",
-            "extraspecial": "extraspecial_exp_p2",
-            "table": "cayley_table",
-        }.get(parts[0], parts[0])
-        if family == "cayley_table":
-            if len(parts) < 2:
-                raise GroupConstructionError("table spec needs a file path: table:PATH")
-            return cls(family, (":".join(parts[1:]),))
+        name, _, rest = text.partition(":")
+        name = _ALIASES.get(name, name)
+        if name in FAMILIES and FAMILIES[name].params == ("PATH",):
+            return cls(name, (rest,) if rest else ())
         try:
-            params = tuple(int(x) for x in parts[1:])
+            params = tuple(int(x) for x in rest.split(":")) if rest else ()
         except ValueError as exc:
             raise GroupConstructionError(f"bad group spec {text!r}: {exc}") from None
-        return cls(family, params)
+        return cls(name, params)
 
     def __str__(self) -> str:
         return ":".join([self.family, *map(str, self.params)])
@@ -85,36 +77,28 @@ def _need_odd_prime(p):
         raise GroupConstructionError("p must be an odd prime")
 
 
-def _v_cyclic(n=None):
+def _v_cyclic(n):
     if not isinstance(n, int) or n < 1:
         raise GroupConstructionError(f"cyclic(n) needs an integer n >= 1, got {n!r}")
 
 
-def _v_elementary(p=None, n=None):
+def _v_elementary(p, n):
     _need_prime(p)
     if not isinstance(n, int) or n < 1:
         raise GroupConstructionError("elementary(p, n) needs n >= 1")
 
 
-def _v_dihedral(n=None):
+def _v_dihedral(n):
     if not isinstance(n, int) or n < 2:
         raise GroupConstructionError("dihedral(n) needs n >= 2 (order 2n)")
 
 
-def _v_quaternion(n=None):
+def _v_quaternion(n):
     if not isinstance(n, int) or n < 3:
         raise GroupConstructionError("quaternion(n) needs n >= 3 (order 2^n)")
 
 
-def _v_heisenberg(p=None):
-    _need_odd_prime(p)
-
-
-def _v_extraspecial(p=None):
-    _need_odd_prime(p)
-
-
-def _v_psl2(p=None, n=None):
+def _v_psl2(p, n):
     _need_prime(p)
     if not isinstance(n, int) or n < 1:
         raise GroupConstructionError("psl2(p, n) needs n >= 1")
@@ -122,7 +106,7 @@ def _v_psl2(p=None, n=None):
         raise GroupConstructionError(f"psl2 needs q = p^n >= 4, got q = {p ** n}")
 
 
-def _v_frobenius(p=None, q=None):
+def _v_frobenius(p, q):
     _need_prime(p)
     _need_prime(q, "q")
     if not p < q:
@@ -131,22 +115,9 @@ def _v_frobenius(p=None, q=None):
         raise GroupConstructionError(f"frobenius_pq needs p | q-1, got p={p}, q={q}")
 
 
-def _v_cayley(path=None):
+def _v_cayley(path):
     if not isinstance(path, str) or not path:
         raise GroupConstructionError("cayley_table needs a file path")
-
-
-_VALIDATORS = {
-    "cyclic": _v_cyclic,
-    "elementary": _v_elementary,
-    "dihedral": _v_dihedral,
-    "quaternion": _v_quaternion,
-    "heisenberg": _v_heisenberg,
-    "extraspecial_exp_p2": _v_extraspecial,
-    "psl2": _v_psl2,
-    "frobenius_pq": _v_frobenius,
-    "cayley_table": _v_cayley,
-}
 
 
 class FiniteGroup:
@@ -202,12 +173,6 @@ class FiniteGroup:
 
     def inverse(self, g: int) -> int:
         return self.power(g, self.element_orders[g] - 1)
-
-    def element_order(self, g: int) -> int:
-        return self.element_orders[g]
-
-    def cyclic_subgroup(self, g: int) -> frozenset:
-        return self.cyclic_subgroups[g]
 
     def __repr__(self):
         return f"FiniteGroup({self.name}, order={self.order})"
@@ -440,21 +405,88 @@ def _build_cayley_table(path: str) -> FiniteGroup:
     return FiniteGroup(f"cayley_table:{path}", table)
 
 
-_BUILDERS = {
-    "cyclic": _build_cyclic,
-    "elementary": _build_elementary,
-    "dihedral": _build_dihedral,
-    "quaternion": _build_quaternion,
-    "heisenberg": _build_heisenberg,
-    "extraspecial_exp_p2": _build_extraspecial_exp_p2,
-    "psl2": _build_psl2,
-    "frobenius_pq": _build_frobenius_pq,
-    "cayley_table": _build_cayley_table,
+@dataclass(frozen=True)
+class Family:
+    """Everything the program knows about one named group family.
+
+    closed_form and clique_expr take the family's parameters and return the
+    spanning-tree count and the clique expression of the power graph; either
+    may be missing.  trusted says whether `auto` may use the closed form.
+    """
+
+    name: str
+    params: tuple[str, ...]
+    validate: Callable[..., None]
+    build: Callable[..., FiniteGroup]
+    closed_form: Callable[..., FactoredNat] | None = None
+    clique_expr: Callable[..., CliqueExpr] | None = None
+    trusted: bool = False
+    alias: str | None = None
+
+    @property
+    def usage(self) -> str:
+        return ":".join([self.alias or self.name, *self.params])
+
+
+def _elementary_counts(p, n):
+    return {p: (p**n - 1) // (p - 1)}
+
+
+# Closed forms look their function up on the formulas module at call time, so
+# a wrapper installed there later sees the call.
+FAMILIES = {
+    f.name: f
+    for f in (
+        Family("cyclic", ("n",), _v_cyclic, _build_cyclic,
+               closed_form=lambda n: F.kappa_cyclic(n), trusted=True),
+        Family("elementary", ("p", "n"), _v_elementary, _build_elementary,
+               closed_form=lambda p, n: F.kappa_epo(_elementary_counts(p, n)),
+               clique_expr=lambda p, n: epo_expr(_elementary_counts(p, n)),
+               trusted=True),
+        Family("dihedral", ("n",), _v_dihedral, _build_dihedral),
+        Family("quaternion", ("n",), _v_quaternion, _build_quaternion,
+               closed_form=lambda n: F.kappa_quaternion(n),
+               clique_expr=lambda n: Join(
+                   Clique(2), union_of([Clique(2 ** (n - 1) - 2)] + [Clique(2)] * 2 ** (n - 2))
+               ),
+               trusted=True),
+        Family("heisenberg", ("p",), _need_odd_prime, _build_heisenberg,
+               closed_form=lambda p: F.kappa_heisenberg(p),
+               clique_expr=lambda p: epo_expr({p: p * p + p + 1}),
+               trusted=True),
+        # its closed form evaluates the published clique form, which the
+        # determinant oracle refutes (see the verify report), so not trusted
+        Family("extraspecial_exp_p2", ("p",), _need_odd_prime, _build_extraspecial_exp_p2,
+               closed_form=lambda p: F.kappa_extraspecial_exp_p2(p),
+               clique_expr=F.extraspecial_published_expr,
+               alias="extraspecial"),
+        Family("psl2", ("p", "n"), _v_psl2, _build_psl2,
+               closed_form=lambda p, n: F.kappa_psl2(p, n), trusted=True),
+        Family("frobenius_pq", ("p", "q"), _v_frobenius, _build_frobenius_pq,
+               closed_form=lambda p, q: F.kappa_frobenius_pq(p, q),
+               clique_expr=lambda p, q: epo_expr({p: q, q: 1}),
+               trusted=True, alias="frobenius"),
+        Family("cayley_table", ("PATH",), _v_cayley, _build_cayley_table, alias="table"),
+    )
 }
+_ALIASES = {f.alias: f.name for f in FAMILIES.values() if f.alias}
+FAMILY_USAGE = ", ".join(f.usage for f in FAMILIES.values())
 
 
 def build_group(spec: GroupSpec) -> FiniteGroup:
-    return _BUILDERS[spec.family](*spec.params)
+    return FAMILIES[spec.family].build(*spec.params)
+
+
+def family_expr(spec: GroupSpec) -> CliqueExpr:
+    """The clique expression of the power graph, for families that have one.
+
+    For extraspecial_exp_p2 it is the published decomposition
+    K(p) * (p+1)#K(p^2-p) (see extraspecial_exponent_verdict).
+    """
+    family = FAMILIES[spec.family]
+    if family.clique_expr is None:
+        raise ValueError(f"no cataloged clique expression for family {spec.family!r}")
+    return family.clique_expr(*spec.params)
 
 
 def power_graph(group: FiniteGroup, subset=None) -> SimpleGraph:

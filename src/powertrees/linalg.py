@@ -50,13 +50,6 @@ class IntMatrix:
             raise DimensionError("ragged rows")
         return cls(r, c, tuple(x for row in rows for x in row))
 
-    @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        return cls(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
-
-    def entry(self, i: int, j: int) -> int:
-        return self.data[i * self.cols + j]
-
     def to_rows(self) -> list[list[int]]:
         c = self.cols
         return [list(self.data[i * c : (i + 1) * c]) for i in range(self.rows)]

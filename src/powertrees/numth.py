@@ -52,6 +52,8 @@ def trial_division(n: int, bound: int) -> tuple[list[tuple[int, int]], int]:
     """
     if n < 1:
         raise ValueError(f"trial_division expects n >= 1, got {n}")
+    if bound < 2:
+        raise ValueError(f"trial_division expects bound >= 2, got {bound}")
     factors = []
     for p in (2, 3):
         if p > bound:
@@ -217,12 +219,6 @@ class FactoredNat:
             if merged[p] < 0:
                 raise ValueError(f"inexact division: missing factor {p}^{-merged[p]}")
         return FactoredNat(tuple(sorted((p, e) for p, e in merged.items() if e)), 1)
-
-    def exponent_of(self, p: int) -> int:
-        for q, e in self.factors:
-            if q == p:
-                return e
-        return 0
 
     def is_fully_factored(self) -> bool:
         return self.residual == 1

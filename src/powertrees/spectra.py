@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import graphs
-from .groups import GroupSpec
 from .linalg import InternalConsistencyError
 from .numth import FactoredNat, factor_completely
 
@@ -88,6 +87,16 @@ def copies(count: int, expr: CliqueExpr) -> CliqueExpr:
     if count < 1:
         raise ValueError("copy count must be >= 1")
     return union_of([expr] * count)
+
+
+def epo_expr(counts: dict[int, int]) -> CliqueExpr:
+    """K(1) joined to c_p copies of K(p-1) per prime p: the power graph of a
+    group whose non-identity elements all have prime order, with c_p cyclic
+    subgroups of order p."""
+    blocks = []
+    for p in sorted(counts):
+        blocks.extend([Clique(p - 1)] * counts[p])
+    return Join(Clique(1), union_of(blocks))
 
 
 # --- spectra ---
@@ -213,48 +222,6 @@ def expr_to_graph(expr: CliqueExpr) -> graphs.SimpleGraph:
     if isinstance(expr, Join):
         return graphs.join(expr_to_graph(expr.left), expr_to_graph(expr.right))
     raise TypeError(f"not a clique expression: {expr!r}")
-
-
-# --- known clique forms for group families ---
-
-
-def family_expr(spec: GroupSpec) -> CliqueExpr:
-    """The clique expression of the power graph for families that have one.
-
-    Supported: quaternion(n); the EPO families elementary(p, n),
-    heisenberg(p) and frobenius_pq(p, q); and extraspecial_exp_p2(p), for
-    which the returned expression is the published decomposition
-    K(p) * (p+1)#K(p^2-p) (see kappa_extraspecial_exp_p2 for its verdict).
-    """
-    family, params = spec.family, spec.params
-    if family == "quaternion":
-        (n,) = params
-        return Join(Clique(2), union_of([Clique(2**(n - 1) - 2)] + [Clique(2)] * 2 ** (n - 2)))
-    if family == "extraspecial_exp_p2":
-        (p,) = params
-        return Join(Clique(p), copies(p + 1, Clique(p * p - p)))
-    counts = _epo_family_counts(spec)
-    if counts is None:
-        raise ValueError(f"no cataloged clique expression for family {family!r}")
-    blocks = []
-    for p in sorted(counts):
-        blocks.extend([Clique(p - 1)] * counts[p])
-    return Join(Clique(1), union_of(blocks))
-
-
-def _epo_family_counts(spec: GroupSpec) -> dict[int, int] | None:
-    """Cyclic-subgroup counts per prime for the closed EPO families."""
-    family, params = spec.family, spec.params
-    if family == "elementary":
-        p, n = params
-        return {p: (p**n - 1) // (p - 1)}
-    if family == "heisenberg":
-        (p,) = params
-        return {p: p * p + p + 1}
-    if family == "frobenius_pq":
-        p, q = params
-        return {p: q, q: 1}
-    return None
 
 
 # --- expression string syntax: K(n), + union, * join, c#expr copies ---

@@ -24,7 +24,7 @@ from .graphs import (
     path_graph,
     universal_vertices,
 )
-from .groups import GroupSpec, build_group, epo_class_counts, power_graph
+from .groups import GroupSpec, build_group, epo_class_counts, family_expr, power_graph
 from .linalg import kappa_matrix_tree, kappa_via_jl, laplacian_char_poly, shifted_product_integer_check
 from .numth import FactoredNat, euler_phi, is_prime_power
 from .spectra import (
@@ -32,7 +32,6 @@ from .spectra import (
     Join,
     Union,
     expr_to_graph,
-    family_expr,
     kappa_from_spectrum,
     parse_expr,
     spectrum,

@@ -1,0 +1,140 @@
+import json
+
+import pytest
+
+from powertrees import cli
+from powertrees.graphs import universal_vertices
+from powertrees.groups import GroupSpec, build_group, power_graph
+from powertrees.linalg import kappa_matrix_tree
+
+
+def run(capsys, *argv):
+    code = cli.main(list(argv))
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def valid_methods(capsys, target):
+    # smatrix is never valid for a group, so the error lists the valid methods
+    code, _, err = run(capsys, "kappa", "group", target, "--method", "smatrix")
+    assert code == 2
+    return err.strip().rpartition("valid: ")[2].split(", ")
+
+
+# (spec, methods valid besides auto and matrix-tree, method auto picks,
+#  vertex count, universal count)
+GROUPS = [
+    ("cyclic:12", ["formula"], "formula", 12, 5),
+    ("elementary:2:3", ["formula", "spectrum"], "formula", 8, 1),
+    ("dihedral:4", [], "matrix-tree", 8, 1),
+    ("quaternion:3", ["formula", "spectrum"], "formula", 8, 2),
+    ("heisenberg:3", ["formula", "spectrum"], "formula", 27, 1),
+    ("extraspecial:3", ["formula", "spectrum"], "matrix-tree", 27, 1),
+    ("psl2:2:2", ["formula"], "formula", 60, 1),
+    ("frobenius:2:3", ["formula", "spectrum"], "formula", 6, 1),
+]
+
+
+@pytest.mark.parametrize("target,extra,auto,n,universal", GROUPS)
+def test_group_methods_auto_and_counts(capsys, target, extra, auto, n, universal):
+    assert valid_methods(capsys, target) == ["auto", "matrix-tree", *extra]
+    code, out, _ = run(capsys, "kappa", "group", target, "--output", "json")
+    assert code == 0
+    record = json.loads(out)
+    graph = power_graph(build_group(GroupSpec.parse(target)))
+    oracle = kappa_matrix_tree(graph)
+    assert record["method"] == auto
+    # the auto value is the oracle's: a closed form that disagrees with it
+    # (the extraspecial one gives 3^49) must not be trusted by auto
+    assert int(record["kappa_decimal"]) == oracle
+    assert (record["vertex_count"], record["universal_count"]) == (n, universal)
+    assert (graph.n, len(universal_vertices(graph))) == (n, universal)
+
+
+def test_extraspecial_auto_value_and_published_forms(capsys):
+    _, out, _ = run(capsys, "kappa", "group", "extraspecial:3", "--output", "json")
+    assert json.loads(out)["kappa_factored"] == {"factors": [[3, 37], [7, 2]], "residual": 1}
+    for method in ("formula", "spectrum"):
+        _, out, _ = run(capsys, "kappa", "group", "extraspecial:3", "--method", method,
+                        "--output", "factored")
+        assert out.strip() == "3^49"
+
+
+@pytest.mark.parametrize(
+    "target,extra", [g[:2] for g in GROUPS if not g[0].startswith("extraspecial")]
+)
+def test_every_valid_method_agrees_with_the_oracle(capsys, target, extra):
+    values = set()
+    for method in ("matrix-tree", *extra):
+        code, out, _ = run(capsys, "kappa", "group", target, "--method", method)
+        assert code == 0
+        values.add(out.strip())
+    assert len(values) == 1
+
+
+@pytest.mark.parametrize(
+    "target,method,valid",
+    [
+        ("psl2:2:2", "spectrum", "valid: auto, matrix-tree, formula"),
+        ("dihedral:4", "formula", "valid: auto, matrix-tree"),
+    ],
+)
+def test_invalid_method_is_a_usage_error(capsys, target, method, valid):
+    code, out, err = run(capsys, "kappa", "group", target, "--method", method)
+    assert code == 2 and out == ""
+    assert err.strip().endswith(valid)
+
+
+def test_unknown_family_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "kappa", "group", "nosuch:1")
+    assert code == 2 and out == ""
+    assert "unknown family 'nosuch'" in err
+
+
+@pytest.mark.parametrize(
+    "argv,usage",
+    [
+        (("kappa", "group", "cyclic:3:4"), "cyclic:n"),
+        (("kappa", "group", "heisenberg:3:1"), "heisenberg:p"),
+        (("export", "group", "frobenius:2:3:5", "--format", "edges"), "frobenius:p:q"),
+        (("kappa", "group", "psl2:3"), "psl2:p:n"),
+        (("kappa", "group", "cyclic"), "cyclic:n"),
+        (("export", "group", "elementary:2", "--format", "edges"), "elementary:p:n"),
+    ],
+)
+def test_wrong_parameter_count_is_a_usage_error(capsys, argv, usage):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert usage in err
+
+
+def test_unknown_family_error_lists_the_families(capsys):
+    _, _, err = run(capsys, "kappa", "group", "nosuch:1")
+    for usage in ("cyclic:n", "elementary:p:n", "psl2:p:n", "frobenius:p:q", "table:PATH"):
+        assert usage in err
+
+
+@pytest.mark.parametrize("bound", ["-4", "0", "1"])
+def test_factor_bound_below_two_is_a_usage_error(capsys, tmp_path, bound):
+    base = tmp_path / "edge.txt"
+    base.write_text("2\n0 1\n")
+    for argv in (
+        ("kappa", "expr", "K(4)", "--method", "matrix-tree"),
+        ("kappa", "replaced", str(base), "--sizes", "2,3"),
+        ("kappa", "replaced", str(base), "--sizes", "2,3", "--method", "smatrix"),
+    ):
+        code, out, err = run(capsys, *argv, "--factor-bound", bound)
+        assert code == 2 and out == ""
+        assert "--factor-bound" in err
+
+
+def test_factor_bound_default_and_explicit(capsys, tmp_path):
+    base = tmp_path / "edge.txt"
+    base.write_text("2\n0 1\n")
+    for extra in ((), ("--factor-bound", "5")):
+        _, out, _ = run(capsys, "kappa", "replaced", str(base), "--sizes", "2,3",
+                        "--output", "factored", *extra)
+        assert out.strip() == "5^3"
+    _, out, _ = run(capsys, "kappa", "expr", "K(4)", "--method", "matrix-tree",
+                    "--output", "factored")
+    assert out.strip() == "2^4"

@@ -45,15 +45,6 @@ def test_gf_field_axioms_sampled(p, n):
         assert (q - 1) % f.multiplicative_order(a) == 0
 
 
-def test_gf_element_wrapper():
-    f = Gf(3, 2)
-    a = f.element(5)
-    b = f.element(7)
-    assert (a + b - b).value == 5
-    assert (a * b / b).value == 5
-    assert (a ** (f.q - 1)).value == 1
-
-
 # --- family constructions ---
 
 

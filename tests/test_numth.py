@@ -33,6 +33,10 @@ def test_trial_division_residual():
     assert factors[0] == (2, 2)
     # 10^12-ish residual is certified prime-squared... not prime, stays residual
     assert residual == big_prime**2 or factors[-1][0] == big_prime
+    # a bound below 2 would make "no factor <= bound" certify 16 as prime
+    for bound in (-4, 0, 1):
+        with pytest.raises(ValueError):
+            trial_division(16, bound)
 
 
 def test_factor_completely():

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from powertrees.graphs import complete_graph
-from powertrees.groups import GroupSpec, build_group, power_graph
+from powertrees.groups import GroupSpec, build_group, family_expr, power_graph
 from powertrees.linalg import kappa_matrix_tree, laplacian_char_poly
 from powertrees.numth import FactoredNat
 from powertrees.spectra import (
@@ -13,7 +13,6 @@ from powertrees.spectra import (
     Union,
     copies,
     expr_to_graph,
-    family_expr,
     kappa_from_spectrum,
     parse_expr,
     spectrum,
