@@ -90,7 +90,9 @@ class ResultRecord:
 
 def _load_target(req: Request, group_spec: GroupSpec | None = None):
     """Resolve the request target to (graph, clique_spec, expr); a group
-    target is parsed here unless its spec is given."""
+    target is parsed here unless its spec is given.  A zn or replaced target
+    comes back as its clique spec with graph None: expanding it costs n^2
+    edges, so only the callers that need the vertices do so."""
     kind = req.kind
     if kind == "group":
         return power_graph(build_group(group_spec or GroupSpec.parse(req.target))), None, None
@@ -101,17 +103,25 @@ def _load_target(req: Request, group_spec: GroupSpec | None = None):
         expr = parse_expr(req.target)
         return expr_to_graph(expr), None, expr
     if kind == "zn":
-        n = int(req.target)
-        cspec = F.divisor_clique_spec(n)
-        return clique_replaced(cspec), cspec, None
+        return None, F.divisor_clique_spec(int(req.target)), None
     if kind == "replaced":
         if not req.sizes:
             raise UsageError("replaced targets need --sizes x1,x2,...")
         with open(req.target, "r", encoding="utf-8") as fh:
             base = from_edge_list_text(fh.read())
-        cspec = CliqueReplacedSpec(base, req.sizes)
-        return clique_replaced(cspec), cspec, None
+        return None, CliqueReplacedSpec(base, req.sizes), None
     raise UsageError(f"unknown target kind {kind!r}")
+
+
+def _vertex_counts(graph: SimpleGraph | None, spec: CliqueReplacedSpec | None) -> tuple[int, int]:
+    """(vertex count, universal count).  Without the expanded graph they come
+    from the spec: a vertex of block j has degree m_j - 1, so it is universal
+    iff m_j == n."""
+    if graph is not None:
+        return graph.n, len(universal_vertices(graph))
+    return spec.n, sum(
+        x for j, x in enumerate(spec.sizes) if spec.block_degree_plus_one(j) == spec.n
+    )
 
 
 def _valid_methods(kind: str, family: Family | None) -> list[str]:
@@ -155,6 +165,8 @@ def compute_kappa(req: Request) -> ResultRecord:
         )
     graph, clique_spec, expr = _load_target(req, group_spec)
     if method == "matrix-tree":
+        if graph is None:
+            graph = clique_replaced(clique_spec)
         value = kappa_matrix_tree(graph)
         kappa = FactoredNat.from_int(value, bound if bound is not None else max(graph.n, 1000))
     elif method == "formula":
@@ -174,14 +186,15 @@ def compute_kappa(req: Request) -> ResultRecord:
         kappa = F.kappa_clique_replaced_smatrix(clique_spec, factor_bound=bound)
     else:
         raise UsageError(f"unknown method {method!r}")
+    vertex_count, universal_count = _vertex_counts(graph, clique_spec)
     elapsed = (time.perf_counter() - start) * 1000.0
     return ResultRecord(
         input=f"{req.kind} {req.target}" + (f" sizes={','.join(map(str, req.sizes))}" if req.sizes else ""),
         method=method,
         kappa=kappa,
         kappa_decimal=str(kappa.value()),
-        vertex_count=graph.n,
-        universal_count=len(universal_vertices(graph)),
+        vertex_count=vertex_count,
+        universal_count=universal_count,
         elapsed_ms=round(elapsed, 3),
     )
 
@@ -220,6 +233,8 @@ def cmd_kappa(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.jobs < 1:
+        raise UsageError(f"--jobs must be >= 1, got {args.jobs}")
     started = time.perf_counter()
     report, code = verify.run_suite(args.suite, seed=verify.default_seed(), jobs=args.jobs)
     print(report, end="")
@@ -256,7 +271,9 @@ def cmd_export(args) -> int:
     if args.format == "json" and args.kind == "zn":
         text = _zn_description(int(args.target))
     else:
-        graph = _load_target(req)[0]
+        graph, clique_spec, _ = _load_target(req)
+        if graph is None:
+            graph = clique_replaced(clique_spec)
         if args.format == "dot":
             text = to_dot(graph)
         elif args.format == "edges":
@@ -308,6 +325,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # exact counts outgrow the default 4300-digit int/str conversion limit
+    # (Python >= 3.10.7); older versions have no limit to lift
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -2,17 +2,16 @@
 power graphs of the cataloged group families, each cross-checkable against
 the exact matrix-tree determinant.
 
-All rational intermediates use exact fractions; every final integrality is
-asserted, never rounded.
+All arithmetic is in exact integers; every division is asserted exact,
+never rounded.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
-from .graphs import CliqueReplacedSpec, complement, divisor_graph
+from .graphs import CliqueReplacedSpec, divisor_graph
 from .linalg import IntMatrix, InternalConsistencyError, det_bareiss
 from .numth import (
     FactoredNat,
@@ -60,68 +59,48 @@ def _det_int(rows: list[list[int]]) -> int:
     return det_bareiss(IntMatrix.from_rows(rows))
 
 
-def _complement_subset_sum(spec: CliqueReplacedSpec, vertices: list[int]) -> Fraction:
-    """Sum over nonempty vertex subsets S of the given vertices of
-    det(A_complement[S]) * prod(lambda_i for i among `vertices` not in S).
-
-    Subsets where some member has no complement-neighbor inside S contribute a
-    zero determinant and are skipped.
-    """
-    comp = complement(spec.base)
-    lam = {i: spec.block_ratio(i) for i in vertices}
-    # only vertices with a complement-neighbor inside `vertices` can appear
-    vset = set(vertices)
-    support = [v for v in vertices if comp.adj[v] & vset]
-    pos = {v: i for i, v in enumerate(support)}
-    masks = [0] * len(support)
-    for i, v in enumerate(support):
-        for w in comp.adj[v]:
-            if w in pos:
-                masks[i] |= 1 << pos[w]
-    lam_rest_base = Fraction(1)
-    for v in vertices:
-        if v not in pos:
-            lam_rest_base *= lam[v]
-    total = Fraction(0)
-    for mask in range(1, 1 << len(support)):
-        members = [i for i in range(len(support)) if mask >> i & 1]
-        if len(members) < 2:
-            continue
-        if any(not masks[i] & mask for i in members):
-            continue  # zero row in the adjacency submatrix
-        rows = [
-            [1 if masks[i] >> j & 1 else 0 for j in members] for i in members
-        ]
-        d = _det_int(rows)
-        if d == 0:
-            continue
-        lam_out = lam_rest_base
-        for i in range(len(support)):
-            if not mask >> i & 1:
-                lam_out *= lam[support[i]]
-        total += d * lam_out
-    return total
+def _replaced_value(spec: CliqueReplacedSpec, vertices) -> int:
+    """prod_i m_i**x_i * det(M[V]) / (prod_{i in V} m_i * n^2), with
+    M = diag(m) + diag(x) * A_complement and V the given base vertices; every
+    vertex left out of V must be isolated in the base complement."""
+    adj, sizes = spec.base.adj, spec.sizes
+    m = [spec.block_degree_plus_one(i) for i in range(spec.k)]
+    rows = [
+        [m[i] if i == j else sizes[i] * (j not in adj[i]) for j in vertices]
+        for i in vertices
+    ]
+    numerator = _det_int(rows)
+    for i in range(spec.k):
+        numerator *= m[i] ** sizes[i]
+    denominator = prod(m[i] for i in vertices) * spec.n**2
+    value, rem = divmod(numerator, denominator)
+    if rem or value <= 0:
+        raise InternalConsistencyError(
+            f"clique-replaced formula gave non-integer or non-positive value "
+            f"{numerator}/{denominator}"
+        )
+    return value
 
 
 def clique_replaced_value(spec: CliqueReplacedSpec) -> int:
-    """Exact spanning-tree count of the clique-replaced graph via the
-    ratio-product formula:
+    """Exact spanning-tree count of the clique-replaced graph by the
+    ratio-product formula
 
-        prod m_i**x_i * (Psi + subset sum) / (Psi * n^2)
+        prod m_i**x_i * (Psi + subset sum) / (Psi * n^2),
 
-    where the subset sum runs over induced subgraphs of the base complement.
+    where lambda_i = m_i / x_i, Psi = prod lambda_i and the subset sum runs
+    over the induced subgraphs S of the base complement, each weighted
+    det(A_complement[S]) * prod_{i not in S} lambda_i.  By the principal-minor
+    expansion det(D + A) = sum_S det(A[S]) prod_{i not in S} d_i, that bracket
+    is the single determinant det(diag(lambda) + A_complement) (S = {} gives
+    Psi, singletons give 0).  Scaling row i by x_i makes it integer:
+    M = diag(m) + diag(x) * A_complement, det(M) = prod x_i * (Psi + sum), so
+
+        kappa = prod m_i**x_i * det(M) / (prod m_i * n^2),
+
+    one k x k determinant in exact integers; the division is asserted exact.
     """
-    psi = spec.ratio_product()
-    total = psi + _complement_subset_sum(spec, list(range(spec.k)))
-    numerator = Fraction(1)
-    for i in range(spec.k):
-        numerator *= Fraction(spec.block_degree_plus_one(i)) ** spec.sizes[i]
-    value = numerator * total / (psi * spec.n**2)
-    if value.denominator != 1 or value <= 0:
-        raise InternalConsistencyError(
-            f"clique-replaced formula gave non-integer or non-positive value {value}"
-        )
-    return int(value)
+    return _replaced_value(spec, range(spec.k))
 
 
 def kappa_clique_replaced_formula(
@@ -223,28 +202,14 @@ def divisor_clique_spec(n: int) -> CliqueReplacedSpec:
 
 def _cyclic_interior_value(n: int) -> int:
     """Cyclic-group count via the divisor-graph formula restricted to the
-    interior divisors (d_1 = n and d_k = 1 are isolated in the complement):
+    interior divisors (d_1 = n and d_k = 1 are universal in the base, so
+    isolated in the complement, and their diagonal entries of M cancel
+    against their m_i in the denominator):
 
-        prod m_i**phi(d_i) * (Phi + interior subset sum) / (Phi * n^2)
-
-    with Phi the product of the interior block ratios.
+        prod m_i**phi(d_i) * det(M[interior]) / (prod_{interior} m_i * n^2)
     """
     spec = divisor_clique_spec(n)
-    k = spec.k
-    interior = list(range(1, k - 1))
-    phi_prod = Fraction(1)
-    for i in interior:
-        phi_prod *= spec.block_ratio(i)
-    total = phi_prod + _complement_subset_sum(spec, interior)
-    numerator = Fraction(1)
-    for i in range(k):
-        numerator *= Fraction(spec.block_degree_plus_one(i)) ** spec.sizes[i]
-    value = numerator * total / (phi_prod * n**2)
-    if value.denominator != 1 or value <= 0:
-        raise InternalConsistencyError(
-            f"divisor formula gave non-integer or non-positive value {value}"
-        )
-    return int(value)
+    return _replaced_value(spec, range(1, spec.k - 1))
 
 
 def kappa_cyclic(n: int) -> FactoredNat:

@@ -9,7 +9,6 @@ time (linalg module).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .numth import divisors_desc
 
@@ -210,17 +209,6 @@ class CliqueReplacedSpec:
     def block_degree_plus_one(self, i: int) -> int:
         """m_i: own block size plus the sizes of all neighboring blocks."""
         return self.sizes[i] + sum(self.sizes[j] for j in self.base.adj[i])
-
-    def block_ratio(self, i: int) -> Fraction:
-        """lambda_i = m_i / x_i."""
-        return Fraction(self.block_degree_plus_one(i), self.sizes[i])
-
-    def ratio_product(self) -> Fraction:
-        """Psi: the product of all block ratios."""
-        out = Fraction(1)
-        for i in range(self.k):
-            out *= self.block_ratio(i)
-        return out
 
 
 def clique_replaced(spec: CliqueReplacedSpec) -> SimpleGraph:

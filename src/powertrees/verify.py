@@ -282,7 +282,7 @@ def connected_labeled_graphs(k: int) -> list[SimpleGraph]:
 
 def cases_triangle(seed: int) -> list[CaseResult]:
     """Three-way agreement on every labeled connected base with k <= 5 and
-    seeded size vectors: subset formula == contraction matrix == determinant."""
+    seeded size vectors: formula == contraction matrix == determinant."""
     rng = random.Random(seed)
     failures = []
     total = 0

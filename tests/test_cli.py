@@ -3,7 +3,8 @@ import json
 import pytest
 
 from powertrees import cli
-from powertrees.graphs import universal_vertices
+from powertrees import formulas as F
+from powertrees.graphs import CliqueReplacedSpec, clique_replaced, path_graph, universal_vertices
 from powertrees.groups import GroupSpec, build_group, power_graph
 from powertrees.linalg import kappa_matrix_tree
 
@@ -138,3 +139,62 @@ def test_factor_bound_default_and_explicit(capsys, tmp_path):
     _, out, _ = run(capsys, "kappa", "expr", "K(4)", "--method", "matrix-tree",
                     "--output", "factored")
     assert out.strip() == "2^4"
+
+
+# (kind, target, sizes, vertex count, universal count)
+CLIQUE_TARGETS = [
+    ("zn", "12", None, 12, 5),
+    ("zn", "16", None, 16, 16),
+    ("replaced", "path3", "2,3,1", 6, 3),
+]
+
+
+@pytest.mark.parametrize("kind,target,sizes,n,universal", CLIQUE_TARGETS)
+def test_clique_target_counts(capsys, tmp_path, kind, target, sizes, n, universal):
+    if kind == "replaced":
+        base = tmp_path / "path3.txt"
+        base.write_text("3\n0 1\n1 2\n")
+        target = str(base)
+        spec = CliqueReplacedSpec(path_graph(3), tuple(map(int, sizes.split(","))))
+    else:
+        spec = F.divisor_clique_spec(int(target))
+    graph = clique_replaced(spec)
+    assert (graph.n, len(universal_vertices(graph))) == (n, universal)
+    extra = ("--sizes", sizes) if sizes else ()
+    for method in ("auto", "matrix-tree", "formula", "smatrix"):
+        code, out, _ = run(capsys, "kappa", kind, target, *extra,
+                           "--method", method, "--output", "json")
+        assert code == 0
+        record = json.loads(out)
+        assert (record["vertex_count"], record["universal_count"]) == (n, universal)
+
+
+@pytest.mark.parametrize("n,universal", [(420, 97), (2310, 481)])
+def test_zn_beyond_the_subset_sum_reach(capsys, n, universal):
+    # 22 and 30 interior divisors: the formula route answers with one
+    # determinant, without expanding the graph (1.8M edges for 2310)
+    code, out, _ = run(capsys, "kappa", "zn", str(n), "--output", "json")
+    assert code == 0
+    record = json.loads(out)
+    assert (record["vertex_count"], record["universal_count"]) == (n, universal)
+    assert int(record["kappa_decimal"]) == F.kappa_clique_replaced_smatrix(
+        F.divisor_clique_spec(n)).value()
+
+
+def test_results_beyond_the_int_str_digit_limit_print(capsys):
+    # kappa(Z_2048) = 2^22506 has 6775 decimal digits, past Python's default
+    # 4300-digit conversion limit
+    code, out, _ = run(capsys, "kappa", "zn", "2048", "--output", "factored")
+    assert code == 0 and out.strip() == "2^22506"
+    code, out, _ = run(capsys, "kappa", "zn", "2048", "--output", "decimal")
+    assert code == 0 and len(out.strip()) == 6775
+    assert int(out) == 2**22506
+    code, out, _ = run(capsys, "kappa", "expr", "K(1400)", "--output", "json")
+    assert code == 0 and int(json.loads(out)["kappa_decimal"]) == 1400**1398
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_verify_jobs_below_one_is_a_usage_error(capsys, jobs):
+    code, out, err = run(capsys, "verify", "quick", "--jobs", jobs)
+    assert code == 2 and out == ""
+    assert "--jobs" in err

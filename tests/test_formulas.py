@@ -1,16 +1,21 @@
 import random
+from fractions import Fraction
+from itertools import combinations
+from math import prod
 
 import pytest
 
 from powertrees import formulas as F
 from powertrees.graphs import (
     CliqueReplacedSpec,
+    SimpleGraph,
     clique_replaced,
+    complement,
     complete_graph,
     path_graph,
 )
 from powertrees.groups import GroupSpec, build_group, epo_class_counts, power_graph
-from powertrees.linalg import InternalConsistencyError, kappa_matrix_tree
+from powertrees.linalg import IntMatrix, InternalConsistencyError, det_bareiss, kappa_matrix_tree
 from powertrees.numth import FactoredNat
 from powertrees.verify import connected_labeled_graphs
 
@@ -127,6 +132,64 @@ def test_equivalence_triangle_sampled():
             oracle = kappa_matrix_tree(clique_replaced(spec))
             assert F.clique_replaced_value(spec) == oracle
             assert F.kappa_clique_replaced_smatrix(spec).value() == oracle
+
+
+def literal_clique_replaced_value(spec):
+    """The paper's form evaluated as written, in fractions:
+    prod m_i**x_i * (Psi + sum_S det(A_comp[S]) * prod_{i not in S} lambda_i)
+    / (Psi * n^2), with S over the vertex subsets of size >= 2."""
+    k, sizes = spec.k, spec.sizes
+    m = [spec.block_degree_plus_one(i) for i in range(k)]
+    lam = [Fraction(m[i], sizes[i]) for i in range(k)]
+    comp = complement(spec.base)
+    psi = prod(lam)
+    total = psi
+    for r in range(2, k + 1):
+        for subset in combinations(range(k), r):
+            rows = [[int(j in comp.adj[i]) for j in subset] for i in subset]
+            rest = prod(lam[i] for i in range(k) if i not in subset)
+            total += det_bareiss(IntMatrix.from_rows(rows)) * rest
+    value = prod(Fraction(m[i]) ** sizes[i] for i in range(k)) * total / (psi * spec.n**2)
+    assert value.denominator == 1
+    return int(value)
+
+
+def test_one_determinant_equals_the_literal_subset_sum():
+    rng = random.Random(41)
+    for k in range(1, 6):
+        for base in connected_labeled_graphs(k):
+            spec = CliqueReplacedSpec(base, tuple(rng.randint(1, 5) for _ in range(k)))
+            assert F.clique_replaced_value(spec) == literal_clique_replaced_value(spec)
+
+
+def test_clique_replaced_value_is_one_determinant(monkeypatch):
+    calls = []
+
+    def counting(m):
+        calls.append(m.rows)
+        return det_bareiss(m)
+
+    monkeypatch.setattr(F, "det_bareiss", counting)
+    spec = CliqueReplacedSpec(path_graph(13), tuple(range(1, 14)))
+    F.clique_replaced_value(spec)
+    assert calls == [13]
+
+
+def random_connected_graph(rng, k):
+    """A random spanning tree plus each other pair with probability 0.3."""
+    edges = {(rng.randrange(i), i) for i in range(1, k)}
+    edges |= {(i, j) for i in range(k) for j in range(i + 1, k) if rng.random() < 0.3}
+    return SimpleGraph(k, edges)
+
+
+def test_formula_matches_smatrix_beyond_subset_reach():
+    for n in (420, 2310):
+        assert F.kappa_cyclic(n) == F.kappa_clique_replaced_smatrix(F.divisor_clique_spec(n))
+    rng = random.Random(12)
+    for k in range(12, 21):
+        base = random_connected_graph(rng, k)
+        spec = CliqueReplacedSpec(base, tuple(rng.randint(1, 6) for _ in range(k)))
+        assert F.clique_replaced_value(spec) == F.kappa_clique_replaced_smatrix(spec).value()
 
 
 def test_path_closed_form_audited_values():
