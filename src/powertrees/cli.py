@@ -31,15 +31,17 @@ from .groups import (
     FAMILIES,
     FAMILY_USAGE,
     Family,
+    FiniteGroup,
     GroupConstructionError,
     GroupSpec,
     build_group,
+    clique_spec,
     family_expr,
     power_graph,
 )
 from .linalg import InternalConsistencyError, kappa_matrix_tree
 from .numth import FactoredNat, divisors_desc, euler_phi
-from .spectra import expr_to_graph, kappa_from_spectrum, parse_expr, spectrum
+from .spectra import expr_to_graph, kappa_from_spectrum, parse_expr, spectrum, universal_count
 
 
 class UsageError(ValueError):
@@ -89,39 +91,55 @@ class ResultRecord:
 
 
 def _load_target(req: Request, group_spec: GroupSpec | None = None):
-    """Resolve the request target to (graph, clique_spec, expr); a group
-    target is parsed here unless its spec is given.  A zn or replaced target
-    comes back as its clique spec with graph None: expanding it costs n^2
-    edges, so only the callers that need the vertices do so."""
+    """Resolve the request target without expanding it to a graph: a group
+    target is its group (parsed here unless its spec is given), a graph
+    target its graph, an expr target its expression and a zn or replaced
+    target its clique spec.  Only matrix-tree and export expand a target
+    (_expand), since a power graph or an expanded spec costs up to n^2 edges."""
     kind = req.kind
     if kind == "group":
-        return power_graph(build_group(group_spec or GroupSpec.parse(req.target))), None, None
+        return build_group(group_spec or GroupSpec.parse(req.target))
     if kind == "graph":
         with open(req.target, "r", encoding="utf-8") as fh:
-            return from_edge_list_text(fh.read()), None, None
+            return from_edge_list_text(fh.read())
     if kind == "expr":
-        expr = parse_expr(req.target)
-        return expr_to_graph(expr), None, expr
+        return parse_expr(req.target)
     if kind == "zn":
-        return None, F.divisor_clique_spec(int(req.target)), None
+        return F.divisor_clique_spec(int(req.target))
     if kind == "replaced":
         if not req.sizes:
             raise UsageError("replaced targets need --sizes x1,x2,...")
         with open(req.target, "r", encoding="utf-8") as fh:
             base = from_edge_list_text(fh.read())
-        return None, CliqueReplacedSpec(base, req.sizes), None
+        return CliqueReplacedSpec(base, req.sizes)
     raise UsageError(f"unknown target kind {kind!r}")
 
 
-def _vertex_counts(graph: SimpleGraph | None, spec: CliqueReplacedSpec | None) -> tuple[int, int]:
-    """(vertex count, universal count).  Without the expanded graph they come
-    from the spec: a vertex of block j has degree m_j - 1, so it is universal
-    iff m_j == n."""
-    if graph is not None:
-        return graph.n, len(universal_vertices(graph))
-    return spec.n, sum(
-        x for j, x in enumerate(spec.sizes) if spec.block_degree_plus_one(j) == spec.n
-    )
+def _expand(target) -> SimpleGraph:
+    """The explicit graph of a loaded target.  A group's is its power graph,
+    so matrix-tree on a group does not depend on its clique spec."""
+    if isinstance(target, FiniteGroup):
+        return power_graph(target)
+    if isinstance(target, CliqueReplacedSpec):
+        return clique_replaced(target)
+    if isinstance(target, SimpleGraph):
+        return target
+    return expr_to_graph(target)
+
+
+def _vertex_counts(target) -> tuple[int, int]:
+    """(vertex count, universal count) of a loaded or expanded target.  A
+    group counts through its clique spec; a vertex of block j of a spec has
+    degree m_j - 1, so it is universal iff m_j == n."""
+    if isinstance(target, SimpleGraph):
+        return target.n, len(universal_vertices(target))
+    if isinstance(target, FiniteGroup):
+        target = clique_spec(target)
+    if isinstance(target, CliqueReplacedSpec):
+        return target.n, sum(
+            x for j, x in enumerate(target.sizes) if target.block_degree_plus_one(j) == target.n
+        )
+    return target.n, universal_count(target)
 
 
 def _valid_methods(kind: str, family: Family | None) -> list[str]:
@@ -163,12 +181,11 @@ def compute_kappa(req: Request) -> ResultRecord:
         raise UsageError(
             f"method {method!r} not valid for this target; valid: {', '.join(valid)}"
         )
-    graph, clique_spec, expr = _load_target(req, group_spec)
+    target = _load_target(req, group_spec)
     if method == "matrix-tree":
-        if graph is None:
-            graph = clique_replaced(clique_spec)
-        value = kappa_matrix_tree(graph)
-        kappa = FactoredNat.from_int(value, bound if bound is not None else max(graph.n, 1000))
+        target = _expand(target)  # the counts below then come from the graph
+        value = kappa_matrix_tree(target)
+        kappa = FactoredNat.from_int(value, bound if bound is not None else max(target.n, 1000))
     elif method == "formula":
         if req.kind == "group":
             kappa = family.closed_form(*group_spec.params)
@@ -176,17 +193,16 @@ def compute_kappa(req: Request) -> ResultRecord:
             kappa = (
                 F.kappa_cyclic(int(req.target))
                 if req.kind == "zn"
-                else F.kappa_clique_replaced_formula(clique_spec, bound)
+                else F.kappa_clique_replaced_formula(target, bound)
             )
     elif method == "spectrum":
-        if req.kind == "group":
-            expr = family_expr(group_spec)
+        expr = family_expr(group_spec) if req.kind == "group" else target
         kappa = kappa_from_spectrum(spectrum(expr))
     elif method == "smatrix":
-        kappa = F.kappa_clique_replaced_smatrix(clique_spec, factor_bound=bound)
+        kappa = F.kappa_clique_replaced_smatrix(target, factor_bound=bound)
     else:
         raise UsageError(f"unknown method {method!r}")
-    vertex_count, universal_count = _vertex_counts(graph, clique_spec)
+    vertex_count, universal = _vertex_counts(target)
     elapsed = (time.perf_counter() - start) * 1000.0
     return ResultRecord(
         input=f"{req.kind} {req.target}" + (f" sizes={','.join(map(str, req.sizes))}" if req.sizes else ""),
@@ -194,7 +210,7 @@ def compute_kappa(req: Request) -> ResultRecord:
         kappa=kappa,
         kappa_decimal=str(kappa.value()),
         vertex_count=vertex_count,
-        universal_count=universal_count,
+        universal_count=universal,
         elapsed_ms=round(elapsed, 3),
     )
 
@@ -271,9 +287,7 @@ def cmd_export(args) -> int:
     if args.format == "json" and args.kind == "zn":
         text = _zn_description(int(args.target))
     else:
-        graph, clique_spec, _ = _load_target(req)
-        if graph is None:
-            graph = clique_replaced(clique_spec)
+        graph = _expand(_load_target(req))
         if args.format == "dot":
             text = to_dot(graph)
         elif args.format == "edges":

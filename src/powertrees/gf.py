@@ -123,12 +123,3 @@ class Gf:
             base = self.mul_table[base][base]
             e >>= 1
         return out
-
-    def multiplicative_order(self, a: int) -> int:
-        if a == 0:
-            raise ValueError("0 has no multiplicative order")
-        x, k = a, 1
-        while x != 1:
-            x = self.mul_table[x][a]
-            k += 1
-        return k

@@ -1,5 +1,5 @@
 """Simple graphs and the constructions used throughout: complement, union,
-join, induced subgraphs, divisor graphs, and clique-replaced graphs.
+join, divisor graphs, and clique-replaced graphs.
 
 Graphs are immutable after construction; adjacency is kept as frozensets for
 O(1) edge queries, and dense matrices are only materialized at determinant
@@ -90,9 +90,6 @@ class SimpleGraph:
             comps.append(sorted(comp))
         return comps
 
-    def degree_sequence(self) -> tuple[int, ...]:
-        return tuple(sorted((len(s) for s in self.adj), reverse=True))
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, SimpleGraph):
             return NotImplemented
@@ -107,10 +104,6 @@ class SimpleGraph:
 
 def complete_graph(n: int, labels=None) -> SimpleGraph:
     return SimpleGraph(n, [(i, j) for i in range(n) for j in range(i + 1, n)], labels)
-
-
-def empty_graph(n: int, labels=None) -> SimpleGraph:
-    return SimpleGraph(n, (), labels)
 
 
 def path_graph(n: int) -> SimpleGraph:
@@ -142,25 +135,6 @@ def join(g1: SimpleGraph, g2: SimpleGraph) -> SimpleGraph:
     g = union(g1, g2)
     cross = [(u, g1.n + v) for u in range(g1.n) for v in range(g2.n)]
     return SimpleGraph(g.n, list(g.edges()) + cross, g.labels)
-
-
-def induced_subgraph(g: SimpleGraph, vertices) -> SimpleGraph:
-    verts = list(vertices)
-    if len(set(verts)) != len(verts):
-        raise ValueError("duplicate vertices in subset")
-    index = {}
-    for i, v in enumerate(verts):
-        if not 0 <= v < g.n:
-            raise ValueError(f"vertex {v} out of range")
-        index[v] = i
-    edges = [
-        (index[u], index[v])
-        for u in verts
-        for v in g.adj[u]
-        if v in index and index[u] < index[v]
-    ]
-    labels = tuple(g.label(v) for v in verts) if g.labels is not None else None
-    return SimpleGraph(len(verts), edges, labels)
 
 
 def universal_vertices(g: SimpleGraph) -> list[int]:

@@ -1,23 +1,27 @@
 """Finite groups: the registry of named families (construction, closed forms
 and clique forms), Cayley-table ingestion, element orders, cyclic subgroups,
-and power graphs.
+power graphs and their clique specs.
 
-Every group is materialized in a concrete representation (residues, vectors
-over GF(p), normal forms, matrices over GF(q), affine maps) and then flattened
-to an index multiplication table so that everything downstream sees one
-uniform interface.  Element 0 is always the identity.
+Every group is its list of elements in a concrete representation (residues,
+vectors over GF(p), normal forms, matrices over GF(q), affine maps) plus the
+multiply on that representation; a Cayley-table input multiplies by table
+lookup.  Downstream code sees element indices, and element 0 is always the
+identity.  No order x order table is built: the cyclic subgroups come from
+repeated multiplication, and a power graph is built only when asked for.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import product
+from math import gcd
 from typing import Callable
 
 from . import formulas as F
 from .gf import Gf
-from .graphs import SimpleGraph
-from .numth import FactoredNat, is_prime
+from .graphs import CliqueReplacedSpec, SimpleGraph
+from .numth import FactoredNat, euler_phi, is_prime
 from .spectra import Clique, CliqueExpr, Join, epo_expr, union_of
 
 
@@ -121,98 +125,59 @@ def _v_cayley(path):
 
 
 class FiniteGroup:
-    """A finite group flattened to an index table, with per-element orders and
-    cyclic subgroups cached."""
+    """A finite group given by its concrete elements and their multiply, with
+    per-element orders and cyclic subgroups cached.
 
-    __slots__ = (
-        "name",
-        "order",
-        "identity",
-        "table",
-        "element_names",
-        "element_orders",
-        "cyclic_subgroups",
-    )
+    Elements are addressed by their index; element 0 is the identity.
+    """
 
-    def __init__(self, name, table, element_names=None, identity=0):
-        n = len(table)
+    identity = 0
+
+    def __init__(self, name, elements, op, names=None):
         self.name = name
-        self.order = n
-        self.identity = identity
-        self.table = tuple(tuple(row) for row in table)
-        self.element_names = (
-            tuple(element_names) if element_names is not None else tuple(map(str, range(n)))
-        )
-        orders, subgroups = [], []
+        self.elements = tuple(elements)
+        self.order = n = len(self.elements)
+        self.op = op
+        self._index = {e: i for i, e in enumerate(self.elements)}
+        self.element_names = tuple(names) if names is not None else tuple(map(str, range(n)))
+        orders, subgroups = [0] * n, [None] * n
         for g in range(n):
-            members = [identity]
+            if subgroups[g] is not None:
+                continue
+            powers = [0]  # g^0 .. g^(k-1), k the order of g
             x = g
-            while x != identity:
-                members.append(x)
-                x = self.table[x][g]
-            orders.append(len(members))
-            subgroups.append(frozenset(members))
+            while x != 0:
+                powers.append(x)
+                x = self.mul(x, g)
+            # <g> is enumerated once and shared by its generators g^j, gcd(j, k) = 1
+            members = frozenset(powers)
+            for j, h in enumerate(powers):
+                if gcd(j, len(powers)) == 1:
+                    orders[h], subgroups[h] = len(powers), members
         self.element_orders = tuple(orders)
         self.cyclic_subgroups = tuple(subgroups)
 
     def mul(self, a: int, b: int) -> int:
-        return self.table[a][b]
-
-    def power(self, g: int, k: int) -> int:
-        """g**k by repeated squaring (k may be any integer)."""
-        if k < 0:
-            g, k = self.inverse(g), -k
-        out = self.identity
-        base = g
-        while k:
-            if k & 1:
-                out = self.table[out][base]
-            base = self.table[base][base]
-            k >>= 1
-        return out
-
-    def inverse(self, g: int) -> int:
-        return self.power(g, self.element_orders[g] - 1)
+        return self._index[self.op(self.elements[a], self.elements[b])]
 
     def __repr__(self):
         return f"FiniteGroup({self.name}, order={self.order})"
 
 
-def _flatten(name, elements, op, names=None):
-    index = {e: i for i, e in enumerate(elements)}
-    table = [[index[op(a, b)] for b in elements] for a in elements]
-    return FiniteGroup(name, table, names)
-
-
 def _build_cyclic(n: int) -> FiniteGroup:
-    table = [[(a + b) % n for b in range(n)] for a in range(n)]
-    return FiniteGroup(f"cyclic:{n}", table)
+    return FiniteGroup(f"cyclic:{n}", range(n), lambda a, b: (a + b) % n)
 
 
 def _build_elementary(p: int, n: int) -> FiniteGroup:
-    def decode(v):
-        out = []
-        for _ in range(n):
-            out.append(v % p)
-            v //= p
-        return out
-
-    q = p**n
-    elements = list(range(q))
-    coeffs = [decode(v) for v in elements]
-
-    def encode(cs):
-        v = 0
-        for c in reversed(cs):
-            v = v * p + c
-        return v
-
-    table = [
-        [encode([(a + b) % p for a, b in zip(ca, cb)]) for cb in coeffs]
-        for ca in coeffs
-    ]
-    names = ["(" + ",".join(map(str, c)) + ")" for c in coeffs]
-    return FiniteGroup(f"elementary:{p}:{n}", table, names)
+    # coefficient vectors, the first coordinate varying fastest
+    elements = [c[::-1] for c in product(range(p), repeat=n)]
+    names = ["(" + ",".join(map(str, c)) + ")" for c in elements]
+    return FiniteGroup(
+        f"elementary:{p}:{n}",
+        elements,
+        lambda u, v: tuple((a + b) % p for a, b in zip(u, v)),
+        names,
+    )
 
 
 def _build_dihedral(n: int) -> FiniteGroup:
@@ -225,7 +190,7 @@ def _build_dihedral(n: int) -> FiniteGroup:
 
     elements = [(a, b) for b in (0, 1) for a in range(n)]
     names = [f"r{a}" if b == 0 else f"sr{a}" for a, b in elements]
-    return _flatten(f"dihedral:{n}", elements, op, names)
+    return FiniteGroup(f"dihedral:{n}", elements, op, names)
 
 
 def _build_quaternion(n: int) -> FiniteGroup:
@@ -243,7 +208,7 @@ def _build_quaternion(n: int) -> FiniteGroup:
 
     elements = [(a, b) for b in (0, 1) for a in range(half)]
     names = [f"x{a}" if b == 0 else f"x{a}y" for a, b in elements]
-    return _flatten(f"quaternion:{n}", elements, op, names)
+    return FiniteGroup(f"quaternion:{n}", elements, op, names)
 
 
 def _build_heisenberg(p: int) -> FiniteGroup:
@@ -254,7 +219,7 @@ def _build_heisenberg(p: int) -> FiniteGroup:
 
     elements = [(x, y, z) for x in range(p) for y in range(p) for z in range(p)]
     names = [f"({x},{y},{z})" for x, y, z in elements]
-    return _flatten(f"heisenberg:{p}", elements, op, names)
+    return FiniteGroup(f"heisenberg:{p}", elements, op, names)
 
 
 def _build_extraspecial_exp_p2(p: int) -> FiniteGroup:
@@ -271,7 +236,7 @@ def _build_extraspecial_exp_p2(p: int) -> FiniteGroup:
 
     elements = [(c, b) for c in range(p) for b in range(mod)]
     names = [f"t->{1 + c * p}t+{b}" for c, b in elements]
-    return _flatten(f"extraspecial_exp_p2:{p}", elements, op, names)
+    return FiniteGroup(f"extraspecial_exp_p2:{p}", elements, op, names)
 
 
 def _build_psl2(p: int, n: int) -> FiniteGroup:
@@ -311,7 +276,7 @@ def _build_psl2(p: int, n: int) -> FiniteGroup:
         )
 
     names = [f"[{a},{b};{c},{d}]" for a, b, c, d in elements]
-    group = _flatten(f"psl2:{p}:{n}", elements, op, names)
+    group = FiniteGroup(f"psl2:{p}:{n}", elements, op, names)
     k = 2 if p > 2 else 1
     expected = q * (q - 1) * (q + 1) // k
     if group.order != expected:
@@ -323,18 +288,9 @@ def _build_psl2(p: int, n: int) -> FiniteGroup:
 
 def _build_frobenius_pq(p: int, q: int) -> FiniteGroup:
     # Z_q semidirect Z_p, realized as maps t -> a^i * t + b on Z_q with a the
-    # smallest residue of multiplicative order p mod q.
-    a = None
-    for cand in range(2, q):
-        x, k = cand, 1
-        while x != 1:
-            x = x * cand % q
-            k += 1
-        if k == p:
-            a = cand
-            break
-    if a is None:  # p | q-1 guarantees existence
-        raise GroupConstructionError(f"no element of order {p} mod {q}")
+    # smallest residue of multiplicative order p mod q: as p is prime, the
+    # smallest a > 1 with a^p = 1, which exists since p | q-1.
+    a = next(c for c in range(2, q) if pow(c, p, q) == 1)
     powers = [pow(a, i, q) for i in range(p)]
 
     def op(u, v):
@@ -344,7 +300,7 @@ def _build_frobenius_pq(p: int, q: int) -> FiniteGroup:
 
     elements = [(b, i) for i in range(p) for b in range(q)]
     names = [f"t->{powers[i]}t+{b}" for b, i in elements]
-    return _flatten(f"frobenius_pq:{p}:{q}", elements, op, names)
+    return FiniteGroup(f"frobenius_pq:{p}:{q}", elements, op, names)
 
 
 def _parse_cayley_text(text: str) -> list[list[int]]:
@@ -352,6 +308,10 @@ def _parse_cayley_text(text: str) -> list[list[int]]:
     if not lines:
         raise GroupConstructionError("empty Cayley-table input")
     n = int(lines[0])
+    if n < 1:
+        raise GroupConstructionError(
+            f"a group needs at least one element, got a table of order {n}"
+        )
     if len(lines) != n + 1:
         raise GroupConstructionError(f"expected {n} table rows, got {len(lines) - 1}")
     table = []
@@ -402,7 +362,7 @@ def _build_cayley_table(path: str) -> FiniteGroup:
     with open(path, "r", encoding="utf-8") as fh:
         table = _parse_cayley_text(fh.read())
     validate_cayley_table(table)
-    return FiniteGroup(f"cayley_table:{path}", table)
+    return FiniteGroup(f"cayley_table:{path}", range(len(table)), lambda a, b: table[a][b])
 
 
 @dataclass(frozen=True)
@@ -489,27 +449,31 @@ def family_expr(spec: GroupSpec) -> CliqueExpr:
     return family.clique_expr(*spec.params)
 
 
-def power_graph(group: FiniteGroup, subset=None) -> SimpleGraph:
-    """Power graph on `subset` (default: all of the group): distinct u, v are
-    adjacent iff one lies in the cyclic subgroup generated by the other."""
-    if subset is None:
-        verts = list(range(group.order))
-    else:
-        verts = sorted(set(subset))
-        if group.identity not in verts:
-            raise ValueError("vertex subset must contain the identity")
-        if verts[0] < 0 or verts[-1] >= group.order:
-            raise ValueError("vertex subset out of range")
-    cyc = group.cyclic_subgroups
+def power_graph(group: FiniteGroup) -> SimpleGraph:
+    """Power graph: distinct u, v are adjacent iff one lies in the cyclic
+    subgroup generated by the other."""
+    edges = [(u, v) for u, c in enumerate(group.cyclic_subgroups) for v in c if v != u]
+    return SimpleGraph(group.order, edges, group.element_names)
+
+
+def clique_spec(group: FiniteGroup) -> CliqueReplacedSpec:
+    """The power graph as a clique-replaced graph, without building it.
+
+    The generators of one cyclic subgroup C are closed twins, so the power
+    graph is the containment graph of the cyclic subgroups with C blown up to
+    a clique of phi(|C|) vertices.  C is cyclic: its subgroups are the <x>
+    for one x in C of each order e dividing |C|, and they give C's edges.
+    """
+    vertex: dict[frozenset, int] = {}
+    for c in group.cyclic_subgroups:
+        vertex.setdefault(c, len(vertex))
+    orders, cyclic = group.element_orders, group.cyclic_subgroups
     edges = []
-    for i, u in enumerate(verts):
-        cu = cyc[u]
-        for j in range(i + 1, len(verts)):
-            v = verts[j]
-            if v in cu or u in cyc[v]:
-                edges.append((i, j))
-    labels = [group.element_names[v] for v in verts]
-    return SimpleGraph(len(verts), edges, labels)
+    for c, i in vertex.items():
+        below = {orders[x]: x for x in c if orders[x] < len(c)}
+        edges.extend((i, vertex[cyclic[x]]) for x in below.values())
+    sizes = tuple(euler_phi(len(c)) for c in vertex)
+    return CliqueReplacedSpec(SimpleGraph(len(vertex), edges), sizes)
 
 
 def epo_class_counts(group: FiniteGroup) -> dict[int, int]:

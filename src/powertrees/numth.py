@@ -220,9 +220,6 @@ class FactoredNat:
                 raise ValueError(f"inexact division: missing factor {p}^{-merged[p]}")
         return FactoredNat(tuple(sorted((p, e) for p, e in merged.items() if e)), 1)
 
-    def is_fully_factored(self) -> bool:
-        return self.residual == 1
-
     def __str__(self) -> str:
         if self.residual == 0:
             return "0"

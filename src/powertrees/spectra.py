@@ -138,12 +138,6 @@ class IntSpectrum:
     def eigenvalue_sum(self) -> int:
         return sum(v * m for v, m in self.pairs)
 
-    def as_sorted_list(self) -> list[int]:
-        out = []
-        for v, m in self.pairs:
-            out.extend([v] * m)
-        return out
-
     def __str__(self):
         return "{" + ", ".join(f"{v}^{m}" if m > 1 else str(v) for v, m in self.pairs) + "}"
 
@@ -211,6 +205,19 @@ def kappa_from_spectrum(spec: IntSpectrum) -> FactoredNat:
                 f"eigenvalue product not divisible by vertex count {spec.n}"
             )
     return FactoredNat(tuple(sorted((p, e) for p, e in exponents.items() if e)), 1)
+
+
+def universal_count(expr: CliqueExpr) -> int:
+    """Universal vertices of the expression's graph, without building it: all
+    of K(s), none of a union of two nonempty graphs, and for a join those
+    universal within their own side."""
+    if isinstance(expr, Clique):
+        return expr.size
+    if isinstance(expr, Union):
+        return 0
+    if isinstance(expr, Join):
+        return universal_count(expr.left) + universal_count(expr.right)
+    raise TypeError(f"not a clique expression: {expr!r}")
 
 
 def expr_to_graph(expr: CliqueExpr) -> graphs.SimpleGraph:

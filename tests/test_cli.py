@@ -198,3 +198,49 @@ def test_verify_jobs_below_one_is_a_usage_error(capsys, jobs):
     code, out, err = run(capsys, "verify", "quick", "--jobs", jobs)
     assert code == 2 and out == ""
     assert "--jobs" in err
+
+
+def _no_expansion(*_):
+    raise AssertionError("the graph was expanded")
+
+
+def test_only_matrix_tree_expands_group_and_expr_targets(capsys, monkeypatch):
+    expected = {}
+    # every group method but matrix-tree, and auto where it picks another
+    requests = [("group", target, method)
+                for target, extra, auto, _, _ in GROUPS
+                for method in (["auto"] if auto != "matrix-tree" else []) + extra]
+    requests += [("expr", text, method)
+                 for text in ("K(4)", "K(2)*(K(6)+4#K(2))", "K(1)*K(2)+K(3)")
+                 for method in ("auto", "spectrum")]
+    for kind, target, _ in requests:
+        _, out, _ = run(capsys, "kappa", kind, target, "--method", "matrix-tree",
+                        "--output", "json")
+        record = json.loads(out)
+        expected[kind, target] = (record["vertex_count"], record["universal_count"])
+    for name in ("power_graph", "expr_to_graph", "clique_replaced"):
+        monkeypatch.setattr(cli, name, _no_expansion)
+    for kind, target, method in requests:
+        code, out, _ = run(capsys, "kappa", kind, target, "--method", method, "--output", "json")
+        assert code == 0
+        record = json.loads(out)
+        assert (record["vertex_count"], record["universal_count"]) == expected[kind, target]
+
+
+def test_psl2_of_order_7800_answers_from_its_clique_spec(capsys):
+    code, out, _ = run(capsys, "kappa", "group", "psl2:5:2", "--output", "json")
+    assert code == 0
+    record = json.loads(out)
+    assert (record["vertex_count"], record["universal_count"]) == (7800, 1)
+    assert int(record["kappa_decimal"]) == F.kappa_psl2(5, 2).value()
+
+
+@pytest.mark.parametrize("header", ["0", "-1"])
+def test_empty_cayley_table_is_a_usage_error(capsys, tmp_path, header):
+    path = tmp_path / "empty.tbl"
+    path.write_text(header + "\n")
+    for argv in (("kappa", "group", f"table:{path}"),
+                 ("export", "group", f"table:{path}", "--format", "edges")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "at least one element" in err

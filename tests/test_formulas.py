@@ -340,4 +340,4 @@ def test_factor_bound_controls_residual():
     spec = F.divisor_clique_spec(6)
     coarse = F.kappa_clique_replaced_formula(spec, factor_bound=2)
     assert coarse.value() == 540
-    assert coarse.residual == 135 or not coarse.is_fully_factored()
+    assert coarse.residual == 135

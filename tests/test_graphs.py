@@ -9,9 +9,7 @@ from powertrees.graphs import (
     complement,
     complete_graph,
     divisor_graph,
-    empty_graph,
     from_edge_list_text,
-    induced_subgraph,
     join,
     path_graph,
     to_dot,
@@ -39,7 +37,7 @@ def test_simple_graph_validation():
 
 
 def test_complement():
-    assert complement(complete_graph(4)) == empty_graph(4)
+    assert complement(complete_graph(4)) == SimpleGraph(4)
     assert list(complement(path_graph(3)).edges()) == [(0, 2)]
     rng = random.Random(1)
     for _ in range(20):
@@ -60,7 +58,7 @@ def test_join_of_cliques_is_quaternion_power_graph():
     expr = join(complete_graph(2), union(union(complete_graph(2), complete_graph(2)), complete_graph(2)))
     pg = power_graph(build_group(GroupSpec.parse("quaternion:3")))
     assert (expr.n, expr.edge_count) == (pg.n, pg.edge_count) == (8, 16)
-    assert expr.degree_sequence() == pg.degree_sequence()
+    assert sorted(map(expr.degree, range(8))) == sorted(map(pg.degree, range(8)))
 
 
 def test_divisor_graph():
@@ -139,17 +137,7 @@ def test_clique_replaced_spec_validation():
     with pytest.raises(ValueError):
         CliqueReplacedSpec(path_graph(3), (1, 0, 1))  # non-positive size
     with pytest.raises(ValueError):
-        CliqueReplacedSpec(empty_graph(2), (1, 1))  # disconnected base
-
-
-def test_induced_subgraph():
-    g = SimpleGraph(5, [(i, (i + 1) % 5) for i in range(5)])  # C5
-    assert induced_subgraph(g, range(5)).edge_count == 5
-    assert induced_subgraph(g, [2]) == complete_graph(1)
-    sub = induced_subgraph(g, [1, 2, 3])
-    assert sub == path_graph(3)
-    with pytest.raises(ValueError):
-        induced_subgraph(g, [0, 9])
+        CliqueReplacedSpec(SimpleGraph(2), (1, 1))  # disconnected base
 
 
 def test_edge_list_roundtrip():

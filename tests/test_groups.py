@@ -3,12 +3,13 @@ import random
 import pytest
 
 from powertrees.gf import Gf
-from powertrees.graphs import complete_graph, universal_vertices
+from powertrees.formulas import clique_replaced_value
+from powertrees.graphs import clique_replaced, complete_graph, universal_vertices
 from powertrees.groups import (
-    FiniteGroup,
     GroupConstructionError,
     GroupSpec,
     build_group,
+    clique_spec,
     epo_class_counts,
     power_graph,
     validate_cayley_table,
@@ -42,29 +43,32 @@ def test_gf_field_axioms_sampled(p, n):
         assert f.add(a, f.neg(a)) == 0
     for a in range(1, q):
         assert f.mul(a, f.inv(a)) == 1
-        assert (q - 1) % f.multiplicative_order(a) == 0
+        x, order = a, 1
+        while x != 1:
+            x, order = f.mul(x, a), order + 1
+        assert (q - 1) % order == 0  # Lagrange
 
 
 # --- family constructions ---
 
 
-@pytest.mark.parametrize(
-    "text,order",
-    [
-        ("cyclic:12", 12),
-        ("elementary:3:2", 9),
-        ("dihedral:4", 8),
-        ("quaternion:3", 8),
-        ("quaternion:4", 16),
-        ("heisenberg:3", 27),
-        ("extraspecial:3", 27),
-        ("psl2:2:2", 60),
-        ("psl2:5:1", 60),
-        ("psl2:7:1", 168),
-        ("frobenius:2:3", 6),
-        ("frobenius:3:7", 21),
-    ],
-)
+ADVERTISED = [
+    ("cyclic:12", 12),
+    ("elementary:3:2", 9),
+    ("dihedral:4", 8),
+    ("quaternion:3", 8),
+    ("quaternion:4", 16),
+    ("heisenberg:3", 27),
+    ("extraspecial:3", 27),
+    ("psl2:2:2", 60),
+    ("psl2:5:1", 60),
+    ("psl2:7:1", 168),
+    ("frobenius:2:3", 6),
+    ("frobenius:3:7", 21),
+]
+
+
+@pytest.mark.parametrize("text,order", ADVERTISED)
 def test_advertised_orders(text, order):
     assert build(text).order == order
 
@@ -79,10 +83,13 @@ def test_group_axioms_spot_checks():
         n = g.order
         for x in range(n):
             assert g.mul(e, x) == x and g.mul(x, e) == x
-            assert g.mul(x, g.inverse(x)) == e
+            assert any(g.mul(x, y) == e for y in range(n))  # an inverse exists
             assert n % g.element_orders[x] == 0  # Lagrange
             assert len(g.cyclic_subgroups[x]) == g.element_orders[x]
-            assert g.power(x, n) == e
+            power = e
+            for _ in range(n):
+                power = g.mul(power, x)
+            assert power == e
         for _ in range(200):
             a, b, c = (rng.randrange(n) for _ in range(3))
             assert g.mul(g.mul(a, b), c) == g.mul(a, g.mul(b, c))
@@ -159,7 +166,7 @@ def test_power_graph_quaternion8_structure():
     pg = power_graph(build("quaternion:3"))
     assert (pg.n, pg.edge_count) == (8, 16)
     assert len(universal_vertices(pg)) == 2
-    assert pg.degree_sequence() == (7, 7, 3, 3, 3, 3, 3, 3)
+    assert sorted((pg.degree(v) for v in range(pg.n)), reverse=True) == [7, 7, 3, 3, 3, 3, 3, 3]
 
 
 def test_power_graph_connected_identity_universal():
@@ -171,24 +178,16 @@ def test_power_graph_connected_identity_universal():
         assert g.identity in universal_vertices(pg)
 
 
-def test_power_graph_subset():
-    g = build("dihedral:4")
-    rotations = [x for x in range(g.order) if g.element_orders[x] in (1, 2, 4)][:4]
-    sub = power_graph(g, range(4))
-    assert sub.n == 4
-    with pytest.raises(ValueError):
-        power_graph(g, [1, 2, 3])  # identity missing
-
-
 def test_power_graph_subset_of_frobenius_complement():
     # the point stabilizer inside the order-21 group is cyclic of order 3, and
-    # its subset power graph is the complete graph on those elements
+    # the power graph restricted to it is the complete graph on its elements
     g = build("frobenius:3:7")
     stab = sorted(g.cyclic_subgroups[next(
         x for x in range(g.order) if g.element_orders[x] == 3
     )])
-    sub = power_graph(g, stab)
-    assert sub == complete_graph(3)
+    pg = power_graph(g)
+    assert len(stab) == 3
+    assert all(pg.has_edge(u, v) for u in stab for v in stab if u < v)
 
 
 def test_adjacency_is_order_monotone():
@@ -213,6 +212,24 @@ def test_dihedral_kappa_equals_cyclic_kappa():
         kd = kappa_matrix_tree(power_graph(build(f"dihedral:{n}")))
         kc = kappa_matrix_tree(power_graph(build(f"cyclic:{n}")))
         assert kd == kc
+
+
+def _check_clique_spec(g):
+    spec, pg = clique_spec(g), power_graph(g)
+    expanded = clique_replaced(spec)
+    assert (expanded.n, expanded.edge_count) == (pg.n, pg.edge_count)
+    assert len(universal_vertices(expanded)) == len(universal_vertices(pg))
+    assert clique_replaced_value(spec) == kappa_matrix_tree(pg)
+
+
+@pytest.mark.parametrize("text", [text for text, _ in ADVERTISED])
+def test_clique_spec_is_the_power_graph(text):
+    _check_clique_spec(build(text))
+
+
+def test_clique_spec_of_a_table_group(tmp_path):
+    path = write_table(tmp_path, cayley_table(build("quaternion:4")))
+    _check_clique_spec(build_group(GroupSpec.parse(f"table:{path}")))
 
 
 # --- EPO classification ---
@@ -257,11 +274,16 @@ def write_table(tmp_path, table):
     return str(path)
 
 
+def cayley_table(g):
+    return [[g.mul(a, b) for b in range(g.order)] for a in range(g.order)]
+
+
 def test_cayley_table_roundtrip(tmp_path):
     src = build("dihedral:3")
-    path = write_table(tmp_path, [list(row) for row in src.table])
+    path = write_table(tmp_path, cayley_table(src))
     g = build_group(GroupSpec.parse(f"table:{path}"))
     assert g.order == 6
+    assert cayley_table(g) == cayley_table(src)
     assert sorted(g.element_orders) == sorted(src.element_orders)
     assert kappa_matrix_tree(power_graph(g)) == 3
 
@@ -295,4 +317,4 @@ def test_cayley_table_associativity_axiom():
 def test_large_table_sampled_associativity():
     # above the exhaustive-check bound the validation still accepts real groups
     g = build("cyclic:300")
-    validate_cayley_table([list(row) for row in g.table])
+    validate_cayley_table(cayley_table(g))

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from powertrees.graphs import complete_graph
+from powertrees.graphs import complete_graph, universal_vertices
 from powertrees.groups import GroupSpec, build_group, family_expr, power_graph
 from powertrees.linalg import kappa_matrix_tree, laplacian_char_poly
 from powertrees.numth import FactoredNat
@@ -17,6 +17,7 @@ from powertrees.spectra import (
     parse_expr,
     spectrum,
     union_of,
+    universal_count,
 )
 from powertrees.verify import _join_of_cliques_isomorphic, _random_expr
 
@@ -64,7 +65,7 @@ def test_spectrum_quaternion8_expression():
 def test_spectrum_s3_expression():
     expr = Join(Clique(1), Union(copies(3, Clique(1)), Clique(2)))
     spec = spectrum(expr)
-    assert spec.as_sorted_list() == [6, 3, 1, 1, 1, 0]
+    assert [v for v, m in spec.pairs for _ in range(m)] == [6, 3, 1, 1, 1, 0]
     assert spec.pairs == spectrum_oracle(expr)
     assert kappa_from_spectrum(spec).value() == 3
     # matrix-tree on the power graph of the order-6 nonabelian group agrees
@@ -82,6 +83,14 @@ def test_spectrum_invariants():
         assert spec.eigenvalue_sum() == 2 * g.edge_count
         assert spec.multiplicity(0) == len(g.connected_components())
         assert spec.pairs == spectrum_oracle(expr)
+
+
+def test_counts_from_the_expression_match_the_graph():
+    rng = random.Random(19)
+    for _ in range(2000):
+        expr = _random_expr(rng, rng.randint(1, 25))
+        g = expr_to_graph(expr)
+        assert (expr.n, universal_count(expr)) == (g.n, len(universal_vertices(g)))
 
 
 def test_join_rule_top_eigenvalue():
