@@ -4,6 +4,16 @@
     powertrees verify {quick,full} [--jobs K]
     powertrees export {group,graph,expr,zn,replaced} TARGET --format {dot,edges,json}
 
+Methods: `matrix-tree` is the determinant oracle on the explicit graph;
+`quotient` collapses the graph's closed twins into clique blocks and takes
+one small determinant per block of the reduced matrix; `formula` is a closed
+form (a trusted family, or the one-determinant clique-replaced formula for
+zn and replaced targets); `spectrum` evaluates a clique expression's Laplacian
+spectrum; `smatrix` is the contraction-matrix route.  `auto` picks `formula`
+for a trusted group family and `quotient` for any other group, `quotient` for
+graph, `spectrum` for expr and `formula` for zn and replaced targets;
+matrix-tree runs only on request.
+
 Exit codes: 0 success, 1 verification mismatch, 2 usage error, 3 internal
 consistency assertion.  KAPPA_SEED fixes the randomized-case seed for verify.
 """
@@ -25,6 +35,7 @@ from .graphs import (
     from_edge_list_text,
     to_dot,
     to_edge_list_text,
+    twin_quotient,
     universal_vertices,
 )
 from .groups import (
@@ -48,7 +59,7 @@ class UsageError(ValueError):
     pass
 
 
-METHODS = ("auto", "matrix-tree", "formula", "spectrum", "smatrix")
+METHODS = ("auto", "matrix-tree", "quotient", "formula", "spectrum", "smatrix")
 KINDS = ("group", "graph", "expr", "zn", "replaced")
 TARGET_HELP = f"group spec ({FAMILY_USAGE}), edge-list file, expression string, or n"
 
@@ -94,8 +105,9 @@ def _load_target(req: Request, group_spec: GroupSpec | None = None):
     """Resolve the request target without expanding it to a graph: a group
     target is its group (parsed here unless its spec is given), a graph
     target its graph, an expr target its expression and a zn or replaced
-    target its clique spec.  Only matrix-tree and export expand a target
-    (_expand), since a power graph or an expanded spec costs up to n^2 edges."""
+    target its clique spec.  Only matrix-tree, quotient and export expand a
+    target (_expand), since a power graph or an expanded spec costs up to n^2
+    edges."""
     kind = req.kind
     if kind == "group":
         return build_group(group_spec or GroupSpec.parse(req.target))
@@ -117,7 +129,7 @@ def _load_target(req: Request, group_spec: GroupSpec | None = None):
 
 def _expand(target) -> SimpleGraph:
     """The explicit graph of a loaded target.  A group's is its power graph,
-    so matrix-tree on a group does not depend on its clique spec."""
+    so matrix-tree and quotient on a group do not depend on its clique spec."""
     if isinstance(target, FiniteGroup):
         return power_graph(target)
     if isinstance(target, CliqueReplacedSpec):
@@ -144,14 +156,14 @@ def _vertex_counts(target) -> tuple[int, int]:
 
 def _valid_methods(kind: str, family: Family | None) -> list[str]:
     if kind == "group":
-        out = ["auto", "matrix-tree"]
+        out = ["auto", "matrix-tree", "quotient"]
         if family.closed_form:
             out.append("formula")
         if family.clique_expr:
             out.append("spectrum")
         return out
     if kind == "graph":
-        return ["auto", "matrix-tree"]
+        return ["auto", "matrix-tree", "quotient"]
     if kind == "expr":
         return ["auto", "matrix-tree", "spectrum"]
     if kind in ("zn", "replaced"):
@@ -170,21 +182,24 @@ def compute_kappa(req: Request) -> ResultRecord:
     method = req.method
     if method == "auto":
         if req.kind == "group":
-            method = "formula" if family.trusted else "matrix-tree"
+            method = "formula" if family.trusted else "quotient"
         elif req.kind == "expr":
             method = "spectrum"
         elif req.kind in ("zn", "replaced"):
             method = "formula"
         else:
-            method = "matrix-tree"
+            method = "quotient"
     elif method not in valid:
         raise UsageError(
             f"method {method!r} not valid for this target; valid: {', '.join(valid)}"
         )
     target = _load_target(req, group_spec)
-    if method == "matrix-tree":
+    if method in ("matrix-tree", "quotient"):
         target = _expand(target)  # the counts below then come from the graph
-        value = kappa_matrix_tree(target)
+        if method == "matrix-tree":
+            value = kappa_matrix_tree(target)
+        else:  # a disconnected base has no clique spec
+            value = F.quotient_value(twin_quotient(target)) if target.is_connected() else 0
         kappa = FactoredNat.from_int(value, bound if bound is not None else max(target.n, 1000))
     elif method == "formula":
         if req.kind == "group":
@@ -315,7 +330,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_kappa.add_argument("kind", choices=KINDS)
     p_kappa.add_argument("target", help=TARGET_HELP)
     p_kappa.add_argument("--sizes", help="comma-separated block sizes for 'replaced'")
-    p_kappa.add_argument("--method", choices=METHODS, default="auto")
+    p_kappa.add_argument("--method", choices=METHODS, default="auto",
+                         help="route: matrix-tree (oracle), quotient (closed-twin "
+                              "blocks), formula, spectrum or smatrix; auto picks formula "
+                              "for trusted group families, else quotient for group and "
+                              "graph, spectrum for expr and formula for zn and replaced")
     p_kappa.add_argument("--output", choices=("decimal", "factored", "json"), default="decimal")
     p_kappa.add_argument("--factor-bound", type=int, default=None, metavar="N",
                          help="trial-division bound (at least 2) for factoring results")

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, prod
 
-from .graphs import CliqueReplacedSpec, divisor_graph
+from .graphs import CliqueReplacedSpec, SimpleGraph, divisor_graph
 from .linalg import IntMatrix, InternalConsistencyError, det_bareiss
 from .numth import (
     FactoredNat,
@@ -101,6 +101,41 @@ def clique_replaced_value(spec: CliqueReplacedSpec) -> int:
     one k x k determinant in exact integers; the division is asserted exact.
     """
     return _replaced_value(spec, range(spec.k))
+
+
+def quotient_value(spec: CliqueReplacedSpec) -> int:
+    """Exact spanning-tree count of the clique-replaced graph through its
+    blocks: each block j adds x_j - 1 Laplacian eigenvalues m_j, and the rest
+    come from the base Laplacian with edge weights x_i * x_j, so
+
+        kappa = prod m_j**(x_j - 1) * tau_W / prod x_j,
+
+    tau_W a cofactor of that weighted Laplacian.  It is taken at a universal
+    base vertex when there is one (else at vertex 0), and the reduced matrix
+    is block-diagonal over the components of the base without that vertex:
+    tau_W is one determinant per component.  The division is asserted exact.
+    """
+    adj, sizes = spec.base.adj, spec.sizes
+    root = next((i for i in range(spec.k) if len(adj[i]) == spec.k - 1), 0)
+    rest = SimpleGraph(spec.k, [(u, v) for u, v in spec.base.edges() if root not in (u, v)])
+    numerator = 1
+    for comp in rest.connected_components():
+        if comp == [root]:
+            continue
+        rows = [[-sizes[i] * sizes[j] * (j in adj[i]) for j in comp] for i in comp]
+        for t, i in enumerate(comp):
+            rows[t][t] = sizes[i] * sum(sizes[w] for w in adj[i])
+        numerator *= _det_int(rows)
+    for j in range(spec.k):
+        numerator *= spec.block_degree_plus_one(j) ** (sizes[j] - 1)
+    denominator = prod(sizes)
+    value, rem = divmod(numerator, denominator)
+    if rem or value <= 0:
+        raise InternalConsistencyError(
+            f"twin-quotient count gave non-integer or non-positive value "
+            f"{numerator}/{denominator}"
+        )
+    return value
 
 
 def kappa_clique_replaced_formula(

@@ -1,5 +1,5 @@
 """Simple graphs and the constructions used throughout: complement, union,
-join, divisor graphs, and clique-replaced graphs.
+join, divisor graphs, clique-replaced graphs and closed-twin quotients.
 
 Graphs are immutable after construction; adjacency is kept as frozensets for
 O(1) edge queries, and dense matrices are only materialized at determinant
@@ -185,6 +185,20 @@ class CliqueReplacedSpec:
         return self.sizes[i] + sum(self.sizes[j] for j in self.base.adj[i])
 
 
+def twin_quotient(g: SimpleGraph) -> CliqueReplacedSpec:
+    """The graph as a clique-replaced graph: vertices with the same closed
+    neighbourhood form one block (a clique), numbered by first vertex, and
+    two blocks are adjacent iff their vertices are.  g must be connected."""
+    block: dict[frozenset, int] = {}
+    member = [block.setdefault(g.adj[v] | {v}, len(block)) for v in range(g.n)]
+    sizes = [0] * len(block)
+    for b in member:
+        sizes[b] += 1
+    # one vertex per block gives all of the block's edges
+    edges = {(b, member[w]) for nb, b in block.items() for w in nb if member[w] != b}
+    return CliqueReplacedSpec(SimpleGraph(len(block), edges), tuple(sizes))
+
+
 def clique_replaced(spec: CliqueReplacedSpec) -> SimpleGraph:
     """Blow each base vertex i up into a clique of size x_i; base edges become
     complete bipartite connections between blocks.
@@ -226,6 +240,8 @@ def from_edge_list_text(text: str) -> SimpleGraph:
     if not lines:
         raise ValueError("empty edge-list input")
     n = int(lines[0])
+    if n < 1:
+        raise ValueError(f"a graph needs at least one vertex, got {n}")
     edges = []
     for ln in lines[1:]:
         parts = ln.split()

@@ -242,36 +242,43 @@ def _build_extraspecial_exp_p2(p: int) -> FiniteGroup:
 def _build_psl2(p: int, n: int) -> FiniteGroup:
     field = Gf(p, n)
     q = field.q
-    mul, add, neg = field.mul, field.add, field.neg
+    add, mul, neg = field.add_table, field.mul_table, field.neg_table
 
     def canonical(m):
-        # the first nonzero entry is the first place where m and -m differ
-        negated = (neg(m[0]), neg(m[1]), neg(m[2]), neg(m[3]))
-        for x, y in zip(m, negated):
-            if x != y:
-                return m if x < y else negated
+        # m or -m, whichever is smaller at the first nonzero entry, the first
+        # place where they differ (in characteristic 2, m = -m)
+        for x in m:
+            if x:
+                return m if x <= neg[x] else (neg[m[0]], neg[m[1]], neg[m[2]], neg[m[3]])
         return m
 
     one = 1  # encoding of the field unit
+    inv = [0] + [field.inv(x) for x in range(1, q)]
+    # SL(2, q) in O(q^3): ad - bc = 1 fixes d = (1 + bc)/a when a != 0, and
+    # c = -1/b (d free) when a = 0
     seen = set()
     for a in range(q):
         for b in range(q):
-            for c in range(q):
+            if a:
+                for c in range(q):
+                    seen.add(canonical((a, b, c, mul[add[one][mul[b][c]]][inv[a]])))
+            elif b:
+                c = neg[inv[b]]
                 for d in range(q):
-                    if add(mul(a, d), neg(mul(b, c))) == one:
-                        seen.add(canonical((a, b, c, d)))
+                    seen.add(canonical((a, b, c, d)))
     identity = canonical((one, 0, 0, one))
     elements = [identity] + sorted(seen - {identity})
 
     def op(m1, m2):
         a1, b1, c1, d1 = m1
         a2, b2, c2, d2 = m2
+        ra, rb, rc, rd = mul[a1], mul[b1], mul[c1], mul[d1]
         return canonical(
             (
-                add(mul(a1, a2), mul(b1, c2)),
-                add(mul(a1, b2), mul(b1, d2)),
-                add(mul(c1, a2), mul(d1, c2)),
-                add(mul(c1, b2), mul(d1, d2)),
+                add[ra[a2]][rb[c2]],
+                add[ra[b2]][rb[d2]],
+                add[rc[a2]][rd[c2]],
+                add[rc[b2]][rd[d2]],
             )
         )
 

@@ -22,6 +22,7 @@ from .graphs import (
     complete_graph,
     join,
     path_graph,
+    twin_quotient,
     universal_vertices,
 )
 from .groups import GroupSpec, build_group, epo_class_counts, family_expr, power_graph
@@ -210,18 +211,21 @@ def cases_ti_cover_assembly() -> list[CaseResult]:
     ]
 
 
+_EPO_CATALOG = (
+    "elementary:2:2",
+    "elementary:2:3",
+    "elementary:3:2",
+    "elementary:5:1",
+    "heisenberg:3",
+    "frobenius:2:3",
+    "frobenius:3:7",
+    "psl2:2:2",
+)
+
+
 def cases_epo_catalog() -> list[CaseResult]:
     out = []
-    for text in (
-        "elementary:2:2",
-        "elementary:2:3",
-        "elementary:3:2",
-        "elementary:5:1",
-        "heisenberg:3",
-        "frobenius:2:3",
-        "frobenius:3:7",
-        "psl2:2:2",
-    ):
+    for text in _EPO_CATALOG:
         group = build_group(GroupSpec.parse(text))
         formula = F.kappa_epo(epo_class_counts(group)).value()
         det = kappa_det_of_group(text)
@@ -248,6 +252,30 @@ def cases_dihedral_vs_cyclic() -> list[CaseResult]:
             )
         )
     return out
+
+
+def cases_quotient_vs_oracle(seed: int) -> list[CaseResult]:
+    """The twin-quotient route, which `auto` takes for groups without a
+    trusted closed form and for graphs, against the determinant oracle: one
+    small group of every family built in (the oracle values are memoized by
+    the cases above), and seeded random graphs with n <= 9, disconnected ones
+    included."""
+    rng = random.Random(seed + 5)
+    failures = []
+    specs = [f"{family}:{n}" for family in ("dihedral", "cyclic") for n in range(3, 9)]
+    specs += ["quaternion:3", "extraspecial:3", *_EPO_CATALOG]
+    for text in specs:
+        quotient = F.quotient_value(twin_quotient(power_graph(build_group(GroupSpec.parse(text)))))
+        det = kappa_det_of_group(text)
+        if quotient != det:
+            failures.append(f"{text}: quotient {quotient}, determinant {det}")
+    for i in range(300):
+        g = _random_graph(rng, rng.randint(1, 9))
+        quotient = F.quotient_value(twin_quotient(g)) if g.is_connected() else 0
+        det = kappa_matrix_tree(g)
+        if quotient != det:
+            failures.append(f"graph {i} edges={list(g.edges())}: quotient {quotient}, determinant {det}")
+    return [_aggregate("quotient-vs-oracle", failures, len(specs) + 300)]
 
 
 # --- sweeps and randomized suites (aggregate reporting) ---
@@ -596,6 +624,7 @@ _REGISTRY = {
     "ti-cover": (cases_ti_cover_assembly, False),
     "epo-catalog": (cases_epo_catalog, False),
     "dihedral-vs-cyclic": (cases_dihedral_vs_cyclic, False),
+    "quotient-vs-oracle": (cases_quotient_vs_oracle, True),
     "cyclic-sweep": (cases_cyclic_sweep, False),
     "triangle": (cases_triangle, True),
     "shifted-product": (cases_shifted_product_suite, True),

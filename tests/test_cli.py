@@ -25,14 +25,14 @@ def valid_methods(capsys, target):
 # (spec, methods valid besides auto and matrix-tree, method auto picks,
 #  vertex count, universal count)
 GROUPS = [
-    ("cyclic:12", ["formula"], "formula", 12, 5),
-    ("elementary:2:3", ["formula", "spectrum"], "formula", 8, 1),
-    ("dihedral:4", [], "matrix-tree", 8, 1),
-    ("quaternion:3", ["formula", "spectrum"], "formula", 8, 2),
-    ("heisenberg:3", ["formula", "spectrum"], "formula", 27, 1),
-    ("extraspecial:3", ["formula", "spectrum"], "matrix-tree", 27, 1),
-    ("psl2:2:2", ["formula"], "formula", 60, 1),
-    ("frobenius:2:3", ["formula", "spectrum"], "formula", 6, 1),
+    ("cyclic:12", ["quotient", "formula"], "formula", 12, 5),
+    ("elementary:2:3", ["quotient", "formula", "spectrum"], "formula", 8, 1),
+    ("dihedral:4", ["quotient"], "quotient", 8, 1),
+    ("quaternion:3", ["quotient", "formula", "spectrum"], "formula", 8, 2),
+    ("heisenberg:3", ["quotient", "formula", "spectrum"], "formula", 27, 1),
+    ("extraspecial:3", ["quotient", "formula", "spectrum"], "quotient", 27, 1),
+    ("psl2:2:2", ["quotient", "formula"], "formula", 60, 1),
+    ("frobenius:2:3", ["quotient", "formula", "spectrum"], "formula", 6, 1),
 ]
 
 
@@ -76,8 +76,8 @@ def test_every_valid_method_agrees_with_the_oracle(capsys, target, extra):
 @pytest.mark.parametrize(
     "target,method,valid",
     [
-        ("psl2:2:2", "spectrum", "valid: auto, matrix-tree, formula"),
-        ("dihedral:4", "formula", "valid: auto, matrix-tree"),
+        ("psl2:2:2", "spectrum", "valid: auto, matrix-tree, quotient, formula"),
+        ("dihedral:4", "formula", "valid: auto, matrix-tree, quotient"),
     ],
 )
 def test_invalid_method_is_a_usage_error(capsys, target, method, valid):
@@ -204,12 +204,15 @@ def _no_expansion(*_):
     raise AssertionError("the graph was expanded")
 
 
-def test_only_matrix_tree_expands_group_and_expr_targets(capsys, monkeypatch):
+def test_only_graph_routes_expand_group_and_expr_targets(capsys, monkeypatch):
     expected = {}
-    # every group method but matrix-tree, and auto where it picks another
+    # every group method but matrix-tree and quotient, which expand by
+    # design, and auto where it picks another
+    graph_routes = ("matrix-tree", "quotient")
     requests = [("group", target, method)
                 for target, extra, auto, _, _ in GROUPS
-                for method in (["auto"] if auto != "matrix-tree" else []) + extra]
+                for method in (["auto"] if auto not in graph_routes else [])
+                + [m for m in extra if m not in graph_routes]]
     requests += [("expr", text, method)
                  for text in ("K(4)", "K(2)*(K(6)+4#K(2))", "K(1)*K(2)+K(3)")
                  for method in ("auto", "spectrum")]
@@ -244,3 +247,39 @@ def test_empty_cayley_table_is_a_usage_error(capsys, tmp_path, header):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
         assert "at least one element" in err
+
+
+def test_auto_counts_a_graph_file_through_its_quotient(capsys, tmp_path):
+    # a path with a triangle hanging off one end, and a disconnected graph
+    path = tmp_path / "g.txt"
+    for text, value in (("5\n0 1\n1 2\n2 3\n2 4\n3 4\n", 3), ("4\n0 1\n2 3\n", 0)):
+        path.write_text(text)
+        code, out, _ = run(capsys, "kappa", "graph", str(path), "--output", "json")
+        assert code == 0
+        record = json.loads(out)
+        assert record["method"] == "quotient"
+        assert int(record["kappa_decimal"]) == value
+        _, out, _ = run(capsys, "kappa", "graph", str(path), "--method", "matrix-tree",
+                        "--output", "json")
+        assert json.loads(out)["kappa_decimal"] == record["kappa_decimal"]
+
+
+def test_dihedral_beyond_the_oracle_reach_answers_through_its_quotient(capsys):
+    # the reflections hang off the identity as pendants, so kappa(D_n) =
+    # kappa(Z_n); matrix-tree would take a 2309 x 2309 determinant
+    code, out, _ = run(capsys, "kappa", "group", "dihedral:1155", "--output", "json")
+    assert code == 0
+    record = json.loads(out)
+    assert (record["method"], record["vertex_count"]) == ("quotient", 2310)
+    assert int(record["kappa_decimal"]) == F.kappa_cyclic(1155).value()
+
+
+@pytest.mark.parametrize("header", ["0", "-1"])
+def test_empty_graph_file_is_a_usage_error(capsys, tmp_path, header):
+    path = tmp_path / "empty.txt"
+    path.write_text(header + "\n")
+    for argv in (("kappa", "graph", str(path)),
+                 ("export", "graph", str(path), "--format", "edges")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "at least one vertex" in err

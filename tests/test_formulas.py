@@ -13,6 +13,8 @@ from powertrees.graphs import (
     complement,
     complete_graph,
     path_graph,
+    twin_quotient,
+    universal_vertices,
 )
 from powertrees.groups import GroupSpec, build_group, epo_class_counts, power_graph
 from powertrees.linalg import IntMatrix, InternalConsistencyError, det_bareiss, kappa_matrix_tree
@@ -190,6 +192,52 @@ def test_formula_matches_smatrix_beyond_subset_reach():
         base = random_connected_graph(rng, k)
         spec = CliqueReplacedSpec(base, tuple(rng.randint(1, 6) for _ in range(k)))
         assert F.clique_replaced_value(spec) == F.kappa_clique_replaced_smatrix(spec).value()
+
+
+def test_quotient_matches_the_oracle_on_random_graphs():
+    rng = random.Random(31)
+    seen = {"n=1": 0, "disconnected": 0, "no universal vertex": 0}
+    for _ in range(3000):
+        n = rng.randint(1, 10)
+        prob = rng.random()
+        g = SimpleGraph(n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < prob])
+        connected = g.is_connected()
+        seen["n=1"] += n == 1
+        seen["disconnected"] += not connected
+        seen["no universal vertex"] += connected and not universal_vertices(g)
+        # the route answers 0 for a disconnected graph without building a spec
+        value = F.quotient_value(twin_quotient(g)) if connected else 0
+        assert value == kappa_matrix_tree(g), list(g.edges())
+    assert min(seen.values()) >= 100, seen
+
+
+def test_twin_quotient_blocks_are_closed_twins():
+    # K(2) joined to the union of K(1) and K(2): blocks {0, 1}, {2}, {3, 4},
+    # numbered by their first vertex
+    g = SimpleGraph(5, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4), (3, 4)])
+    spec = twin_quotient(g)
+    assert spec.sizes == (2, 1, 2)
+    assert sorted(spec.base.edges()) == [(0, 1), (0, 2)]
+    assert clique_replaced(spec).edge_count == g.edge_count
+    assert F.quotient_value(spec) == kappa_matrix_tree(g)
+
+
+def test_quotient_value_takes_one_determinant_per_component(monkeypatch):
+    calls = []
+
+    def counting(m):
+        calls.append(m.rows)
+        return det_bareiss(m)
+
+    monkeypatch.setattr(F, "det_bareiss", counting)
+    # dihedral(6): the identity is the universal block; without it, the
+    # rotation classes of orders 6, 3 and 2 form one component and each of
+    # the 6 reflections is its own
+    g = power_graph(build_group(GroupSpec.parse("dihedral:6")))
+    spec = twin_quotient(g)
+    assert spec.k == 10
+    assert F.quotient_value(spec) == kappa_matrix_tree(g) == 540
+    assert sorted(calls) == [1] * 6 + [3]
 
 
 def test_path_closed_form_audited_values():

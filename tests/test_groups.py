@@ -3,8 +3,8 @@ import random
 import pytest
 
 from powertrees.gf import Gf
-from powertrees.formulas import clique_replaced_value
-from powertrees.graphs import clique_replaced, complete_graph, universal_vertices
+from powertrees.formulas import clique_replaced_value, quotient_value
+from powertrees.graphs import clique_replaced, complete_graph, twin_quotient, universal_vertices
 from powertrees.groups import (
     GroupConstructionError,
     GroupSpec,
@@ -71,6 +71,22 @@ ADVERTISED = [
 @pytest.mark.parametrize("text,order", ADVERTISED)
 def test_advertised_orders(text, order):
     assert build(text).order == order
+
+
+@pytest.mark.parametrize("p,n", [(2, 2), (5, 1), (7, 1), (2, 3), (3, 2)])
+def test_psl2_elements_match_the_brute_force(p, n):
+    # every matrix of determinant 1, each paired with its negative
+    f = Gf(p, n)
+    q = f.q
+    sl2 = [
+        m for m in ((a, b, c, d) for a in range(q) for b in range(q) for c in range(q) for d in range(q))
+        if f.add(f.mul(m[0], m[3]), f.neg(f.mul(m[1], m[2]))) == 1
+    ]
+    assert len(sl2) == q * (q * q - 1)
+    expected = {min(m, tuple(f.neg(x) for x in m)) for m in sl2}
+    g = build(f"psl2:{p}:{n}")
+    assert set(g.elements) == expected
+    assert g.elements[0] == (1, 0, 0, 1)
 
 
 def test_group_axioms_spot_checks():
@@ -230,6 +246,23 @@ def test_clique_spec_is_the_power_graph(text):
 def test_clique_spec_of_a_table_group(tmp_path):
     path = write_table(tmp_path, cayley_table(build("quaternion:4")))
     _check_clique_spec(build_group(GroupSpec.parse(f"table:{path}")))
+
+
+def _check_twin_quotient(g):
+    pg = power_graph(g)
+    spec = twin_quotient(pg)
+    assert spec.n == g.order
+    assert quotient_value(spec) == kappa_matrix_tree(pg)
+
+
+@pytest.mark.parametrize("text", [text for text, _ in ADVERTISED])
+def test_twin_quotient_of_the_power_graph(text):
+    _check_twin_quotient(build(text))
+
+
+def test_twin_quotient_of_a_table_group(tmp_path):
+    path = write_table(tmp_path, cayley_table(build("dihedral:6")))
+    _check_twin_quotient(build_group(GroupSpec.parse(f"table:{path}")))
 
 
 # --- EPO classification ---
