@@ -274,7 +274,9 @@ def cases_quotient_vs_oracle(seed: int) -> list[CaseResult]:
         quotient = F.quotient_value(twin_quotient(g)) if g.is_connected() else 0
         det = kappa_matrix_tree(g)
         if quotient != det:
-            failures.append(f"graph {i} edges={list(g.edges())}: quotient {quotient}, determinant {det}")
+            failures.append(
+                f"graph {i} edges={list(g.edges())}: quotient {quotient}, determinant {det}"
+            )
     return [_aggregate("quotient-vs-oracle", failures, len(specs) + 300)]
 
 

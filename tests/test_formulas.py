@@ -200,7 +200,7 @@ def test_quotient_matches_the_oracle_on_random_graphs():
     for _ in range(3000):
         n = rng.randint(1, 10)
         prob = rng.random()
-        g = SimpleGraph(n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < prob])
+        g = SimpleGraph(n, [(i, j) for i, j in combinations(range(n), 2) if rng.random() < prob])
         connected = g.is_connected()
         seen["n=1"] += n == 1
         seen["disconnected"] += not connected

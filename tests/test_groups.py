@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 
@@ -79,8 +80,9 @@ def test_psl2_elements_match_the_brute_force(p, n):
     f = Gf(p, n)
     q = f.q
     sl2 = [
-        m for m in ((a, b, c, d) for a in range(q) for b in range(q) for c in range(q) for d in range(q))
-        if f.add(f.mul(m[0], m[3]), f.neg(f.mul(m[1], m[2]))) == 1
+        (a, b, c, d)
+        for a, b, c, d in product(range(q), repeat=4)
+        if f.add(f.mul(a, d), f.neg(f.mul(b, c))) == 1
     ]
     assert len(sl2) == q * (q * q - 1)
     expected = {min(m, tuple(f.neg(x) for x in m)) for m in sl2}
