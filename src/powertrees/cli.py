@@ -148,8 +148,9 @@ def _vertex_counts(target) -> tuple[int, int]:
     if isinstance(target, FiniteGroup):
         target = clique_spec(target)
     if isinstance(target, CliqueReplacedSpec):
-        return target.n, sum(
-            x for j, x in enumerate(target.sizes) if target.block_degree_plus_one(j) == target.n
+        n = target.n
+        return n, sum(
+            x for j, x in enumerate(target.sizes) if target.block_degree_plus_one(j) == n
         )
     return target.n, universal_count(target)
 

@@ -1,5 +1,9 @@
-"""Exact integer linear algebra: Bareiss determinants, spanning-tree counts,
-and Laplacian characteristic polynomials.
+"""Exact integer linear algebra: Bareiss determinants and ranks,
+spanning-tree counts, and Laplacian characteristic polynomials.
+
+A Laplacian L is symmetric, hence diagonalizable, so the multiplicity of an
+eigenvalue mu is the nullity n - rank(L - mu*I); `laplacian_nullity` gives it
+from one fraction-free elimination.
 
 No floating point anywhere.  When gmpy2 is importable its mpz type is used
 inside the elimination loops (bit-identical results, much faster on the
@@ -99,26 +103,34 @@ def det_bareiss(m: IntMatrix) -> int:
     return int(sign * a[n - 1][n - 1])
 
 
-def det_cofactor(m: IntMatrix) -> int:
-    """Naive cofactor-expansion determinant (reference oracle, small matrices only)."""
-    if not m.is_square():
-        raise DimensionError("determinant needs a square matrix")
-    rows = m.to_rows()
-
-    def rec(rs: list[list[int]]) -> int:
-        k = len(rs)
-        if k == 0:
-            return 1
-        if k == 1:
-            return rs[0][0]
-        total = 0
-        for j in range(k):
-            if rs[0][j]:
-                minor = [row[:j] + row[j + 1 :] for row in rs[1:]]
-                total += (-1) ** j * rs[0][j] * rec(minor)
-        return total
-
-    return rec(rows)
+def rank_bareiss(m: IntMatrix) -> int:
+    """Exact rank by fraction-free (Bareiss) elimination that skips a column
+    with no nonzero entry in the rows not yet pivoted on.  The entries stay
+    minors of m, so every interior division is checked to be exact."""
+    a = [[_mk(x) for x in row] for row in m.to_rows()]
+    rank = 0
+    prev = _mk(1)
+    for c in range(m.cols):
+        r = next((i for i in range(rank, m.rows) if a[i][c]), None)
+        if r is None:
+            continue
+        a[rank], a[r] = a[r], a[rank]
+        top = a[rank]
+        pivot = top[c]
+        for row_i in a[rank + 1 :]:
+            f = row_i[c]
+            new_tail = []
+            push = new_tail.append
+            for x, y in zip(row_i[c + 1 :], top[c + 1 :]):
+                q, rem = divmod(pivot * x - f * y, prev)
+                if rem:
+                    raise InternalConsistencyError("inexact division in Bareiss rank step")
+                push(q)
+            row_i[c + 1 :] = new_tail
+            row_i[c] = 0
+        prev = pivot
+        rank += 1
+    return rank
 
 
 def _laplacian_rows(g) -> list[list[int]]:
@@ -129,6 +141,14 @@ def _laplacian_rows(g) -> list[list[int]]:
         for w in g.neighbors(v):
             rows[v][w] = -1
     return rows
+
+
+def laplacian_nullity(g, mu: int) -> int:
+    """Multiplicity of mu as a Laplacian eigenvalue: n - rank(L - mu*I)."""
+    lap = _laplacian_rows(g)
+    for i, row in enumerate(lap):
+        row[i] -= mu
+    return g.n - rank_bareiss(IntMatrix.from_rows(lap))
 
 
 def kappa_matrix_tree(g) -> int:
@@ -174,43 +194,11 @@ class IntPolynomial:
         if len(self.coeffs) > 1 and self.coeffs[-1] == 0:
             raise ValueError("leading coefficient must be nonzero")
 
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
     def __call__(self, x: int) -> int:
         acc = 0
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
-
-    def divide_linear(self, r: int) -> "IntPolynomial | None":
-        """Quotient by (x - r) if r is a root, else None (synthetic division)."""
-        out = []
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * r + c
-            out.append(acc)
-        if acc != 0:
-            return None
-        out.pop()  # remainder slot
-        return IntPolynomial(tuple(reversed(out)))
-
-    def integer_roots(self, candidates) -> tuple[dict[int, int], "IntPolynomial"]:
-        """Strip roots from `candidates` by repeated trial division.
-
-        Returns ({root: multiplicity}, remaining polynomial).
-        """
-        poly = self
-        roots: dict[int, int] = {}
-        for r in candidates:
-            while poly.degree > 0:
-                q = poly.divide_linear(r)
-                if q is None:
-                    break
-                roots[r] = roots.get(r, 0) + 1
-                poly = q
-        return roots, poly
 
 
 def laplacian_char_poly(g) -> IntPolynomial:
@@ -229,11 +217,8 @@ def laplacian_char_poly(g) -> IntPolynomial:
             [(mu if i == j else 0) - lap[i][j] for j in range(n)] for i in range(n)
         ]
         ys.append(det_bareiss(IntMatrix.from_rows(rows)))
-    coeffs = _newton_interpolate(xs, ys)
-    if len(coeffs) < n + 1:
-        coeffs = coeffs + [Fraction(0)] * (n + 1 - len(coeffs))
     out = []
-    for c in coeffs:
+    for c in _newton_interpolate(xs, ys):
         if c.denominator != 1:
             raise InternalConsistencyError("char poly interpolation gave non-integer")
         out.append(int(c))
@@ -243,7 +228,7 @@ def laplacian_char_poly(g) -> IntPolynomial:
 
 
 def _newton_interpolate(xs: list[int], ys: list[int]) -> list[Fraction]:
-    """Exact polynomial interpolation; returns coefficients constant-first."""
+    """Exact polynomial interpolation; all len(xs) coefficients, constant first."""
     k = len(xs)
     # divided differences
     table = [Fraction(y) for y in ys]
@@ -264,8 +249,6 @@ def _newton_interpolate(xs: list[int], ys: list[int]) -> list[Fraction]:
             # basis *= (x - xs[level])
             shifted = [Fraction(0)] + basis[:-1]
             basis = [s - xs[level] * b for s, b in zip(shifted, basis)]
-    while len(coeffs) > 1 and coeffs[-1] == 0:
-        coeffs.pop()
     return coeffs
 
 

@@ -118,13 +118,6 @@ class IntSpectrum:
                 raise ValueError("pairs must be sorted by strictly decreasing value")
             last = value
 
-    @classmethod
-    def from_values(cls, values) -> "IntSpectrum":
-        counts: dict[int, int] = {}
-        for v in values:
-            counts[v] = counts.get(v, 0) + 1
-        return cls(tuple(sorted(counts.items(), reverse=True)))
-
     @property
     def n(self) -> int:
         return sum(m for _, m in self.pairs)

@@ -230,6 +230,21 @@ def test_only_graph_routes_expand_group_and_expr_targets(capsys, monkeypatch):
         assert (record["vertex_count"], record["universal_count"]) == expected[kind, target]
 
 
+def test_vertex_counts_read_the_order_of_a_clique_spec_once(monkeypatch):
+    # the order is a sum over all blocks, so reading it per block is O(k^2)
+    reads = []
+    order = CliqueReplacedSpec.n
+
+    def counted(spec):
+        reads.append(spec)
+        return order.fget(spec)
+
+    spec = F.divisor_clique_spec(2310)
+    monkeypatch.setattr(CliqueReplacedSpec, "n", property(counted))
+    assert cli._vertex_counts(spec) == (2310, 1 + 480)
+    assert len(reads) == 1 < spec.k
+
+
 def test_psl2_of_order_7800_answers_from_its_clique_spec(capsys):
     code, out, _ = run(capsys, "kappa", "group", "psl2:5:2", "--output", "json")
     assert code == 0

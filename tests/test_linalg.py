@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -6,12 +7,12 @@ from powertrees.graphs import SimpleGraph, complete_graph, path_graph
 from powertrees.linalg import (
     DimensionError,
     IntMatrix,
-    IntPolynomial,
     det_bareiss,
-    det_cofactor,
     kappa_matrix_tree,
     kappa_via_jl,
     laplacian_char_poly,
+    laplacian_nullity,
+    rank_bareiss,
     shifted_product_integer_check,
 )
 
@@ -44,6 +45,23 @@ def test_det_zero_column_and_pivoting():
     # forces a row swap
     assert det_bareiss(IntMatrix.from_rows([[0, 1], [1, 0]])) == -1
     assert det_bareiss(IntMatrix.from_rows([[0, 2, 1], [3, 0, 0], [0, 0, 5]])) == -30
+
+
+def det_cofactor(m: IntMatrix) -> int:
+    """Reference determinant by cofactor expansion (small matrices only)."""
+
+    def rec(rs: list[list[int]]) -> int:
+        k = len(rs)
+        if k == 0:
+            return 1
+        total = 0
+        for j in range(k):
+            if rs[0][j]:
+                minor = [row[:j] + row[j + 1 :] for row in rs[1:]]
+                total += (-1) ** j * rs[0][j] * rec(minor)
+        return total
+
+    return rec(m.to_rows())
 
 
 def test_det_matches_cofactor_oracle():
@@ -97,7 +115,7 @@ def test_char_poly_integer_coeffs_zero_constant():
     for _ in range(60):
         g = random_graph(rng, rng.randint(1, 7))
         poly = laplacian_char_poly(g)
-        assert poly.degree == g.n
+        assert len(poly.coeffs) == g.n + 1
         assert poly.coeffs[0] == 0
         assert poly.coeffs[-1] == 1  # monic
         # evaluating at 0 gives det(-L) = 0 for n>=1
@@ -132,13 +150,52 @@ def test_shifted_product_rejects_zero_shift():
         shifted_product_integer_check(complete_graph(2), 0)
 
 
-def test_int_polynomial_roots():
-    # (x-1)^2 (x-3) = x^3 - 5x^2 + 7x - 3
-    poly = IntPolynomial((-3, 7, -5, 1))
-    roots, rest = poly.integer_roots(range(0, 5))
-    assert roots == {1: 2, 3: 1}
-    assert rest.coeffs == (1,)
-    assert poly(2) == -1
+def fraction_rank(rows):
+    """Reference rank: Gaussian elimination over the rationals."""
+    a = [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    for c in range(len(a[0]) if a else 0):
+        pivot = next((r for r in range(rank, len(a)) if a[r][c]), None)
+        if pivot is None:
+            continue
+        a[rank], a[pivot] = a[pivot], a[rank]
+        for r in range(rank + 1, len(a)):
+            f = a[r][c] / a[rank][c]
+            a[r] = [x - f * y for x, y in zip(a[r], a[rank])]
+        rank += 1
+    return rank
+
+
+def test_rank_matches_fraction_elimination():
+    rng = random.Random(2024)
+    shapes = deficient = zero_cols = 0
+    for _ in range(300):
+        rows, cols = rng.randint(1, 7), rng.randint(1, 7)
+        data = [[rng.randint(-4, 4) for _ in range(cols)] for _ in range(rows)]
+        if rng.random() < 0.3:  # zero columns
+            for c in rng.sample(range(cols), rng.randint(1, cols)):
+                for row in data:
+                    row[c] = 0
+        if rows > 1 and rng.random() < 0.4:  # a row that combines two others
+            k = rng.randrange(rows)
+            i, j = rng.choices([r for r in range(rows) if r != k], k=2)
+            s, t = rng.randint(-3, 3), rng.randint(-3, 3)
+            data[k] = [s * x + t * y for x, y in zip(data[i], data[j])]
+        expected = fraction_rank(data)
+        assert rank_bareiss(IntMatrix.from_rows(data)) == expected
+        shapes += rows != cols
+        deficient += expected < min(rows, cols)
+        zero_cols += any(not any(col) for col in zip(*data))
+    assert shapes and deficient and zero_cols
+    assert rank_bareiss(IntMatrix(0, 0, ())) == 0
+    assert rank_bareiss(IntMatrix(2, 3, (0,) * 6)) == 0
+
+
+def test_laplacian_nullity_is_eigenvalue_multiplicity():
+    # K(4) has spectrum {4^3, 0}; the path on 3 vertices {3, 1, 0}
+    assert [laplacian_nullity(complete_graph(4), mu) for mu in range(6)] == [1, 0, 0, 0, 3, 0]
+    assert [laplacian_nullity(path_graph(3), mu) for mu in range(5)] == [1, 1, 0, 1, 0]
+    assert laplacian_nullity(SimpleGraph(3), 0) == 3
 
 
 def test_universal_vertex_divisibility():

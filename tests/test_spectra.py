@@ -1,7 +1,10 @@
+import functools
 import random
 
 import pytest
 
+from powertrees import linalg
+from powertrees import verify as V
 from powertrees.graphs import complete_graph, universal_vertices
 from powertrees.groups import GroupSpec, build_group, family_expr, power_graph
 from powertrees.linalg import kappa_matrix_tree, laplacian_char_poly
@@ -22,11 +25,30 @@ from powertrees.spectra import (
 from powertrees.verify import _join_of_cliques_isomorphic, _random_expr
 
 
+def integer_roots(coeffs, candidates):
+    """Strip the roots among `candidates` from a polynomial, coefficients
+    constant term first, by repeated synthetic division; returns
+    ({root: multiplicity}, the remaining coefficients)."""
+    coeffs = list(coeffs)
+    roots = {}
+    for r in candidates:
+        while len(coeffs) > 1:
+            quotient, acc = [], 0
+            for c in reversed(coeffs):
+                acc = acc * r + c
+                quotient.append(acc)
+            if acc:
+                break
+            coeffs = quotient[-2::-1]
+            roots[r] = roots.get(r, 0) + 1
+    return roots, coeffs
+
+
 def spectrum_oracle(expr):
     """Independent route: integer roots of the char poly of the realized graph."""
     g = expr_to_graph(expr)
-    roots, rest = laplacian_char_poly(g).integer_roots(range(g.n + 1))
-    assert rest.coeffs == (1,)
+    roots, rest = integer_roots(laplacian_char_poly(g).coeffs, range(g.n + 1))
+    assert rest == [1]
     return tuple(sorted(roots.items(), reverse=True))
 
 
@@ -227,3 +249,55 @@ def test_union_of_empty_rejected():
         union_of([])
     with pytest.raises(ValueError):
         copies(0, Clique(2))
+
+
+# --- the rank proof behind verify's spectrum suite ---
+
+
+def moved_unit(spec, src, dst):
+    """spec with one unit of multiplicity moved from eigenvalue src to dst."""
+    counts = dict(spec.pairs)
+    counts[src] -= 1
+    counts[dst] = counts.get(dst, 0) + 1
+    return IntSpectrum(tuple(sorted(((v, m) for v, m in counts.items() if m), reverse=True)))
+
+
+def test_every_moved_multiplicity_is_rejected(monkeypatch):
+    # each rank is computed once per matrix; the check itself runs on every
+    # perturbed spectrum
+    monkeypatch.setattr(linalg, "rank_bareiss", functools.cache(linalg.rank_bareiss))
+    rejected = 0
+    for expr in V._spectrum_exprs(7):
+        g = expr_to_graph(expr)
+        spec = spectrum(expr)
+        assert V.spectrum_mismatch(g, spec) == ""
+        values = [v for v, _ in spec.pairs]
+        for src in values:
+            for dst in values:
+                if src != dst:
+                    assert "nullity" in V.spectrum_mismatch(g, moved_unit(spec, src, dst))
+                    rejected += 1
+    assert rejected > 1000
+
+
+def test_spectrum_suite_fails_on_a_moved_multiplicity(monkeypatch):
+    real = V.spectrum
+
+    def top_to_bottom(expr):
+        spec = real(expr)
+        return moved_unit(spec, spec.pairs[0][0], 0) if len(spec.pairs) > 1 else spec
+
+    def spread_top(expr):
+        # top eigenvalue a: one unit to a+1 and one to a-1 keeps n and the
+        # trace, so only the nullity check can reject it
+        spec = real(expr)
+        a, mult = spec.pairs[0]
+        if mult < 2 or a == 0:
+            return spec
+        return moved_unit(moved_unit(spec, a, a + 1), a, a - 1)
+
+    for perturbed, why in ((top_to_bottom, "totals wrong"), (spread_top, "nullity")):
+        monkeypatch.setattr(V, "spectrum", perturbed)
+        [result] = V.cases_spectrum_charpoly(7)
+        assert result.name == "spectrum-vs-charpoly-suite"
+        assert not result.ok and why in result.detail
