@@ -4,7 +4,8 @@
     powertrees verify {quick,full} [--jobs K]
     powertrees export {group,graph,expr,zn,replaced} TARGET --format {dot,edges,json}
 
-Methods: `matrix-tree` is the determinant oracle on the explicit graph;
+Methods: `matrix-tree` is the determinant oracle on the explicit graph, one
+determinant per component of the graph without a maximum-degree vertex;
 `quotient` collapses the graph's closed twins into clique blocks and takes
 one small determinant per block of the reduced matrix; `formula` is a closed
 form (a trusted family, or the one-determinant clique-replaced formula for
@@ -332,8 +333,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_kappa.add_argument("target", help=TARGET_HELP)
     p_kappa.add_argument("--sizes", help="comma-separated block sizes for 'replaced'")
     p_kappa.add_argument("--method", choices=METHODS, default="auto",
-                         help="route: matrix-tree (oracle), quotient (closed-twin "
-                              "blocks), formula, spectrum or smatrix; auto picks formula "
+                         help="route: matrix-tree (oracle: one determinant per component "
+                              "of the graph without a max-degree vertex), quotient (closed-"
+                              "twin blocks), formula, spectrum or smatrix; auto picks formula "
                               "for trusted group families, else quotient for group and "
                               "graph, spectrum for expr and formula for zn and replaced")
     p_kappa.add_argument("--output", choices=("decimal", "factored", "json"), default="decimal")

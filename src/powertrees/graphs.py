@@ -1,5 +1,5 @@
-"""Simple graphs and the constructions used throughout: complement, union,
-join, divisor graphs, clique-replaced graphs and closed-twin quotients.
+"""Simple graphs and the constructions used throughout: union, join,
+divisor graphs, clique-replaced graphs and closed-twin quotients.
 
 Graphs are immutable after construction; adjacency is kept as frozensets for
 O(1) edge queries, and dense matrices are only materialized at determinant
@@ -36,12 +36,6 @@ class SimpleGraph:
         self.labels = tuple(labels) if labels is not None else None
         self._edge_count = sum(len(s) for s in sets) // 2
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adj[u]
-
-    def neighbors(self, v: int) -> frozenset:
-        return self.adj[v]
-
     def degree(self, v: int) -> int:
         return len(self.adj[v])
 
@@ -59,17 +53,7 @@ class SimpleGraph:
         return self.labels[v] if self.labels is not None else str(v)
 
     def is_connected(self) -> bool:
-        if self.n == 0:
-            return False
-        seen = {0}
-        stack = [0]
-        while stack:
-            u = stack.pop()
-            for w in self.adj[u]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == self.n
+        return len(self.connected_components()) == 1
 
     def connected_components(self) -> list[list[int]]:
         comps = []
@@ -108,16 +92,6 @@ def complete_graph(n: int, labels=None) -> SimpleGraph:
 
 def path_graph(n: int) -> SimpleGraph:
     return SimpleGraph(n, [(i, i + 1) for i in range(n - 1)])
-
-
-def complement(g: SimpleGraph) -> SimpleGraph:
-    edges = [
-        (u, v)
-        for u in range(g.n)
-        for v in range(u + 1, g.n)
-        if v not in g.adj[u]
-    ]
-    return SimpleGraph(g.n, edges, g.labels)
 
 
 def union(g1: SimpleGraph, g2: SimpleGraph) -> SimpleGraph:

@@ -138,7 +138,7 @@ def _laplacian_rows(g) -> list[list[int]]:
     rows = [[0] * n for _ in range(n)]
     for v in range(n):
         rows[v][v] = g.degree(v)
-        for w in g.neighbors(v):
+        for w in g.adj[v]:
             rows[v][w] = -1
     return rows
 
@@ -152,18 +152,30 @@ def laplacian_nullity(g, mu: int) -> int:
 
 
 def kappa_matrix_tree(g) -> int:
-    """Number of spanning trees, as the vertex-0 cofactor of the Laplacian.
-
-    Returns 0 for disconnected graphs (the determinant vanishes).
-    """
+    """Number of spanning trees, as the Laplacian cofactor at the lowest-numbered
+    vertex r of maximum degree (for a power graph, the identity); all cofactors
+    of a Laplacian are equal.  L without r's row and column has -1 entries only
+    on edges of G - r, so it is block-diagonal over the components C of G - r:
+    the count is the product of the |C| x |C| determinants det L[C], and 0 as
+    soon as one vanishes (a component with no edge to r, if G is disconnected)."""
     n = g.n
     if n == 0:
         raise DimensionError("graph must have at least one vertex")
-    if n == 1:
-        return 1
-    lap = _laplacian_rows(g)
-    reduced = [row[1:] for row in lap[1:]]
-    return det_bareiss(IntMatrix.from_rows(reduced))
+    adj = g.adj
+    root = max(range(n), key=lambda v: len(adj[v]))
+    rest = set(range(n)) - {root}
+    kappa = 1
+    while rest:
+        comp = [rest.pop()]
+        for u in comp:
+            fresh = adj[u] & rest
+            rest -= fresh
+            comp.extend(fresh)
+        rows = [[len(adj[v]) if v == w else -(w in adj[v]) for w in comp] for v in comp]
+        kappa *= det_bareiss(IntMatrix.from_rows(rows))
+        if not kappa:
+            return 0
+    return kappa
 
 
 def kappa_via_jl(g) -> int:

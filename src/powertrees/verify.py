@@ -49,10 +49,6 @@ class CaseResult:
     detail: str
 
 
-def _case(name: str, ok: bool, detail: str) -> CaseResult:
-    return CaseResult(name, ok, detail)
-
-
 _det_memo: dict[str, int] = {}
 
 
@@ -77,7 +73,7 @@ def cases_complete_graphs() -> list[CaseResult]:
         actual = kappa_matrix_tree(complete_graph(n))
         expected = n ** (n - 2)
         out.append(
-            _case(f"cayley-complete-n{n:02d}", actual == expected, _vs(expected, actual))
+            CaseResult(f"cayley-complete-n{n:02d}", actual == expected, _vs(expected, actual))
         )
     return out
 
@@ -91,7 +87,7 @@ def cases_prime_power_cyclic() -> list[CaseResult]:
         det = kappa_det_of_group(f"cyclic:{n}")
         ok = formula == det == expected
         out.append(
-            _case(
+            CaseResult(
                 f"cyclic-prime-power-n{n:02d}",
                 ok,
                 f"closed form {formula}, determinant {det}, expected {expected}",
@@ -104,8 +100,8 @@ def cases_small_2groups() -> list[CaseResult]:
     q8 = kappa_det_of_group("quaternion:3")
     d8 = kappa_det_of_group("dihedral:4")
     return [
-        _case("extraspecial-2-quaternion8", q8 == 2**11, _vs(2**11, q8)),
-        _case("extraspecial-2-dihedral8", d8 == 2**4, _vs(2**4, d8)),
+        CaseResult("extraspecial-2-quaternion8", q8 == 2**11, _vs(2**11, q8)),
+        CaseResult("extraspecial-2-dihedral8", d8 == 2**4, _vs(2**4, d8)),
     ]
 
 
@@ -121,7 +117,7 @@ def _psl2_case(p: int, n: int) -> CaseResult:
     formula = F.kappa_psl2(p, n)
     det = kappa_det_of_group(f"psl2:{p}:{n}")
     ok = formula == expected and det == expected.value()
-    return _case(
+    return CaseResult(
         f"psl2-q{p ** n:02d}",
         ok,
         f"closed form {formula}, determinant {FactoredNat.from_int(det)}, expected {expected}",
@@ -142,7 +138,7 @@ def cases_quaternion_family() -> list[CaseResult]:
         formula = F.kappa_quaternion(n)
         det = kappa_det_of_group(f"quaternion:{n}")
         out.append(
-            _case(
+            CaseResult(
                 f"quaternion-order-{2 ** n:03d}",
                 formula.value() == det,
                 f"closed form {formula}, determinant {FactoredNat.from_int(det)}",
@@ -157,7 +153,7 @@ def cases_frobenius() -> list[CaseResult]:
         formula = F.kappa_frobenius_pq(p, q)
         det = kappa_det_of_group(f"frobenius:{p}:{q}")
         out.append(
-            _case(
+            CaseResult(
                 f"frobenius-{p}-{q:02d}",
                 formula.value() == det,
                 f"closed form {formula}, determinant {FactoredNat.from_int(det)}",
@@ -170,7 +166,7 @@ def cases_heisenberg() -> list[CaseResult]:
     formula = F.kappa_heisenberg(3)
     det = kappa_det_of_group("heisenberg:3")
     return [
-        _case(
+        CaseResult(
             "extraspecial-heisenberg-27",
             formula == FactoredNat.prime_power(3, 13) and det == 3**13,
             f"closed form {formula}, determinant {FactoredNat.from_int(det)}, expected 3^13",
@@ -185,7 +181,7 @@ def cases_extraspecial_oracle() -> list[CaseResult]:
     structural = F.kappa_extraspecial_exp_p2(3).value()
     det = kappa_det_of_group("extraspecial:3")
     return [
-        _case(
+        CaseResult(
             "extraspecial-27-structural-vs-oracle",
             structural == det,
             f"structural {FactoredNat.from_int(structural)}, "
@@ -206,7 +202,7 @@ def cases_ti_cover_assembly() -> list[CaseResult]:
     )
     expected = _PSL_CONSTANTS[(2, 2)]
     return [
-        _case(
+        CaseResult(
             "ti-cover-assembly-order060",
             assembled == expected,
             f"assembled {assembled}, expected {expected}",
@@ -233,7 +229,7 @@ def cases_epo_catalog() -> list[CaseResult]:
         formula = F.kappa_epo(epo_class_counts(group)).value()
         det = kappa_det_of_group(text)
         out.append(
-            _case(
+            CaseResult(
                 f"epo-catalog-{text.replace(':', '-')}",
                 formula == det,
                 _vs(formula, det),
@@ -248,7 +244,7 @@ def cases_dihedral_vs_cyclic() -> list[CaseResult]:
         kd = kappa_det_of_group(f"dihedral:{n}")
         kc = kappa_det_of_group(f"cyclic:{n}")
         out.append(
-            _case(
+            CaseResult(
                 f"dihedral-pendants-n{n}",
                 kd == kc,
                 f"dihedral({n}) gives {kd}, cyclic({n}) gives {kc}",
@@ -288,18 +284,26 @@ def cases_quotient_vs_oracle(seed: int) -> list[CaseResult]:
 
 def _aggregate(name: str, failures: list[str], total: int) -> CaseResult:
     if failures:
-        return _case(name, False, f"{total - len(failures)}/{total} ok; first failure: {failures[0]}")
-    return _case(name, True, f"{total}/{total} ok")
+        detail = f"{total - len(failures)}/{total} ok; first failure: {failures[0]}"
+        return CaseResult(name, False, detail)
+    return CaseResult(name, True, f"{total}/{total} ok")
 
 
-def cases_cyclic_sweep() -> list[CaseResult]:
+def _sweep_failures(start: int, step: int) -> list[tuple[int, str]]:
     failures = []
-    for n in range(1, 121):
+    for n in range(start, 121, step):
         formula = F.kappa_cyclic(n).value()
         det = kappa_det_of_group(f"cyclic:{n}")
         if formula != det:
-            failures.append(f"n={n}: closed form {formula}, determinant {det}")
-    return [_aggregate("cyclic-sweep-001-120", failures, 120)]
+            failures.append((n, f"n={n}: closed form {formula}, determinant {det}"))
+    return failures
+
+
+def cases_cyclic_sweep(failures: list[tuple[int, str]] | None = None) -> list[CaseResult]:
+    """cyclic:1..120, closed form vs oracle; a pooled run passes in the
+    failures its chunks found, in any order."""
+    failures = sorted(_sweep_failures(1, 1) if failures is None else failures)
+    return [_aggregate("cyclic-sweep-001-120", [text for _, text in failures], 120)]
 
 
 def connected_labeled_graphs(k: int) -> list[SimpleGraph]:
@@ -586,7 +590,7 @@ def cases_path_audit(seed: int) -> list[CaseResult]:
             rows.append(
                 f"{sizes} | {formula} | {oracle} | {'yes' if formula == oracle else 'NO'}"
             )
-    return [_case("path-closed-form-audit", True, "\n    ".join(rows))]
+    return [CaseResult("path-closed-form-audit", True, "\n    ".join(rows))]
 
 
 def cases_smatrix_convention() -> list[CaseResult]:
@@ -599,7 +603,7 @@ def cases_smatrix_convention() -> list[CaseResult]:
     table = F.kappa_clique_replaced_smatrix(spec, "table").value()
     ok = arcs == oracle and table != oracle
     return [
-        _case(
+        CaseResult(
             "smatrix-entry-conventions",
             ok,
             f"two-block (2,3) expansion: oracle {oracle}, arc convention {arcs}, "
@@ -675,6 +679,7 @@ QUICK_GROUPS = (
 )
 
 FULL_GROUPS = tuple(_REGISTRY)
+SWEEP_CHUNKS = 8
 
 
 def _run_group(name: str, seed: int) -> list[CaseResult]:
@@ -699,9 +704,16 @@ def run_suite(suite: str, seed: int | None = None, jobs: int = 1) -> tuple[str, 
     groups = QUICK_GROUPS if suite == "quick" else FULL_GROUPS
     results: list[CaseResult] = []
     if jobs > 1:
+        # cyclic-sweep alone outlasts all the other groups, so it runs as
+        # interleaved chunks of n, queued first, that merge into its one line
+        step = SWEEP_CHUNKS if "cyclic-sweep" in groups else 0
+        groups = tuple(g for g in groups if g != "cyclic-sweep")
         with ProcessPoolExecutor(max_workers=jobs) as pool:
+            chunks = [pool.submit(_sweep_failures, i, step) for i in range(1, step + 1)]
             for batch in pool.map(_run_group, groups, [seed] * len(groups)):
                 results.extend(batch)
+            if chunks:
+                results.extend(cases_cyclic_sweep([f for c in chunks for f in c.result()]))
     else:
         for name in groups:
             results.extend(_run_group(name, seed))

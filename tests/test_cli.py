@@ -200,6 +200,22 @@ def test_verify_jobs_below_one_is_a_usage_error(capsys, jobs):
     assert "--jobs" in err
 
 
+def test_cyclic_sweep_chunks_merge_into_the_serial_line(monkeypatch):
+    from powertrees import verify
+
+    def oracle(spec):
+        n = int(spec.split(":")[1])
+        return 0 if n in (7, 60, 113) else F.kappa_cyclic(n).value()
+
+    monkeypatch.setattr(verify, "kappa_det_of_group", oracle)
+    serial = verify.cases_cyclic_sweep()
+    assert serial[0].detail.startswith("117/120 ok; first failure: n=7: ")
+    # the chunk holding n = 113 comes back first
+    step = verify.SWEEP_CHUNKS
+    merged = [f for i in range(1, step + 1) for f in verify._sweep_failures(i, step)]
+    assert verify.cases_cyclic_sweep(merged) == serial
+
+
 def _no_expansion(*_):
     raise AssertionError("the graph was expanded")
 

@@ -6,7 +6,6 @@ from powertrees.graphs import (
     CliqueReplacedSpec,
     SimpleGraph,
     clique_replaced,
-    complement,
     complete_graph,
     divisor_graph,
     from_edge_list_text,
@@ -36,20 +35,11 @@ def test_simple_graph_validation():
     assert g.edge_count == 1
 
 
-def test_complement():
-    assert complement(complete_graph(4)) == SimpleGraph(4)
-    assert list(complement(path_graph(3)).edges()) == [(0, 2)]
-    rng = random.Random(1)
-    for _ in range(20):
-        g = random_graph(rng, rng.randint(0, 7))
-        assert complement(complement(g)) == g
-
-
 def test_union_and_join():
     assert join(complete_graph(1), complete_graph(1)) == complete_graph(2)
     u = union(complete_graph(3), complete_graph(2))
     assert (u.n, u.edge_count) == (5, 4)
-    assert not u.has_edge(0, 3)
+    assert 3 not in u.adj[0]
     j = join(complete_graph(3), complete_graph(2))
     assert j == complete_graph(5)
 
@@ -65,7 +55,7 @@ def test_divisor_graph():
     d6 = divisor_graph(6)
     assert d6.n == 4 and d6.edge_count == 5
     assert d6.labels == ("6", "3", "2", "1")
-    assert not d6.has_edge(1, 2)  # 3 and 2 do not divide each other
+    assert 2 not in d6.adj[1]  # 3 and 2 do not divide each other
     assert divisor_graph(7) == complete_graph(2)
     d12 = divisor_graph(12)
     assert d12.degree(0) == 5 and d12.degree(d12.n - 1) == 5

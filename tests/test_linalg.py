@@ -82,6 +82,51 @@ def test_kappa_matrix_tree_basics():
     assert kappa_matrix_tree(SimpleGraph(4, [(0, 1), (2, 3)])) == 0
 
 
+def unsplit_cofactor(g: SimpleGraph) -> int:
+    """Reference count: one Bareiss determinant of the whole Laplacian with
+    vertex 0's row and column deleted."""
+    rows = [[-(j in g.adj[i]) for j in range(1, g.n)] for i in range(1, g.n)]
+    for i in range(1, g.n):
+        rows[i - 1][i - 1] = g.degree(i)
+    return det_bareiss(IntMatrix.from_rows(rows))
+
+
+def test_split_cofactor_equals_the_unsplit_vertex_0_cofactor():
+    rng = random.Random(2024)
+    seen = {"disconnected": 0, "isolated": 0, "n=1": 0, "n=2": 0, "root not 0": 0}
+    for _ in range(400):
+        n = rng.randint(1, 12)
+        p = rng.choice((0.1, 0.3, 0.5, 0.8))
+        g = SimpleGraph(n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p])
+        assert kappa_matrix_tree(g) == unsplit_cofactor(g)
+        degrees = [g.degree(v) for v in range(n)]
+        seen["disconnected"] += not g.is_connected()
+        seen["isolated"] += n > 1 and 0 in degrees
+        seen["n=1"] += n == 1
+        seen["n=2"] += n == 2
+        seen["root not 0"] += degrees[0] < max(degrees)
+    assert min(seen.values()) >= 10, seen
+
+
+def test_power_graph_determinants_stay_small(monkeypatch):
+    from powertrees import linalg
+    from powertrees.formulas import kappa_psl2
+    from powertrees.groups import GroupSpec, build_group, power_graph
+
+    sizes = []
+    real = linalg.det_bareiss
+
+    def recording(m):
+        sizes.append(m.rows)
+        return real(m)
+
+    monkeypatch.setattr(linalg, "det_bareiss", recording)
+    g = power_graph(build_group(GroupSpec.parse("psl2:3:2")))
+    assert kappa_matrix_tree(g) == kappa_psl2(3, 2).value()
+    assert sizes and max(sizes) <= 4
+    assert sum(sizes) == g.n - 1
+
+
 def test_kappa_via_jl_examples():
     assert kappa_via_jl(complete_graph(3)) == 3
     # star on 4 vertices (power graph of the Klein four-group) is a tree
