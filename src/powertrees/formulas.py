@@ -354,13 +354,11 @@ def kappa_frobenius(kappa_kernel: FactoredNat, kappa_complement: FactoredNat, ke
 
 
 def kappa_frobenius_pq(p: int, q: int) -> FactoredNat:
-    """Nonabelian group of order p*q (p < q primes, p | q-1):
-    q**(q-2) * p**((p-2)*q)."""
+    """Nonabelian group of order p*q (p < q primes, p | q-1): the Frobenius
+    rule with kernel Z_q and complement Z_p, q**(q-2) * p**((p-2)*q)."""
     if not (is_prime(p) and is_prime(q) and p < q and (q - 1) % p == 0):
         raise ValueError(f"need primes p < q with p | q-1, got p={p}, q={q}")
-    return product(
-        [FactoredNat.prime_power(q, q - 2), FactoredNat.prime_power(p, (p - 2) * q)]
-    )
+    return kappa_frobenius(kappa_cyclic(q), kappa_cyclic(p), q)
 
 
 def ti_cover_product(parts) -> FactoredNat:

@@ -1,6 +1,11 @@
 """Exact integer linear algebra: Bareiss determinants and ranks,
 spanning-tree counts, and Laplacian characteristic polynomials.
 
+Spanning trees are counted on symmetric positive semidefinite Laplacian
+blocks, so `kappa_matrix_tree` eliminates only their upper half, without
+pivoting; the generic pivoting `det_bareiss` stays behind `kappa_via_jl`, the
+route that cross-checks it.
+
 A Laplacian L is symmetric, hence diagonalizable, so the multiplicity of an
 eigenvalue mu is the nullity n - rank(L - mu*I); `laplacian_nullity` gives it
 from one fraction-free elimination.
@@ -133,6 +138,47 @@ def rank_bareiss(m: IntMatrix) -> int:
     return rank
 
 
+def _det_psd_upper(upper: list[list[int]]) -> int:
+    """Determinant of a symmetric positive semidefinite integer matrix A given
+    as its upper rows upper[i] = A[i][i:], by Bareiss elimination on the upper
+    half alone.
+
+    The Bareiss entries are bordered minors, so the trailing matrix stays
+    symmetric and A[i][k] is read as A[k][i].  There is no pivoting: the k-th
+    pivot is the leading (k+1)-minor, and for PSD input a zero one means rows
+    0..k are dependent, so the pivot row is all zero and det = 0.  Every
+    division is checked to be exact, and a negative pivot or determinant or a
+    zero pivot with a nonzero row (none possible for PSD input) is an error.
+    """
+    n = len(upper)
+    if n == 0:
+        return 1
+    a = [[_mk(x) for x in row] for row in upper]
+    prev = _mk(1)
+    for k in range(n - 1):
+        row_k = a[k]
+        pivot = row_k[0]
+        if pivot <= 0:
+            if pivot or any(row_k):
+                raise InternalConsistencyError("symmetric block is not positive semidefinite")
+            return 0
+        for i in range(k + 1, n):
+            f = row_k[i - k]
+            new_row = []
+            push = new_row.append
+            for x, y in zip(a[i], row_k[i - k :]):
+                q, rem = divmod(pivot * x - f * y, prev)
+                if rem:
+                    raise InternalConsistencyError("inexact division in symmetric Bareiss step")
+                push(q)
+            a[i] = new_row
+        prev = pivot
+    last = a[n - 1][0]
+    if last < 0:
+        raise InternalConsistencyError("symmetric block is not positive semidefinite")
+    return int(last)
+
+
 def _laplacian_rows(g) -> list[list[int]]:
     n = g.n
     rows = [[0] * n for _ in range(n)]
@@ -157,7 +203,12 @@ def kappa_matrix_tree(g) -> int:
     of a Laplacian are equal.  L without r's row and column has -1 entries only
     on edges of G - r, so it is block-diagonal over the components C of G - r:
     the count is the product of the |C| x |C| determinants det L[C], and 0 as
-    soon as one vanishes (a component with no edge to r, if G is disconnected)."""
+    soon as one vanishes (a component with no edge to r, if G is disconnected).
+
+    Each L[C] is a principal submatrix of a Laplacian, hence symmetric positive
+    semidefinite, so `_det_psd_upper` eliminates only its upper half and needs
+    no pivoting: a zero leading minor of a PSD matrix forces a zero pivot row,
+    and the determinant is 0."""
     n = g.n
     if n == 0:
         raise DimensionError("graph must have at least one vertex")
@@ -171,8 +222,10 @@ def kappa_matrix_tree(g) -> int:
             fresh = adj[u] & rest
             rest -= fresh
             comp.extend(fresh)
-        rows = [[len(adj[v]) if v == w else -(w in adj[v]) for w in comp] for v in comp]
-        kappa *= det_bareiss(IntMatrix.from_rows(rows))
+        upper = [
+            [len(adj[v])] + [-(w in adj[v]) for w in comp[i + 1 :]] for i, v in enumerate(comp)
+        ]
+        kappa *= _det_psd_upper(upper)
         if not kappa:
             return 0
     return kappa
@@ -182,7 +235,9 @@ def kappa_via_jl(g) -> int:
     """Spanning-tree count via det(J + L) / n^2, J the all-ones matrix.
 
     Cross-check route: must agree with kappa_matrix_tree; the division by n^2
-    is asserted exact.
+    is asserted exact.  It stays on the generic pivoting `det_bareiss` on
+    purpose, so that it checks `kappa_matrix_tree`'s symmetric elimination
+    with independent arithmetic.
     """
     n = g.n
     if n == 0:

@@ -7,6 +7,8 @@ from powertrees.graphs import SimpleGraph, complete_graph, path_graph
 from powertrees.linalg import (
     DimensionError,
     IntMatrix,
+    InternalConsistencyError,
+    _det_psd_upper,
     det_bareiss,
     kappa_matrix_tree,
     kappa_via_jl,
@@ -108,19 +110,50 @@ def test_split_cofactor_equals_the_unsplit_vertex_0_cofactor():
     assert min(seen.values()) >= 10, seen
 
 
+def test_psd_upper_equals_bareiss_on_laplacian_blocks():
+    rng = random.Random(1806)
+    seen = {"0x0": 0, "1x1": 0, "singular": 0, "zero pivot before the last": 0}
+    for _ in range(400):
+        n = rng.randint(1, 9)
+        p = rng.choice((0.15, 0.4, 0.7))
+        g = SimpleGraph(n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p])
+        lap = [[-(j in g.adj[i]) for j in range(n)] for i in range(n)]
+        for i in range(n):
+            lap[i][i] = g.degree(i)
+        keep = sorted(rng.sample(range(n), rng.randint(0, n)))
+        block = [[lap[i][j] for j in keep] for i in keep]
+        det = det_bareiss(IntMatrix.from_rows(block))
+        assert _det_psd_upper([row[i:] for i, row in enumerate(block)]) == det
+        seen["0x0"] += not keep
+        seen["1x1"] += len(keep) == 1
+        # G[keep] holds a whole component of G: the block is singular
+        seen["singular"] += len(keep) < n and det == 0
+        seen["zero pivot before the last"] += any(
+            det_bareiss(IntMatrix.from_rows([row[:k] for row in block[:k]])) == 0
+            for k in range(1, len(keep))
+        )
+    assert min(seen.values()) >= 10, seen
+
+
+@pytest.mark.parametrize("rows", [[[-1]], [[0, 1], [1, 0]], [[1, 2], [2, 1]]])
+def test_psd_upper_rejects_indefinite_input(rows):
+    with pytest.raises(InternalConsistencyError):
+        _det_psd_upper([row[i:] for i, row in enumerate(rows)])
+
+
 def test_power_graph_determinants_stay_small(monkeypatch):
     from powertrees import linalg
     from powertrees.formulas import kappa_psl2
     from powertrees.groups import GroupSpec, build_group, power_graph
 
     sizes = []
-    real = linalg.det_bareiss
+    real = linalg._det_psd_upper
 
-    def recording(m):
-        sizes.append(m.rows)
-        return real(m)
+    def recording(upper):
+        sizes.append(len(upper))
+        return real(upper)
 
-    monkeypatch.setattr(linalg, "det_bareiss", recording)
+    monkeypatch.setattr(linalg, "_det_psd_upper", recording)
     g = power_graph(build_group(GroupSpec.parse("psl2:3:2")))
     assert kappa_matrix_tree(g) == kappa_psl2(3, 2).value()
     assert sizes and max(sizes) <= 4
