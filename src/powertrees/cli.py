@@ -5,15 +5,15 @@
     powertrees export {group,graph,expr,zn,replaced} TARGET --format {dot,edges,json}
 
 Methods: `matrix-tree` is the determinant oracle on the explicit graph, one
-determinant per component of the graph without a maximum-degree vertex;
-`quotient` collapses the graph's closed twins into clique blocks and takes
-one small determinant per block of the reduced matrix; `formula` is a closed
-form (a trusted family, or the one-determinant clique-replaced formula for
-zn and replaced targets); `spectrum` evaluates a clique expression's Laplacian
-spectrum; `smatrix` is the contraction-matrix route.  `auto` picks `formula`
-for a trusted group family and `quotient` for any other group, `quotient` for
-graph, `spectrum` for expr and `formula` for zn and replaced targets;
-matrix-tree runs only on request.
+determinant per component of the graph without its universal vertices, else
+without a maximum-degree vertex; `quotient` collapses the graph's closed twins
+into clique blocks and takes one small determinant per block of the reduced
+matrix; `formula` is a closed form (a trusted family, or the one-determinant
+clique-replaced formula for zn and replaced targets); `spectrum` evaluates a
+clique expression's Laplacian spectrum; `smatrix` is the contraction-matrix
+route.  `auto` picks `formula` for a trusted group family and `quotient` for
+any other group, `quotient` for graph, `spectrum` for expr and `formula` for
+zn and replaced targets; matrix-tree runs only on request.
 
 Exit codes: 0 success, 1 verification mismatch, 2 usage error, 3 internal
 consistency assertion.  KAPPA_SEED fixes the randomized-case seed for verify.
@@ -334,8 +334,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_kappa.add_argument("--sizes", help="comma-separated block sizes for 'replaced'")
     p_kappa.add_argument("--method", choices=METHODS, default="auto",
                          help="route: matrix-tree (oracle: one determinant per component "
-                              "of the graph without a max-degree vertex), quotient (closed-"
-                              "twin blocks), formula, spectrum or smatrix; auto picks formula "
+                              "of the graph without its universal vertices, else without a "
+                              "max-degree vertex), quotient (closed-twin blocks), formula, "
+                              "spectrum or smatrix; auto picks formula "
                               "for trusted group families, else quotient for group and "
                               "graph, spectrum for expr and formula for zn and replaced")
     p_kappa.add_argument("--output", choices=("decimal", "factored", "json"), default="decimal")

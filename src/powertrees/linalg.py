@@ -1,10 +1,10 @@
 """Exact integer linear algebra: Bareiss determinants and ranks,
 spanning-tree counts, and Laplacian characteristic polynomials.
 
-Spanning trees are counted on symmetric positive semidefinite Laplacian
-blocks, so `kappa_matrix_tree` eliminates only their upper half, without
-pivoting; the generic pivoting `det_bareiss` stays behind `kappa_via_jl`, the
-route that cross-checks it.
+Spanning trees are counted on the symmetric positive semidefinite Laplacian
+blocks of the graph without its universal vertices, so `kappa_matrix_tree`
+eliminates only their upper half, without pivoting; the generic pivoting
+`det_bareiss` stays behind `kappa_via_jl`, the route that cross-checks it.
 
 A Laplacian L is symmetric, hence diagonalizable, so the multiplicity of an
 eigenvalue mu is the nullity n - rank(L - mu*I); `laplacian_nullity` gives it
@@ -198,23 +198,28 @@ def laplacian_nullity(g, mu: int) -> int:
 
 
 def kappa_matrix_tree(g) -> int:
-    """Number of spanning trees, as the Laplacian cofactor at the lowest-numbered
-    vertex r of maximum degree (for a power graph, the identity); all cofactors
-    of a Laplacian are equal.  L without r's row and column has -1 entries only
-    on edges of G - r, so it is block-diagonal over the components C of G - r:
-    the count is the product of the |C| x |C| determinants det L[C], and 0 as
-    soon as one vanishes (a component with no edge to r, if G is disconnected).
+    """Number of spanning trees, from the Laplacian minor at the set U of the m
+    universal vertices (for a power graph, the identity and any generators):
+    kappa(G) = n^(m-1) * prod_C det L[C] / m over the components C of G - U.
+    G = K_m v H, H = G - U, has Laplacian eigenvalues 0, n (m times) and
+    mu_j(H) + m (j >= 2), while L[V - U] = L_H + mI has determinant m *
+    prod_{j>=2} (mu_j(H) + m); it is block-diagonal over H's components, each
+    L[C] built from G's degrees.  The division by m is checked exact.  With no
+    universal vertex, U is the lowest-numbered vertex of maximum degree (the
+    cofactor there; m = 1), and a vanishing block (if G is disconnected) gives
+    0.  The oracle stays independent: it reads only degrees and adjacency of
+    the explicit graph and takes real determinants, no quotient or closed form.
 
     Each L[C] is a principal submatrix of a Laplacian, hence symmetric positive
-    semidefinite, so `_det_psd_upper` eliminates only its upper half and needs
-    no pivoting: a zero leading minor of a PSD matrix forces a zero pivot row,
-    and the determinant is 0."""
+    semidefinite, so `_det_psd_upper` eliminates only its upper half without
+    pivoting: a zero leading minor forces a zero pivot row, and det = 0."""
     n = g.n
     if n == 0:
         raise DimensionError("graph must have at least one vertex")
     adj = g.adj
-    root = max(range(n), key=lambda v: len(adj[v]))
-    rest = set(range(n)) - {root}
+    roots = [v for v in range(n) if len(adj[v]) == n - 1]
+    roots = roots or [max(range(n), key=lambda v: len(adj[v]))]
+    rest = set(range(n)).difference(roots)
     kappa = 1
     while rest:
         comp = [rest.pop()]
@@ -228,6 +233,10 @@ def kappa_matrix_tree(g) -> int:
         kappa *= _det_psd_upper(upper)
         if not kappa:
             return 0
+    m = len(roots)
+    kappa, r = divmod(n ** (m - 1) * kappa, m)
+    if r:
+        raise InternalConsistencyError(f"block determinant product not divisible by m = {m}")
     return kappa
 
 

@@ -1,12 +1,13 @@
 """Formula-vs-oracle verification suites behind `powertrees verify`.
 
 Every case compares a closed form against an independent exact computation
-(usually the Bareiss matrix-tree determinant on an explicitly constructed
-graph).  A claimed integer Laplacian spectrum is proved by exact ranks: L is
-symmetric, so each eigenvalue's multiplicity is n - rank(L - mu*I).  Reports
-are deterministic for a fixed seed: no timings, case lines sorted by name.
-Large randomized sweeps aggregate into a single line; the named constant
-regressions print both values.
+(usually the matrix-tree oracle on an explicitly constructed graph, or
+det(J+L)/n^2 where the oracle's reduction at the universal vertices makes a
+claim hold by construction).  A claimed integer Laplacian spectrum is proved
+by exact ranks: L is symmetric, so each eigenvalue's multiplicity is
+n - rank(L - mu*I).  Reports are deterministic for a fixed seed: no timings,
+case lines sorted by name.  Large randomized sweeps aggregate into a single
+line; the named constant regressions print both values.
 """
 
 from __future__ import annotations
@@ -68,13 +69,15 @@ def _vs(expected: int, actual: int) -> str:
 
 
 def cases_complete_graphs() -> list[CaseResult]:
+    """Cayley's n^(n-2) from both routes: the oracle's reduction at the
+    universal set gives it without a determinant, det(J+L)/n^2 does not."""
     out = []
     for n in range(2, 13):
-        actual = kappa_matrix_tree(complete_graph(n))
+        g = complete_graph(n)
+        actual = kappa_matrix_tree(g)
         expected = n ** (n - 2)
-        out.append(
-            CaseResult(f"cayley-complete-n{n:02d}", actual == expected, _vs(expected, actual))
-        )
+        ok = actual == kappa_via_jl(g) == expected
+        out.append(CaseResult(f"cayley-complete-n{n:02d}", ok, _vs(expected, actual)))
     return out
 
 
@@ -289,21 +292,15 @@ def _aggregate(name: str, failures: list[str], total: int) -> CaseResult:
     return CaseResult(name, True, f"{total}/{total} ok")
 
 
-def _sweep_failures(start: int, step: int) -> list[tuple[int, str]]:
+def cases_cyclic_sweep() -> list[CaseResult]:
+    """cyclic:1..120, closed form vs oracle."""
     failures = []
-    for n in range(start, 121, step):
+    for n in range(1, 121):
         formula = F.kappa_cyclic(n).value()
         det = kappa_det_of_group(f"cyclic:{n}")
         if formula != det:
-            failures.append((n, f"n={n}: closed form {formula}, determinant {det}"))
-    return failures
-
-
-def cases_cyclic_sweep(failures: list[tuple[int, str]] | None = None) -> list[CaseResult]:
-    """cyclic:1..120, closed form vs oracle; a pooled run passes in the
-    failures its chunks found, in any order."""
-    failures = sorted(_sweep_failures(1, 1) if failures is None else failures)
-    return [_aggregate("cyclic-sweep-001-120", [text for _, text in failures], 120)]
+            failures.append(f"n={n}: closed form {formula}, determinant {det}")
+    return [_aggregate("cyclic-sweep-001-120", failures, 120)]
 
 
 def connected_labeled_graphs(k: int) -> list[SimpleGraph]:
@@ -372,7 +369,8 @@ def cases_shifted_product_suite(seed: int) -> list[CaseResult]:
 
 def cases_universal_divisibility_suite(seed: int) -> list[CaseResult]:
     """n**(m-1) divides the spanning-tree count of every connected graph with
-    m < n universal vertices."""
+    m < n universal vertices.  The oracle's reduction at the universal set
+    makes this hold by construction, so the count is det(J+L)/n^2."""
     rng = random.Random(seed + 2)
     failures = []
     total = 0
@@ -388,7 +386,7 @@ def cases_universal_divisibility_suite(seed: int) -> list[CaseResult]:
         if not 1 <= m < g.n:
             continue
         total += 1
-        kappa = kappa_matrix_tree(g)
+        kappa = kappa_via_jl(g)
         if kappa % g.n ** (m - 1):
             failures.append(f"n={g.n} m={m} edges={list(g.edges())}: kappa={kappa}")
     return [_aggregate("universal-count-divisibility-suite", failures, total)]
@@ -679,7 +677,6 @@ QUICK_GROUPS = (
 )
 
 FULL_GROUPS = tuple(_REGISTRY)
-SWEEP_CHUNKS = 8
 
 
 def _run_group(name: str, seed: int) -> list[CaseResult]:
@@ -704,16 +701,9 @@ def run_suite(suite: str, seed: int | None = None, jobs: int = 1) -> tuple[str, 
     groups = QUICK_GROUPS if suite == "quick" else FULL_GROUPS
     results: list[CaseResult] = []
     if jobs > 1:
-        # cyclic-sweep alone outlasts all the other groups, so it runs as
-        # interleaved chunks of n, queued first, that merge into its one line
-        step = SWEEP_CHUNKS if "cyclic-sweep" in groups else 0
-        groups = tuple(g for g in groups if g != "cyclic-sweep")
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            chunks = [pool.submit(_sweep_failures, i, step) for i in range(1, step + 1)]
             for batch in pool.map(_run_group, groups, [seed] * len(groups)):
                 results.extend(batch)
-            if chunks:
-                results.extend(cases_cyclic_sweep([f for c in chunks for f in c.result()]))
     else:
         for name in groups:
             results.extend(_run_group(name, seed))

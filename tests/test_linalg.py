@@ -110,6 +110,62 @@ def test_split_cofactor_equals_the_unsplit_vertex_0_cofactor():
     assert min(seen.values()) >= 10, seen
 
 
+def test_universal_set_reduction_equals_the_unsplit_cofactor():
+    from powertrees.graphs import join, universal_vertices
+
+    rng = random.Random(1806_02122)
+    seen = {"m >= 2": 0, "complete": 0, "H disconnected": 0, "m = 0": 0}
+    for _ in range(400):
+        m = rng.randint(0, 4)
+        h = random_graph(rng, rng.randint(0 if m else 1, 7))
+        g = join(complete_graph(m), h) if m else h
+        # relabel, so the universal vertices are not always the first ones
+        perm = rng.sample(range(g.n), g.n)
+        g = SimpleGraph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+        assert kappa_matrix_tree(g) == unsplit_cofactor(g)
+        universal = len(universal_vertices(g))
+        seen["m >= 2"] += universal >= 2
+        seen["complete"] += universal == g.n
+        seen["H disconnected"] += h.n > 0 and not h.is_connected()
+        seen["m = 0"] += universal == 0
+    assert min(seen.values()) >= 10, seen
+
+
+def _recorded_block_sizes(monkeypatch) -> list[int]:
+    from powertrees import linalg
+
+    sizes = []
+    real = linalg._det_psd_upper
+
+    def recording(upper):
+        sizes.append(len(upper))
+        return real(upper)
+
+    monkeypatch.setattr(linalg, "_det_psd_upper", recording)
+    return sizes
+
+
+def test_cyclic_oracle_skips_the_generators(monkeypatch):
+    from powertrees.formulas import kappa_cyclic
+    from powertrees.groups import GroupSpec, build_group, power_graph
+
+    sizes = _recorded_block_sizes(monkeypatch)
+    g = power_graph(build_group(GroupSpec.parse("cyclic:120")))
+    assert kappa_matrix_tree(g) == kappa_cyclic(120).value()
+    # the identity and the phi(120) = 32 generators are universal
+    assert sum(sizes) == 120 - 33
+
+
+def test_quaternion_oracle_with_two_universal_vertices():
+    from powertrees.formulas import kappa_quaternion
+    from powertrees.graphs import universal_vertices
+    from powertrees.groups import GroupSpec, build_group, power_graph
+
+    g = power_graph(build_group(GroupSpec.parse("quaternion:4")))
+    assert len(universal_vertices(g)) == 2
+    assert kappa_matrix_tree(g) == kappa_quaternion(4).value()
+
+
 def test_psd_upper_equals_bareiss_on_laplacian_blocks():
     rng = random.Random(1806)
     seen = {"0x0": 0, "1x1": 0, "singular": 0, "zero pivot before the last": 0}
@@ -142,18 +198,10 @@ def test_psd_upper_rejects_indefinite_input(rows):
 
 
 def test_power_graph_determinants_stay_small(monkeypatch):
-    from powertrees import linalg
     from powertrees.formulas import kappa_psl2
     from powertrees.groups import GroupSpec, build_group, power_graph
 
-    sizes = []
-    real = linalg._det_psd_upper
-
-    def recording(upper):
-        sizes.append(len(upper))
-        return real(upper)
-
-    monkeypatch.setattr(linalg, "_det_psd_upper", recording)
+    sizes = _recorded_block_sizes(monkeypatch)
     g = power_graph(build_group(GroupSpec.parse("psl2:3:2")))
     assert kappa_matrix_tree(g) == kappa_psl2(3, 2).value()
     assert sizes and max(sizes) <= 4
