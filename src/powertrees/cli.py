@@ -44,7 +44,6 @@ from .groups import (
     FAMILY_USAGE,
     Family,
     FiniteGroup,
-    GroupConstructionError,
     GroupSpec,
     build_group,
     clique_spec,
@@ -173,6 +172,13 @@ def _valid_methods(kind: str, family: Family | None) -> list[str]:
     raise UsageError(f"unknown target kind {kind!r}")
 
 
+def _bounded(kappa: FactoredNat, bound: int | None) -> FactoredNat:
+    """A closed form factors itself, past any trial-division bound; under
+    an explicit bound it is refactored from its value, as the determinant
+    routes factor theirs, so a bound gives one factored kappa on every route."""
+    return kappa if bound is None else FactoredNat.from_int(kappa.value(), bound)
+
+
 def compute_kappa(req: Request) -> ResultRecord:
     start = time.perf_counter()
     bound = req.factor_bound
@@ -204,17 +210,15 @@ def compute_kappa(req: Request) -> ResultRecord:
             value = F.quotient_value(twin_quotient(target)) if target.is_connected() else 0
         kappa = FactoredNat.from_int(value, bound if bound is not None else max(target.n, 1000))
     elif method == "formula":
-        if req.kind == "group":
-            kappa = family.closed_form(*group_spec.params)
+        if req.kind == "replaced":
+            kappa = F.kappa_clique_replaced_formula(target, bound)
+        elif req.kind == "group":
+            kappa = _bounded(family.closed_form(*group_spec.params), bound)
         else:
-            kappa = (
-                F.kappa_cyclic(int(req.target))
-                if req.kind == "zn"
-                else F.kappa_clique_replaced_formula(target, bound)
-            )
+            kappa = _bounded(F.kappa_cyclic(int(req.target)), bound)
     elif method == "spectrum":
         expr = family_expr(group_spec) if req.kind == "group" else target
-        kappa = kappa_from_spectrum(spectrum(expr))
+        kappa = _bounded(kappa_from_spectrum(spectrum(expr)), bound)
     elif method == "smatrix":
         kappa = F.kappa_clique_replaced_smatrix(target, factor_bound=bound)
     else:
@@ -341,7 +345,8 @@ def build_parser() -> argparse.ArgumentParser:
                               "graph, spectrum for expr and formula for zn and replaced")
     p_kappa.add_argument("--output", choices=("decimal", "factored", "json"), default="decimal")
     p_kappa.add_argument("--factor-bound", type=int, default=None, metavar="N",
-                         help="trial-division bound (at least 2) for factoring results")
+                         help="trial-division bound (at least 2) for factoring the "
+                              "result; it applies to every route")
     p_kappa.set_defaults(fn=cmd_kappa)
 
     p_verify = sub.add_parser("verify", help="run the formula-vs-oracle suites")
@@ -370,10 +375,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (GroupConstructionError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # UsageError, GroupConstructionError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InternalConsistencyError as exc:

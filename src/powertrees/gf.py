@@ -100,15 +100,6 @@ class Gf:
             v = v * self.p + c
         return v
 
-    def add(self, a: int, b: int) -> int:
-        return self.add_table[a][b]
-
-    def mul(self, a: int, b: int) -> int:
-        return self.mul_table[a][b]
-
-    def neg(self, a: int) -> int:
-        return self.neg_table[a]
-
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inverse of 0 in a field")

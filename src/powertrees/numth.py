@@ -7,6 +7,7 @@ deterministically (Miller-Rabin with a witness set proven complete below
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 # Deterministic Miller-Rabin witnesses, complete for n < 3317044064679887385961981.
@@ -92,16 +93,10 @@ def _certifiable_prime(n: int) -> bool:
 
 def factor_completely(n: int) -> list[tuple[int, int]]:
     """Full factorization of n >= 1 (intended for small n, e.g. matrix sizes)."""
-    factors, residual = trial_division(n, max(2, _isqrt(n)))
+    factors, residual = trial_division(n, max(2, math.isqrt(n)))
     if residual != 1:
         raise ValueError(f"failed to factor {n} completely")
     return factors
-
-
-def _isqrt(n: int) -> int:
-    import math
-
-    return math.isqrt(n)
 
 
 def is_prime_power(n: int) -> tuple[int, int] | None:
@@ -208,17 +203,6 @@ class FactoredNat:
         return FactoredNat(
             tuple((p, e * k) for p, e in self.factors), self.residual**k
         )
-
-    def div_exact(self, other: "FactoredNat") -> "FactoredNat":
-        """Exact quotient; both operands must be fully factored (residual 1)."""
-        if self.residual != 1 or other.residual != 1:
-            raise ValueError("div_exact requires fully factored operands")
-        merged = dict(self.factors)
-        for p, e in other.factors:
-            merged[p] = merged.get(p, 0) - e
-            if merged[p] < 0:
-                raise ValueError(f"inexact division: missing factor {p}^{-merged[p]}")
-        return FactoredNat(tuple(sorted((p, e) for p, e in merged.items() if e)), 1)
 
     def __str__(self) -> str:
         if self.residual == 0:

@@ -7,6 +7,7 @@ from powertrees import formulas as F
 from powertrees.graphs import CliqueReplacedSpec, clique_replaced, path_graph, universal_vertices
 from powertrees.groups import GroupSpec, build_group, power_graph
 from powertrees.linalg import kappa_matrix_tree
+from powertrees.numth import FactoredNat
 
 
 def run(capsys, *argv):
@@ -139,6 +140,27 @@ def test_factor_bound_default_and_explicit(capsys, tmp_path):
     _, out, _ = run(capsys, "kappa", "expr", "K(4)", "--method", "matrix-tree",
                     "--output", "factored")
     assert out.strip() == "2^4"
+
+
+@pytest.mark.parametrize("kind,target", [
+    ("zn", "9"), ("zn", "30"), ("group", "cyclic:30"), ("group", "psl2:2:2"),
+    ("group", "heisenberg:3"),
+])
+def test_factor_bound_applies_to_every_route(capsys, kind, target):
+    # the closed forms factor structurally; under a bound they must print
+    # what the determinant routes print
+    if kind == "group":
+        methods = valid_methods(capsys, target)
+    else:
+        methods = ["auto", "matrix-tree", "formula", "smatrix"]
+    outputs = set()
+    for method in methods:
+        code, out, _ = run(capsys, "kappa", kind, target, "--method", method,
+                           "--output", "factored", "--factor-bound", "2")
+        assert code == 0
+        outputs.add(out.strip())
+    _, decimal, _ = run(capsys, "kappa", kind, target)
+    assert outputs == {str(FactoredNat.from_int(int(decimal), 2))}
 
 
 # (kind, target, sizes, vertex count, universal count)

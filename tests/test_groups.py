@@ -3,10 +3,12 @@ from itertools import product
 
 import pytest
 
+from powertrees import formulas, verify
 from powertrees.gf import Gf
 from powertrees.formulas import clique_replaced_value, quotient_value
 from powertrees.graphs import clique_replaced, complete_graph, twin_quotient, universal_vertices
 from powertrees.groups import (
+    FAMILIES,
     GroupConstructionError,
     GroupSpec,
     build_group,
@@ -16,7 +18,7 @@ from powertrees.groups import (
     validate_cayley_table,
 )
 from powertrees.linalg import kappa_matrix_tree
-from powertrees.numth import euler_phi, is_prime
+from powertrees.numth import FactoredNat, euler_phi, is_prime
 
 
 def build(text):
@@ -36,17 +38,18 @@ def test_gf_smallest_irreducible():
 def test_gf_field_axioms_sampled(p, n):
     f = Gf(p, n)
     q = f.q
+    add, mul, neg = f.add_table, f.mul_table, f.neg_table
     rng = random.Random(q)
     for _ in range(200):
         a, b, c = (rng.randrange(q) for _ in range(3))
-        assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
-        assert f.mul(a, b) == f.mul(b, a)
-        assert f.add(a, f.neg(a)) == 0
+        assert mul[a][add[b][c]] == add[mul[a][b]][mul[a][c]]
+        assert mul[a][b] == mul[b][a]
+        assert add[a][neg[a]] == 0
     for a in range(1, q):
-        assert f.mul(a, f.inv(a)) == 1
+        assert mul[a][f.inv(a)] == 1
         x, order = a, 1
         while x != 1:
-            x, order = f.mul(x, a), order + 1
+            x, order = mul[x][a], order + 1
         assert (q - 1) % order == 0  # Lagrange
 
 
@@ -79,13 +82,14 @@ def test_psl2_elements_match_the_brute_force(p, n):
     # every matrix of determinant 1, each paired with its negative
     f = Gf(p, n)
     q = f.q
+    add, mul, neg = f.add_table, f.mul_table, f.neg_table
     sl2 = [
         (a, b, c, d)
         for a, b, c, d in product(range(q), repeat=4)
-        if f.add(f.mul(a, d), f.neg(f.mul(b, c))) == 1
+        if add[mul[a][d]][neg[mul[b][c]]] == 1
     ]
     assert len(sl2) == q * (q * q - 1)
-    expected = {min(m, tuple(f.neg(x) for x in m)) for m in sl2}
+    expected = {min(m, tuple(neg[x] for x in m)) for m in sl2}
     g = build(f"psl2:{p}:{n}")
     assert set(g.elements) == expected
     assert g.elements[0] == (1, 0, 0, 1)
@@ -353,3 +357,46 @@ def test_large_table_sampled_associativity():
     # above the exhaustive-check bound the validation still accepts real groups
     g = build("cyclic:300")
     validate_cayley_table(cayley_table(g))
+
+
+# --- the closed forms audited through the registry ---
+
+
+AUDIT_NAMES = {
+    *(f"cyclic-prime-power-n{n:02d}" for n in (4, 8, 9, 16, 25, 27)),
+    "extraspecial-2-quaternion8",
+    "extraspecial-2-dihedral8",
+    "psl2-q04",
+    "psl2-q07",
+    "psl2-q09",
+    "quaternion-order-008",
+    "quaternion-order-016",
+    "quaternion-order-032",
+    "frobenius-2-03",
+    "frobenius-3-07",
+    "frobenius-5-11",
+    "extraspecial-heisenberg-27",
+    "extraspecial-27-structural-vs-oracle",
+    "elementary-order-025",
+    "elementary-order-027",
+}
+
+
+def test_audit_table_covers_every_closed_form():
+    rows = [row for group in verify._AUDITS.values() for row in group]
+    assert {name for name, _, _ in rows} == AUDIT_NAMES and len(rows) == len(AUDIT_NAMES)
+    audited = set()
+    for name, text, pinned in rows:
+        family = FAMILIES[GroupSpec.parse(text).family]
+        assert family.closed_form is not None or pinned is not None, name
+        audited.add(family.name)
+    assert audited >= {f.name for f in FAMILIES.values() if f.closed_form}
+
+
+def test_audit_reads_the_closed_form_through_the_registry(monkeypatch):
+    monkeypatch.setattr(formulas, "kappa_quaternion", lambda n: FactoredNat.prime_power(2, 12))
+    results = verify.cases_audit("quaternion-family") + verify.cases_audit("small-2groups")
+    status = {r.name: r.ok for r in results}
+    assert not status["quaternion-order-008"]
+    assert not status["extraspecial-2-quaternion8"]
+    assert status["extraspecial-2-dihedral8"]
