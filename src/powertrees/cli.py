@@ -15,6 +15,13 @@ route.  `auto` picks `formula` for a trusted group family and `quotient` for
 any other group, `quotient` for graph, `spectrum` for expr and `formula` for
 zn and replaced targets; matrix-tree runs only on request.
 
+`--factor-bound` is the trial-division bound for factoring the result; by
+default it is max(n, 1000), n the vertex count.  On the `formula` route of zn
+and replaced targets kappa is factored from its parts,
+prod m_i**x_i * det M[V] / (prod_{i in V} m_i * n^2): every prime of m_i and n
+is always certified, and the default bound applies only to det M[V].  An
+explicit bound refactors the whole kappa on every route.
+
 Exit codes: 0 success, 1 verification mismatch, 2 usage error, 3 internal
 consistency assertion.  KAPPA_SEED fixes the randomized-case seed for verify.
 """
@@ -22,13 +29,13 @@ consistency assertion.  KAPPA_SEED fixes the randomized-case seed for verify.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
 from dataclasses import dataclass
 
 from . import formulas as F
-from . import verify
 from .graphs import (
     CliqueReplacedSpec,
     SimpleGraph,
@@ -79,7 +86,6 @@ class ResultRecord:
     input: str
     method: str
     kappa: FactoredNat
-    kappa_decimal: str
     vertex_count: int
     universal_count: int
     elapsed_ms: float
@@ -89,7 +95,7 @@ class ResultRecord:
             {
                 "input": self.input,
                 "method": self.method,
-                "kappa_decimal": self.kappa_decimal,
+                "kappa_decimal": str(self.kappa.value()),
                 "kappa_factored": {
                     "factors": [[p, e] for p, e in self.kappa.factors],
                     "residual": self.kappa.residual,
@@ -117,7 +123,7 @@ def _load_target(req: Request, group_spec: GroupSpec | None = None):
     if kind == "expr":
         return parse_expr(req.target)
     if kind == "zn":
-        return F.divisor_clique_spec(int(req.target))
+        return F.divisor_clique_spec(_zn_order(req.target))
     if kind == "replaced":
         if not req.sizes:
             raise UsageError("replaced targets need --sizes x1,x2,...")
@@ -215,7 +221,7 @@ def compute_kappa(req: Request) -> ResultRecord:
         elif req.kind == "group":
             kappa = _bounded(family.closed_form(*group_spec.params), bound)
         else:
-            kappa = _bounded(F.kappa_cyclic(int(req.target)), bound)
+            kappa = _bounded(F.kappa_cyclic(_zn_order(req.target)), bound)
     elif method == "spectrum":
         expr = family_expr(group_spec) if req.kind == "group" else target
         kappa = _bounded(kappa_from_spectrum(spectrum(expr)), bound)
@@ -229,7 +235,6 @@ def compute_kappa(req: Request) -> ResultRecord:
         input=f"{req.kind} {req.target}" + (f" sizes={','.join(map(str, req.sizes))}" if req.sizes else ""),
         method=method,
         kappa=kappa,
-        kappa_decimal=str(kappa.value()),
         vertex_count=vertex_count,
         universal_count=universal,
         elapsed_ms=round(elapsed, 3),
@@ -238,12 +243,22 @@ def compute_kappa(req: Request) -> ResultRecord:
 
 def _emit_record(record: ResultRecord, output: str) -> str:
     if output == "decimal":
-        return record.kappa_decimal
+        return str(record.kappa.value())
     if output == "factored":
         return str(record.kappa)
     if output == "json":
         return record.to_json()
     raise UsageError(f"unknown output format {output!r}")
+
+
+def _zn_order(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        n = None
+    if n is None or n < 1:
+        raise UsageError(f"zn target must be an integer n >= 1, got {text!r}")
+    return n
 
 
 def _parse_sizes(text: str | None) -> tuple[int, ...] | None:
@@ -270,6 +285,8 @@ def cmd_kappa(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import verify  # loaded for this command only
+
     if args.jobs < 1:
         raise UsageError(f"--jobs must be >= 1, got {args.jobs}")
     started = time.perf_counter()
@@ -306,7 +323,7 @@ def _graph_json(g: SimpleGraph) -> str:
 def cmd_export(args) -> int:
     req = Request(args.kind, args.target, _parse_sizes(args.sizes), "auto", "decimal", None)
     if args.format == "json" and args.kind == "zn":
-        text = _zn_description(int(args.target))
+        text = _zn_description(_zn_order(args.target))
     else:
         graph = _expand(_load_target(req))
         if args.format == "dot":
@@ -325,7 +342,9 @@ def cmd_export(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one argument parser of the process; main parses every argv with it."""
     parser = argparse.ArgumentParser(
         prog="powertrees",
         description="Exact spanning-tree counts for power graphs and clique-replaced graphs.",
@@ -346,7 +365,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_kappa.add_argument("--output", choices=("decimal", "factored", "json"), default="decimal")
     p_kappa.add_argument("--factor-bound", type=int, default=None, metavar="N",
                          help="trial-division bound (at least 2) for factoring the "
-                              "result; it applies to every route")
+                              "result; it applies to every route.  Default max(n, 1000); "
+                              "on the formula route of zn and replaced it applies only to "
+                              "det M[V], and the primes of every m_i and of n are always "
+                              "certified")
     p_kappa.set_defaults(fn=cmd_kappa)
 
     p_verify = sub.add_parser("verify", help="run the formula-vs-oracle suites")

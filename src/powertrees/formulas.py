@@ -59,19 +59,25 @@ def _det_int(rows: list[list[int]]) -> int:
     return det_bareiss(IntMatrix.from_rows(rows))
 
 
-def _replaced_value(spec: CliqueReplacedSpec, vertices) -> int:
-    """prod_i m_i**x_i * det(M[V]) / (prod_{i in V} m_i * n^2), with
-    M = diag(m) + diag(x) * A_complement and V the given base vertices; every
-    vertex left out of V must be isolated in the base complement."""
+def _replaced_det(spec: CliqueReplacedSpec, vertices) -> tuple[list[int], int]:
+    """(m, det(M[V])), with m_i = block_degree_plus_one(i),
+    M = diag(m) + diag(x) * A_complement and V the given base vertices."""
     adj, sizes = spec.base.adj, spec.sizes
     m = [spec.block_degree_plus_one(i) for i in range(spec.k)]
     rows = [
         [m[i] if i == j else sizes[i] * (j not in adj[i]) for j in vertices]
         for i in vertices
     ]
-    numerator = _det_int(rows)
+    return m, _det_int(rows)
+
+
+def _replaced_value(spec: CliqueReplacedSpec, vertices) -> int:
+    """prod_i m_i**x_i * det(M[V]) / (prod_{i in V} m_i * n^2), with M and V
+    as in _replaced_det; every vertex left out of V must be isolated in the
+    base complement."""
+    m, numerator = _replaced_det(spec, vertices)
     for i in range(spec.k):
-        numerator *= m[i] ** sizes[i]
+        numerator *= m[i] ** spec.sizes[i]
     denominator = prod(m[i] for i in vertices) * spec.n**2
     value, rem = divmod(numerator, denominator)
     if rem or value <= 0:
@@ -80,6 +86,42 @@ def _replaced_value(spec: CliqueReplacedSpec, vertices) -> int:
             f"{numerator}/{denominator}"
         )
     return value
+
+
+def _replaced_factored(spec: CliqueReplacedSpec, vertices) -> FactoredNat:
+    """The value of _replaced_value, factored from its parts without being
+    multiplied out: each m_i and n is factored completely, and only det(M[V])
+    is trial-divided, with the default bound max(n, 1000).  Every m_i is at
+    most n, so the residual that trial division leaves has no prime factor
+    that the denominator has: the division is exact iff no prime's exponent
+    falls below 0, and the result equals FactoredNat.from_int of the value
+    under that bound."""
+    m, det = _replaced_det(spec, vertices)
+    if det <= 0:
+        raise InternalConsistencyError(
+            f"clique-replaced formula gave non-positive determinant {det}"
+        )
+    n = spec.n
+    det_factored = FactoredNat.from_int(det, max(n, 1000))
+    powers: dict[int, int] = {}  # exponent of each m_i and of n in the ratio
+    for i, x in enumerate(spec.sizes):
+        powers[m[i]] = powers.get(m[i], 0) + x
+    for i in vertices:
+        powers[m[i]] -= 1
+    powers[n] = powers.get(n, 0) - 2
+    exponents = dict(det_factored.factors)
+    for base, k in powers.items():
+        for p, e in factor_completely(base):
+            exponents[p] = exponents.get(p, 0) + e * k
+    negative = {p: e for p, e in exponents.items() if e < 0}
+    if negative:
+        raise InternalConsistencyError(
+            f"clique-replaced formula gave a non-integer value: primes with "
+            f"negative exponents {negative}"
+        )
+    return FactoredNat(
+        tuple(sorted((p, e) for p, e in exponents.items() if e)), det_factored.residual
+    )
 
 
 def clique_replaced_value(spec: CliqueReplacedSpec) -> int:
@@ -141,8 +183,15 @@ def quotient_value(spec: CliqueReplacedSpec) -> int:
 def kappa_clique_replaced_formula(
     spec: CliqueReplacedSpec, factor_bound: int | None = None
 ) -> FactoredNat:
-    bound = factor_bound if factor_bound is not None else max(spec.n, 1000)
-    return FactoredNat.from_int(clique_replaced_value(spec), bound)
+    """clique_replaced_value, factored.  With no bound it is factored from
+    its parts (_replaced_factored): every prime of m_i and n is certified,
+    det(M) is trial-divided up to max(n, 1000), and the division by
+    prod m_i * n^2 is checked exact in exponent space, where a negative
+    exponent raises InternalConsistencyError.  An explicit bound factors the
+    multiplied-out value instead."""
+    if factor_bound is None:
+        return _replaced_factored(spec, range(spec.k))
+    return FactoredNat.from_int(clique_replaced_value(spec), factor_bound)
 
 
 def smatrix(spec: CliqueReplacedSpec, convention: str = "arcs") -> list[list[int]]:
@@ -235,24 +284,21 @@ def divisor_clique_spec(n: int) -> CliqueReplacedSpec:
     )
 
 
-def _cyclic_interior_value(n: int) -> int:
-    """Cyclic-group count via the divisor-graph formula restricted to the
+def kappa_cyclic(n: int) -> FactoredNat:
+    """Power graph of the cyclic group of order n.
+
+    Prime powers p**m short-circuit to p**(m*(p**m - 2)) (the power graph is
+    complete).  Otherwise the divisor-graph formula is factored from its
+    parts (_replaced_factored) twice: in full, and restricted to the
     interior divisors (d_1 = n and d_k = 1 are universal in the base, so
     isolated in the complement, and their diagonal entries of M cancel
     against their m_i in the denominator):
 
         prod m_i**phi(d_i) * det(M[interior]) / (prod_{interior} m_i * n^2)
-    """
-    spec = divisor_clique_spec(n)
-    return _replaced_value(spec, range(1, spec.k - 1))
 
-
-def kappa_cyclic(n: int) -> FactoredNat:
-    """Power graph of the cyclic group of order n.
-
-    Prime powers p**m short-circuit to p**(m*(p**m - 2)) (the power graph is
-    complete); otherwise the divisor-graph formula is evaluated both in its
-    interior-reduced and full forms, which must agree.
+    Each form's division is checked exact in exponent space, no prime's
+    exponent below 0, and the two forms must be the same FactoredNat, which
+    they are exactly when their values are equal; neither is multiplied out.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -262,13 +308,14 @@ def kappa_cyclic(n: int) -> FactoredNat:
     if pp is not None:
         p, m = pp
         return FactoredNat.prime_power(p, m * (p**m - 2))
-    value = _cyclic_interior_value(n)
-    full = clique_replaced_value(divisor_clique_spec(n))
-    if value != full:
+    spec = divisor_clique_spec(n)
+    interior = _replaced_factored(spec, range(1, spec.k - 1))
+    full = _replaced_factored(spec, range(spec.k))
+    if interior != full:
         raise InternalConsistencyError(
-            f"divisor-interior value {value} != full formula value {full} for n={n}"
+            f"divisor-interior value {interior} != full formula value {full} for n={n}"
         )
-    return FactoredNat.from_int(value, max(n, 1000))
+    return interior
 
 
 def kappa_psl2(p: int, n: int) -> FactoredNat:

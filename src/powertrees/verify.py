@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import os
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 
@@ -649,6 +648,8 @@ def run_suite(suite: str, seed: int | None = None, jobs: int = 1) -> tuple[str, 
     groups = QUICK_GROUPS if suite == "quick" else FULL_GROUPS
     results: list[CaseResult] = []
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor  # not loaded by a serial run
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             for batch in pool.map(_run_group, groups, [seed] * len(groups)):
                 results.extend(batch)

@@ -1,4 +1,9 @@
+import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -332,3 +337,50 @@ def test_empty_graph_file_is_a_usage_error(capsys, tmp_path, header):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
         assert "at least one vertex" in err
+
+
+def test_main_builds_its_parser_once(capsys, monkeypatch):
+    run(capsys, "kappa", "zn", "4")
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    for argv in (("kappa", "zn", "4"), ("kappa", "expr", "K(3)", "--output", "json"),
+                 ("export", "zn", "6", "--format", "json")):
+        code, _, _ = run(capsys, *argv)
+        assert code == 0
+    assert built == []
+
+
+def test_kappa_loads_no_process_pool():
+    src = Path(cli.__file__).resolve().parents[1]
+    code = (
+        "import sys; from powertrees import cli; cli.main(['kappa', 'zn', '12']); "
+        "print([m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules])"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, check=True, timeout=60)
+    assert proc.stdout.splitlines() == ["7823278080", "[]"]
+
+
+def test_factored_output_multiplies_nothing_out(capsys, monkeypatch):
+    def refuse(self):
+        raise AssertionError("kappa was multiplied out")
+
+    monkeypatch.setattr(FactoredNat, "value", refuse)
+    code, out, _ = run(capsys, "kappa", "zn", "30", "--output", "factored")
+    assert code == 0 and out.strip() == "2^14 * 3^16 * 5^14 * 7^2 * 23^7 * 104947"
+
+
+@pytest.mark.parametrize("target", ["-3", "0", "2.5", "twelve"])
+def test_zn_target_must_be_a_positive_integer(capsys, target):
+    for argv in (("kappa", "zn", target), ("kappa", "zn", target, "--method", "smatrix"),
+                 ("export", "zn", target, "--format", "json"),
+                 ("export", "zn", target, "--format", "edges")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert f"zn target must be an integer n >= 1, got {target!r}" in err

@@ -393,3 +393,39 @@ def test_factor_bound_controls_residual():
     coarse = F.kappa_clique_replaced_formula(spec, factor_bound=2)
     assert coarse.value() == 540
     assert coarse.residual == 135
+
+
+def test_factored_from_parts_equals_trial_division_of_the_value():
+    for n in range(1, 501):
+        value = F.clique_replaced_value(F.divisor_clique_spec(n))
+        assert F.kappa_cyclic(n) == FactoredNat.from_int(value, max(n, 1000)), n
+    rng = random.Random(1806)
+    with_universal = 0
+    for _ in range(300):
+        k = rng.randint(1, 8)
+        base = random_connected_graph(rng, k)
+        spec = CliqueReplacedSpec(base, tuple(rng.randint(1, 40) for _ in range(k)))
+        with_universal += any(len(nb) == k - 1 for nb in base.adj)
+        value = F.clique_replaced_value(spec)
+        assert F.kappa_clique_replaced_formula(spec) == FactoredNat.from_int(
+            value, max(spec.n, 1000)), spec
+    assert 0 < with_universal < 300
+
+
+def test_factored_from_parts_checks_the_division(monkeypatch):
+    spec = CliqueReplacedSpec(path_graph(3), (1, 1, 1))
+    assert F.kappa_clique_replaced_formula(spec) == FactoredNat.one()
+    # det M = 9 cancels the n^2 = 9 of the denominator; a det of 1 leaves
+    # n^2 divided twice, and 3 with exponent -2
+    for det, error in ((1, "negative exponents"), (0, "non-positive"), (-9, "non-positive")):
+        monkeypatch.setattr(F, "_det_int", lambda rows, det=det: det)
+        with pytest.raises(InternalConsistencyError, match=error):
+            F.kappa_clique_replaced_formula(spec)
+
+
+def test_kappa_cyclic_interior_and_full_forms_must_agree(monkeypatch):
+    det = F._det_int
+    # n = 30 has 8 divisors: double the determinant of the full form only
+    monkeypatch.setattr(F, "_det_int", lambda rows: det(rows) * (2 if len(rows) == 8 else 1))
+    with pytest.raises(InternalConsistencyError, match="divisor-interior"):
+        F.kappa_cyclic(30)
