@@ -15,11 +15,10 @@ route.  `auto` picks `formula` for a trusted group family and `quotient` for
 any other group, `quotient` for graph, `spectrum` for expr and `formula` for
 zn and replaced targets; matrix-tree runs only on request.
 
-`--factor-bound` is the trial-division bound for factoring the result; by
-default it is max(n, 1000), n the vertex count.  On the `formula` route of zn
-and replaced targets kappa is factored from its parts,
-prod m_i**x_i * det M[V] / (prod_{i in V} m_i * n^2): every prime of m_i and n
-is always certified, and the default bound applies only to det M[V].  An
+Factoring follows one rule.  With no `--factor-bound`, every prime of the
+small bases of kappa (block sizes, m_i, eigenvalues, n) is certified and each
+determinant is trial-divided up to max(n, 1000), n the vertex count; the
+matrix-tree route trial-divides its whole kappa up to that bound.  An
 explicit bound refactors the whole kappa on every route.
 
 Exit codes: 0 success, 1 verification mismatch, 2 usage error, 3 internal
@@ -178,13 +177,6 @@ def _valid_methods(kind: str, family: Family | None) -> list[str]:
     raise UsageError(f"unknown target kind {kind!r}")
 
 
-def _bounded(kappa: FactoredNat, bound: int | None) -> FactoredNat:
-    """A closed form factors itself, past any trial-division bound; under
-    an explicit bound it is refactored from its value, as the determinant
-    routes factor theirs, so a bound gives one factored kappa on every route."""
-    return kappa if bound is None else FactoredNat.from_int(kappa.value(), bound)
-
-
 def compute_kappa(req: Request) -> ResultRecord:
     start = time.perf_counter()
     bound = req.factor_bound
@@ -211,24 +203,27 @@ def compute_kappa(req: Request) -> ResultRecord:
     if method in ("matrix-tree", "quotient"):
         target = _expand(target)  # the counts below then come from the graph
         if method == "matrix-tree":
-            value = kappa_matrix_tree(target)
+            kappa = FactoredNat.from_int(kappa_matrix_tree(target), max(target.n, 1000))
+        elif target.is_connected():
+            kappa = F.kappa_quotient(twin_quotient(target))
         else:  # a disconnected base has no clique spec
-            value = F.quotient_value(twin_quotient(target)) if target.is_connected() else 0
-        kappa = FactoredNat.from_int(value, bound if bound is not None else max(target.n, 1000))
+            kappa = FactoredNat.zero()
     elif method == "formula":
         if req.kind == "replaced":
-            kappa = F.kappa_clique_replaced_formula(target, bound)
+            kappa = F.kappa_clique_replaced_formula(target)
         elif req.kind == "group":
-            kappa = _bounded(family.closed_form(*group_spec.params), bound)
+            kappa = family.closed_form(*group_spec.params)
         else:
-            kappa = _bounded(F.kappa_cyclic(_zn_order(req.target)), bound)
+            kappa = F.kappa_cyclic(_zn_order(req.target))
     elif method == "spectrum":
         expr = family_expr(group_spec) if req.kind == "group" else target
-        kappa = _bounded(kappa_from_spectrum(spectrum(expr)), bound)
+        kappa = kappa_from_spectrum(spectrum(expr))
     elif method == "smatrix":
-        kappa = F.kappa_clique_replaced_smatrix(target, factor_bound=bound)
+        kappa = F.kappa_clique_replaced_smatrix(target)
     else:
         raise UsageError(f"unknown method {method!r}")
+    if bound is not None:  # one rule on every route: refactor the whole kappa
+        kappa = FactoredNat.from_int(kappa.value(), bound)
     vertex_count, universal = _vertex_counts(target)
     elapsed = (time.perf_counter() - start) * 1000.0
     return ResultRecord(
@@ -261,9 +256,11 @@ def _zn_order(text: str) -> int:
     return n
 
 
-def _parse_sizes(text: str | None) -> tuple[int, ...] | None:
+def _parse_sizes(kind: str, text: str | None) -> tuple[int, ...] | None:
     if text is None:
         return None
+    if kind != "replaced":
+        raise UsageError(f"--sizes applies only to replaced targets, not to {kind} targets")
     try:
         return tuple(int(x) for x in text.split(","))
     except ValueError as exc:
@@ -274,7 +271,7 @@ def cmd_kappa(args) -> int:
     req = Request(
         kind=args.kind,
         target=args.target,
-        sizes=_parse_sizes(args.sizes),
+        sizes=_parse_sizes(args.kind, args.sizes),
         method=args.method,
         output=args.output,
         factor_bound=args.factor_bound,
@@ -321,7 +318,8 @@ def _graph_json(g: SimpleGraph) -> str:
 
 
 def cmd_export(args) -> int:
-    req = Request(args.kind, args.target, _parse_sizes(args.sizes), "auto", "decimal", None)
+    sizes = _parse_sizes(args.kind, args.sizes)
+    req = Request(args.kind, args.target, sizes, "auto", "decimal", None)
     if args.format == "json" and args.kind == "zn":
         text = _zn_description(_zn_order(args.target))
     else:
@@ -364,11 +362,11 @@ def build_parser() -> argparse.ArgumentParser:
                               "graph, spectrum for expr and formula for zn and replaced")
     p_kappa.add_argument("--output", choices=("decimal", "factored", "json"), default="decimal")
     p_kappa.add_argument("--factor-bound", type=int, default=None, metavar="N",
-                         help="trial-division bound (at least 2) for factoring the "
-                              "result; it applies to every route.  Default max(n, 1000); "
-                              "on the formula route of zn and replaced it applies only to "
-                              "det M[V], and the primes of every m_i and of n are always "
-                              "certified")
+                         help="trial-division bound (at least 2); it refactors the whole "
+                              "result on every route.  Without it, every prime of the "
+                              "small bases (sizes, degrees, n) is certified and each "
+                              "determinant (the whole kappa on matrix-tree) is "
+                              "trial-divided up to max(n, 1000), n the vertex count")
     p_kappa.set_defaults(fn=cmd_kappa)
 
     p_verify = sub.add_parser("verify", help="run the formula-vs-oracle suites")

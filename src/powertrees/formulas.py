@@ -8,8 +8,9 @@ never rounded.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from math import gcd, prod
+from math import gcd
 
 from .graphs import CliqueReplacedSpec, SimpleGraph, divisor_graph
 from .linalg import IntMatrix, InternalConsistencyError, det_bareiss
@@ -17,7 +18,7 @@ from .numth import (
     FactoredNat,
     divisors_desc,
     euler_phi,
-    factor_completely,
+    factored_ratio,
     is_prime,
     is_prime_power,
     product,
@@ -29,9 +30,7 @@ def kappa_cayley(n: int) -> FactoredNat:
     """Spanning trees of the complete graph: n**(n-2), and 1 for n <= 2."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n <= 2:
-        return FactoredNat.one()
-    return product([FactoredNat.prime_power(p, e * (n - 2)) for p, e in factor_completely(n)])
+    return factored_ratio({n: max(n - 2, 0)}, (), n)
 
 
 def kappa_quaternion(n: int) -> FactoredNat:
@@ -59,72 +58,28 @@ def _det_int(rows: list[list[int]]) -> int:
     return det_bareiss(IntMatrix.from_rows(rows))
 
 
-def _replaced_det(spec: CliqueReplacedSpec, vertices) -> tuple[list[int], int]:
-    """(m, det(M[V])), with m_i = block_degree_plus_one(i),
-    M = diag(m) + diag(x) * A_complement and V the given base vertices."""
+def _replaced_factored(spec: CliqueReplacedSpec, vertices) -> FactoredNat:
+    """prod_i m_i**x_i * det(M[V]) / (prod_{i in V} m_i * n^2), with
+    m_i = block_degree_plus_one(i), M = diag(m) + diag(x) * A_complement and
+    V the given base vertices; every vertex left out of V must be isolated in
+    the base complement.  Factored by factored_ratio: only det(M[V]) is
+    trial-divided, and the division is checked in exponent space."""
     adj, sizes = spec.base.adj, spec.sizes
     m = [spec.block_degree_plus_one(i) for i in range(spec.k)]
     rows = [
         [m[i] if i == j else sizes[i] * (j not in adj[i]) for j in vertices]
         for i in vertices
     ]
-    return m, _det_int(rows)
-
-
-def _replaced_value(spec: CliqueReplacedSpec, vertices) -> int:
-    """prod_i m_i**x_i * det(M[V]) / (prod_{i in V} m_i * n^2), with M and V
-    as in _replaced_det; every vertex left out of V must be isolated in the
-    base complement."""
-    m, numerator = _replaced_det(spec, vertices)
-    for i in range(spec.k):
-        numerator *= m[i] ** spec.sizes[i]
-    denominator = prod(m[i] for i in vertices) * spec.n**2
-    value, rem = divmod(numerator, denominator)
-    if rem or value <= 0:
-        raise InternalConsistencyError(
-            f"clique-replaced formula gave non-integer or non-positive value "
-            f"{numerator}/{denominator}"
-        )
-    return value
-
-
-def _replaced_factored(spec: CliqueReplacedSpec, vertices) -> FactoredNat:
-    """The value of _replaced_value, factored from its parts without being
-    multiplied out: each m_i and n is factored completely, and only det(M[V])
-    is trial-divided, with the default bound max(n, 1000).  Every m_i is at
-    most n, so the residual that trial division leaves has no prime factor
-    that the denominator has: the division is exact iff no prime's exponent
-    falls below 0, and the result equals FactoredNat.from_int of the value
-    under that bound."""
-    m, det = _replaced_det(spec, vertices)
-    if det <= 0:
-        raise InternalConsistencyError(
-            f"clique-replaced formula gave non-positive determinant {det}"
-        )
-    n = spec.n
-    det_factored = FactoredNat.from_int(det, max(n, 1000))
-    powers: dict[int, int] = {}  # exponent of each m_i and of n in the ratio
-    for i, x in enumerate(spec.sizes):
-        powers[m[i]] = powers.get(m[i], 0) + x
+    powers = Counter()
+    for i, x in enumerate(sizes):
+        powers[m[i]] += x
     for i in vertices:
         powers[m[i]] -= 1
-    powers[n] = powers.get(n, 0) - 2
-    exponents = dict(det_factored.factors)
-    for base, k in powers.items():
-        for p, e in factor_completely(base):
-            exponents[p] = exponents.get(p, 0) + e * k
-    negative = {p: e for p, e in exponents.items() if e < 0}
-    if negative:
-        raise InternalConsistencyError(
-            f"clique-replaced formula gave a non-integer value: primes with "
-            f"negative exponents {negative}"
-        )
-    return FactoredNat(
-        tuple(sorted((p, e) for p, e in exponents.items() if e)), det_factored.residual
-    )
+    powers[spec.n] -= 2
+    return factored_ratio(powers, [_det_int(rows)], spec.n)
 
 
-def clique_replaced_value(spec: CliqueReplacedSpec) -> int:
+def kappa_clique_replaced_formula(spec: CliqueReplacedSpec) -> FactoredNat:
     """Exact spanning-tree count of the clique-replaced graph by the
     ratio-product formula
 
@@ -140,12 +95,20 @@ def clique_replaced_value(spec: CliqueReplacedSpec) -> int:
 
         kappa = prod m_i**x_i * det(M) / (prod m_i * n^2),
 
-    one k x k determinant in exact integers; the division is asserted exact.
+    one k x k determinant in exact integers.  It is factored from its parts
+    (factored_ratio): every prime of m_i and n is certified, det(M) is
+    trial-divided up to max(n, 1000), and the division is checked exact in
+    exponent space, where a negative exponent raises InternalConsistencyError.
     """
-    return _replaced_value(spec, range(spec.k))
+    return _replaced_factored(spec, range(spec.k))
 
 
-def quotient_value(spec: CliqueReplacedSpec) -> int:
+def clique_replaced_value(spec: CliqueReplacedSpec) -> int:
+    """kappa_clique_replaced_formula as an integer."""
+    return kappa_clique_replaced_formula(spec).value()
+
+
+def kappa_quotient(spec: CliqueReplacedSpec) -> FactoredNat:
     """Exact spanning-tree count of the clique-replaced graph through its
     blocks: each block j adds x_j - 1 Laplacian eigenvalues m_j, and the rest
     come from the base Laplacian with edge weights x_i * x_j, so
@@ -155,43 +118,27 @@ def quotient_value(spec: CliqueReplacedSpec) -> int:
     tau_W a cofactor of that weighted Laplacian.  It is taken at a universal
     base vertex when there is one (else at vertex 0), and the reduced matrix
     is block-diagonal over the components of the base without that vertex:
-    tau_W is one determinant per component.  The division is asserted exact.
+    tau_W is one determinant per component.  Factored by factored_ratio: each
+    component determinant is trial-divided up to max(n, 1000) on its own,
+    every prime of m_j and x_j is certified, and the division is checked
+    exact in exponent space.
     """
     adj, sizes = spec.base.adj, spec.sizes
     root = next((i for i in range(spec.k) if len(adj[i]) == spec.k - 1), 0)
     rest = SimpleGraph(spec.k, [(u, v) for u, v in spec.base.edges() if root not in (u, v)])
-    numerator = 1
+    dets = []
     for comp in rest.connected_components():
         if comp == [root]:
             continue
         rows = [[-sizes[i] * sizes[j] * (j in adj[i]) for j in comp] for i in comp]
         for t, i in enumerate(comp):
             rows[t][t] = sizes[i] * sum(sizes[w] for w in adj[i])
-        numerator *= _det_int(rows)
-    for j in range(spec.k):
-        numerator *= spec.block_degree_plus_one(j) ** (sizes[j] - 1)
-    denominator = prod(sizes)
-    value, rem = divmod(numerator, denominator)
-    if rem or value <= 0:
-        raise InternalConsistencyError(
-            f"twin-quotient count gave non-integer or non-positive value "
-            f"{numerator}/{denominator}"
-        )
-    return value
-
-
-def kappa_clique_replaced_formula(
-    spec: CliqueReplacedSpec, factor_bound: int | None = None
-) -> FactoredNat:
-    """clique_replaced_value, factored.  With no bound it is factored from
-    its parts (_replaced_factored): every prime of m_i and n is certified,
-    det(M) is trial-divided up to max(n, 1000), and the division by
-    prod m_i * n^2 is checked exact in exponent space, where a negative
-    exponent raises InternalConsistencyError.  An explicit bound factors the
-    multiplied-out value instead."""
-    if factor_bound is None:
-        return _replaced_factored(spec, range(spec.k))
-    return FactoredNat.from_int(clique_replaced_value(spec), factor_bound)
+        dets.append(_det_int(rows))
+    powers = Counter()
+    for j, x in enumerate(sizes):
+        powers[spec.block_degree_plus_one(j)] += x - 1
+        powers[x] -= 1
+    return factored_ratio(powers, dets, spec.n)
 
 
 def smatrix(spec: CliqueReplacedSpec, convention: str = "arcs") -> list[list[int]]:
@@ -230,26 +177,18 @@ def smatrix_minor_sum(spec: CliqueReplacedSpec, convention: str = "arcs") -> int
     return total
 
 
-def kappa_clique_replaced_smatrix(
-    spec: CliqueReplacedSpec,
-    convention: str = "arcs",
-    factor_bound: int | None = None,
-) -> FactoredNat:
+def kappa_clique_replaced_smatrix(spec: CliqueReplacedSpec, convention: str = "arcs") -> FactoredNat:
     """Spanning trees of the clique-replaced graph via the contraction matrix:
 
         prod m_j**(x_j - 1) * sum_j det(S with row/col j removed) / n
+
+    factored by factored_ratio, the minor sum trial-divided as one number.
     """
-    minor_sum = smatrix_minor_sum(spec, convention)
-    value = minor_sum
-    for j in range(spec.k):
-        value *= spec.block_degree_plus_one(j) ** (spec.sizes[j] - 1)
-    q, r = divmod(value, spec.n)
-    if r:
-        raise InternalConsistencyError(
-            f"S-matrix total {value} not divisible by n = {spec.n}"
-        )
-    bound = factor_bound if factor_bound is not None else max(spec.n, 1000)
-    return FactoredNat.from_int(q, bound)
+    powers = Counter()
+    for j, x in enumerate(spec.sizes):
+        powers[spec.block_degree_plus_one(j)] += x - 1
+    powers[spec.n] -= 1
+    return factored_ratio(powers, [smatrix_minor_sum(spec, convention)], spec.n)
 
 
 def kappa_clique_replaced_path(sizes) -> FactoredNat:
@@ -268,12 +207,13 @@ def kappa_clique_replaced_path(sizes) -> FactoredNat:
         raise ValueError("path closed form needs k >= 3 (use kappa_cayley for k <= 2)")
     if any(x < 1 for x in xs):
         raise ValueError("all sizes must be >= 1")
-    value = (xs[0] + xs[1]) ** (xs[0] - 1) * (xs[-2] + xs[-1]) ** (xs[-1] - 1)
+    powers = Counter({sum(xs): 1})
+    powers[xs[0] + xs[1]] += xs[0] - 1
+    powers[xs[-2] + xs[-1]] += xs[-1] - 1
     for j in range(1, k - 1):
-        value *= (xs[j - 1] + xs[j] + xs[j + 1]) ** (xs[j] - 1)
-        value *= xs[j]
-    value *= sum(xs)
-    return FactoredNat.from_int(value, max(sum(xs), 1000))
+        powers[xs[j - 1] + xs[j] + xs[j + 1]] += xs[j] - 1
+        powers[xs[j]] += 1
+    return factored_ratio(powers, (), sum(xs))
 
 
 def divisor_clique_spec(n: int) -> CliqueReplacedSpec:
@@ -287,10 +227,10 @@ def divisor_clique_spec(n: int) -> CliqueReplacedSpec:
 def kappa_cyclic(n: int) -> FactoredNat:
     """Power graph of the cyclic group of order n.
 
-    Prime powers p**m short-circuit to p**(m*(p**m - 2)) (the power graph is
-    complete).  Otherwise the divisor-graph formula is factored from its
-    parts (_replaced_factored) twice: in full, and restricted to the
-    interior divisors (d_1 = n and d_k = 1 are universal in the base, so
+    For n = 1 and prime powers the power graph is complete (kappa_cayley).
+    Otherwise the divisor-graph formula is factored from its parts
+    (_replaced_factored) twice: in full, and restricted to the interior
+    divisors (d_1 = n and d_k = 1 are universal in the base, so
     isolated in the complement, and their diagonal entries of M cancel
     against their m_i in the denominator):
 
@@ -302,12 +242,8 @@ def kappa_cyclic(n: int) -> FactoredNat:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n == 1:
-        return FactoredNat.one()
-    pp = is_prime_power(n)
-    if pp is not None:
-        p, m = pp
-        return FactoredNat.prime_power(p, m * (p**m - 2))
+    if n == 1 or is_prime_power(n):
+        return kappa_cayley(n)
     spec = divisor_clique_spec(n)
     interior = _replaced_factored(spec, range(1, spec.k - 1))
     full = _replaced_factored(spec, range(spec.k))

@@ -21,6 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .numth import InternalConsistencyError  # re-exported: raised here and by callers
+
 try:
     from gmpy2 import mpz as _mk
 except ImportError:  # pragma: no cover - exercised only without gmpy2
@@ -29,10 +31,6 @@ except ImportError:  # pragma: no cover - exercised only without gmpy2
 
 class DimensionError(ValueError):
     """Matrix shape unsuitable for the requested operation."""
-
-
-class InternalConsistencyError(RuntimeError):
-    """An exactness invariant failed (inexact division); signals a bug."""
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ deterministically (Miller-Rabin with a witness set proven complete below
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -17,6 +18,10 @@ _MR_LIMIT = 3317044064679887385961981
 
 class PrimalityRangeError(ValueError):
     """Raised when asked to certify primality beyond the deterministic range."""
+
+
+class InternalConsistencyError(RuntimeError):
+    """An exactness invariant failed (inexact division); signals a bug."""
 
 
 def is_prime(n: int) -> bool:
@@ -97,6 +102,12 @@ def factor_completely(n: int) -> list[tuple[int, int]]:
     if residual != 1:
         raise ValueError(f"failed to factor {n} completely")
     return factors
+
+
+@functools.lru_cache(maxsize=4096)
+def _small_factors(n: int) -> tuple[tuple[int, int], ...]:
+    """factor_completely, memoized: the bases of an exact ratio recur."""
+    return tuple(factor_completely(n))
 
 
 def is_prime_power(n: int) -> tuple[int, int] | None:
@@ -219,3 +230,35 @@ def product(values: list[FactoredNat] | tuple[FactoredNat, ...]) -> FactoredNat:
     for v in values:
         result = result * v
     return result
+
+
+def factored_ratio(powers: dict[int, int], dets, n: int) -> FactoredNat:
+    """prod base**k over powers times prod dets, factored without being
+    multiplied out: the shape of every structured spanning-tree count.
+
+    Each base (at most n) is factored completely and may carry a negative
+    exponent; each det is trial-divided up to max(n, 1000), so its residual
+    has no prime that a base has.  The division is therefore exact iff no
+    prime's exponent falls below 0, which is asserted, as is every det > 0.
+    With one det the result equals FactoredNat.from_int of the value under
+    that bound; with several, each det's cofactor is certified on its own.
+    """
+    bound = max(n, 1000)
+    exponents: dict[int, int] = {}
+    residual = 1
+    for det in dets:
+        if det <= 0:
+            raise InternalConsistencyError(f"non-positive determinant {det}")
+        factors, rest = trial_division(det, bound)
+        for p, e in factors:
+            exponents[p] = exponents.get(p, 0) + e
+        residual *= rest
+    for base, k in powers.items():
+        for p, e in _small_factors(base):
+            exponents[p] = exponents.get(p, 0) + e * k
+    negative = {p: e for p, e in exponents.items() if e < 0}
+    if negative:
+        raise InternalConsistencyError(
+            f"inexact division: primes with negative exponents {negative}"
+        )
+    return FactoredNat(tuple(sorted((p, e) for p, e in exponents.items() if e)), residual)

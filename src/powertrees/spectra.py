@@ -8,11 +8,11 @@ distinct eigenvalues with huge multiplicities.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from . import graphs
-from .linalg import InternalConsistencyError
-from .numth import FactoredNat, factor_completely
+from .numth import FactoredNat, factored_ratio
 
 
 # --- expression trees ---
@@ -185,19 +185,9 @@ def kappa_from_spectrum(spec: IntSpectrum) -> FactoredNat:
         raise ValueError("a Laplacian spectrum must contain 0")
     if zeros > 1:
         return FactoredNat.zero()
-    exponents: dict[int, int] = {}
-    for value, mult in spec.pairs:
-        if value == 0:
-            continue
-        for p, e in factor_completely(value):
-            exponents[p] = exponents.get(p, 0) + e * mult
-    for p, e in factor_completely(spec.n):
-        exponents[p] = exponents.get(p, 0) - e
-        if exponents[p] < 0:
-            raise InternalConsistencyError(
-                f"eigenvalue product not divisible by vertex count {spec.n}"
-            )
-    return FactoredNat(tuple(sorted((p, e) for p, e in exponents.items() if e)), 1)
+    powers = Counter({value: mult for value, mult in spec.pairs if value})
+    powers[spec.n] -= 1
+    return factored_ratio(powers, (), spec.n)
 
 
 def universal_count(expr: CliqueExpr) -> int:

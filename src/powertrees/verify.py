@@ -221,13 +221,14 @@ def cases_quotient_vs_oracle(seed: int) -> list[CaseResult]:
     specs = [f"{family}:{n}" for family in ("dihedral", "cyclic") for n in range(3, 9)]
     specs += ["quaternion:3", "extraspecial:3", *_EPO_CATALOG]
     for text in specs:
-        quotient = F.quotient_value(twin_quotient(power_graph(build_group(GroupSpec.parse(text)))))
+        spec = twin_quotient(power_graph(build_group(GroupSpec.parse(text))))
+        quotient = F.kappa_quotient(spec).value()
         det = kappa_det_of_group(text)
         if quotient != det:
             failures.append(f"{text}: quotient {quotient}, determinant {det}")
     for i in range(300):
         g = _random_graph(rng, rng.randint(1, 9))
-        quotient = F.quotient_value(twin_quotient(g)) if g.is_connected() else 0
+        quotient = F.kappa_quotient(twin_quotient(g)).value() if g.is_connected() else 0
         det = kappa_matrix_tree(g)
         if quotient != det:
             failures.append(

@@ -168,6 +168,24 @@ def test_factor_bound_applies_to_every_route(capsys, kind, target):
     assert outputs == {str(FactoredNat.from_int(int(decimal), 2))}
 
 
+def test_factor_bound_controls_residual(capsys):
+    code, out, _ = run(capsys, "kappa", "zn", "6", "--factor-bound", "2", "--output", "json")
+    assert code == 0
+    record = json.loads(out)
+    assert record["kappa_decimal"] == "540"
+    assert record["kappa_factored"] == {"factors": [[2, 2]], "residual": 135}
+
+
+@pytest.mark.parametrize("command,extra", [
+    ("kappa", ()), ("export", ("--format", "edges")), ("export", ("--format", "json")),
+])
+@pytest.mark.parametrize("kind,target", [("zn", "6"), ("group", "cyclic:6"), ("expr", "K(3)")])
+def test_sizes_only_for_replaced_targets(capsys, command, extra, kind, target):
+    code, out, err = run(capsys, command, kind, target, "--sizes", "1,2", *extra)
+    assert code == 2 and out == ""
+    assert f"--sizes applies only to replaced targets, not to {kind} targets" in err
+
+
 # (kind, target, sizes, vertex count, universal count)
 CLIQUE_TARGETS = [
     ("zn", "12", None, 12, 5),

@@ -210,7 +210,7 @@ def test_quotient_matches_the_oracle_on_random_graphs():
         seen["disconnected"] += not connected
         seen["no universal vertex"] += connected and not universal_vertices(g)
         # the route answers 0 for a disconnected graph without building a spec
-        value = F.quotient_value(twin_quotient(g)) if connected else 0
+        value = F.kappa_quotient(twin_quotient(g)).value() if connected else 0
         assert value == kappa_matrix_tree(g), list(g.edges())
     assert min(seen.values()) >= 100, seen
 
@@ -223,7 +223,7 @@ def test_twin_quotient_blocks_are_closed_twins():
     assert spec.sizes == (2, 1, 2)
     assert sorted(spec.base.edges()) == [(0, 1), (0, 2)]
     assert clique_replaced(spec).edge_count == g.edge_count
-    assert F.quotient_value(spec) == kappa_matrix_tree(g)
+    assert F.kappa_quotient(spec).value() == kappa_matrix_tree(g)
 
 
 def test_quotient_value_takes_one_determinant_per_component(monkeypatch):
@@ -240,7 +240,7 @@ def test_quotient_value_takes_one_determinant_per_component(monkeypatch):
     g = power_graph(build_group(GroupSpec.parse("dihedral:6")))
     spec = twin_quotient(g)
     assert spec.k == 10
-    assert F.quotient_value(spec) == kappa_matrix_tree(g) == 540
+    assert F.kappa_quotient(spec).value() == kappa_matrix_tree(g) == 540
     assert sorted(calls) == [1] * 6 + [3]
 
 
@@ -388,13 +388,6 @@ def test_universal_divisibility_across_power_graphs():
         assert kappa_matrix_tree(pg) % pg.n ** (m - 1) == 0
 
 
-def test_factor_bound_controls_residual():
-    spec = F.divisor_clique_spec(6)
-    coarse = F.kappa_clique_replaced_formula(spec, factor_bound=2)
-    assert coarse.value() == 540
-    assert coarse.residual == 135
-
-
 def test_factored_from_parts_equals_trial_division_of_the_value():
     for n in range(1, 501):
         value = F.clique_replaced_value(F.divisor_clique_spec(n))
@@ -421,6 +414,38 @@ def test_factored_from_parts_checks_the_division(monkeypatch):
         monkeypatch.setattr(F, "_det_int", lambda rows, det=det: det)
         with pytest.raises(InternalConsistencyError, match=error):
             F.kappa_clique_replaced_formula(spec)
+
+
+@pytest.mark.parametrize("route", [F.kappa_quotient, F.kappa_clique_replaced_smatrix])
+def test_structured_routes_check_their_division(monkeypatch, route):
+    # the path of blocks 2, 1, 2 is two triangles sharing a vertex: 9 trees,
+    # 3^2 * 2 * 2 / 2^2 on the quotient route and 3^2 * 5 / 5 on the
+    # contraction-matrix route; a determinant of 1 leaves 2^-2 or 5^-1
+    spec = CliqueReplacedSpec(path_graph(3), (2, 1, 2))
+    assert route(spec) == FactoredNat.prime_power(3, 2)
+    for det, error in ((1, "negative exponents"), (0, "non-positive"), (-9, "non-positive")):
+        monkeypatch.setattr(F, "_det_int", lambda rows, det=det: det)
+        with pytest.raises(InternalConsistencyError, match=error):
+            route(spec)
+
+
+def test_quotient_certifies_each_component_cofactor():
+    # two component determinants leave the primes 1123 and 1201; trial
+    # division of the whole kappa up to max(61, 1000) leaves their product
+    edges = [(0, i) for i in range(1, 11)]
+    edges += [(1, 3), (1, 5), (2, 4), (2, 5), (4, 5), (6, 7), (6, 8), (7, 9), (8, 9), (9, 10)]
+    spec = CliqueReplacedSpec(SimpleGraph(11, edges), (4, 2, 4, 5, 3, 9, 1, 8, 9, 8, 8))
+    assert spec.n == 61
+    kappa = F.kappa_quotient(spec)
+    assert str(kappa) == "2^50 * 3^7 * 5^14 * 7^7 * 11^20 * 13 * 37^7 * 61^3 * 1123 * 1201"
+    whole = FactoredNat.from_int(kappa.value(), 1000)
+    assert whole.residual == 1348723 == 1123 * 1201
+    assert F.kappa_clique_replaced_formula(spec) == whole
+
+
+def test_quotient_route_factors_the_cyclic_form():
+    for n in range(1, 501):
+        assert F.kappa_quotient(F.divisor_clique_spec(n)) == F.kappa_cyclic(n), n
 
 
 def test_kappa_cyclic_interior_and_full_forms_must_agree(monkeypatch):

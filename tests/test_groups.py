@@ -5,7 +5,7 @@ import pytest
 
 from powertrees import formulas, verify
 from powertrees.gf import Gf
-from powertrees.formulas import clique_replaced_value, quotient_value
+from powertrees.formulas import clique_replaced_value, kappa_quotient
 from powertrees.graphs import clique_replaced, complete_graph, twin_quotient, universal_vertices
 from powertrees.groups import (
     FAMILIES,
@@ -258,7 +258,7 @@ def _check_twin_quotient(g):
     pg = power_graph(g)
     spec = twin_quotient(pg)
     assert spec.n == g.order
-    assert quotient_value(spec) == kappa_matrix_tree(pg)
+    assert kappa_quotient(spec).value() == kappa_matrix_tree(pg)
 
 
 @pytest.mark.parametrize("text", [text for text, _ in ADVERTISED])

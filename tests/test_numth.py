@@ -1,10 +1,14 @@
+import random
+
 import pytest
 
 from powertrees.numth import (
     FactoredNat,
+    InternalConsistencyError,
     divisors_desc,
     euler_phi,
     factor_completely,
+    factored_ratio,
     is_prime,
     is_prime_power,
     product,
@@ -95,3 +99,35 @@ def test_factored_nat_arithmetic():
     assert (a**2).value() == 72**2
     assert product([FactoredNat.prime_power(7, 1)] * 3).value() == 343
     assert FactoredNat.prime_power(5, 0) == FactoredNat.one()
+
+
+def test_factored_ratio_checks_the_division():
+    # 2^3 * 3 * det / 6 with det = 5
+    assert factored_ratio({2: 3, 3: 1, 6: -1}, [5], 6).value() == 20
+    with pytest.raises(InternalConsistencyError, match="negative exponents"):
+        factored_ratio({2: 1, 6: -1}, [5], 6)
+    with pytest.raises(InternalConsistencyError, match="negative exponents"):
+        factored_ratio({4: -1}, [], 4)
+    for det in (0, -9):
+        with pytest.raises(InternalConsistencyError, match="non-positive"):
+            factored_ratio({3: -2}, [det], 3)
+
+
+def test_factored_ratio_of_one_det_equals_trial_division_of_the_value():
+    rng = random.Random(1806)
+    # cofactors with primes near or past the bound; a square of a prime and a
+    # product of two primes leave a composite residual past bound^2
+    big = (1, 1009, 1000003, 1000003**2, 1009 * 1013, 10007 * 100003)
+    for _ in range(300):
+        n = rng.randint(1, 3000)
+        powers = {rng.randint(1, n): rng.randint(-3, 6) for _ in range(rng.randint(0, 4))}
+        den = 1
+        num = 1
+        for base, k in powers.items():
+            if k < 0:
+                den *= base**-k
+            else:
+                num *= base**k
+        det = den * rng.randint(1, 10**6) * rng.choice(big)
+        value = num * det // den
+        assert factored_ratio(powers, [det], n) == FactoredNat.from_int(value, max(n, 1000))

@@ -7,7 +7,7 @@ from powertrees import linalg
 from powertrees import verify as V
 from powertrees.graphs import complete_graph, universal_vertices
 from powertrees.groups import GroupSpec, build_group, family_expr, power_graph
-from powertrees.linalg import kappa_matrix_tree, laplacian_char_poly
+from powertrees.linalg import InternalConsistencyError, kappa_matrix_tree, laplacian_char_poly
 from powertrees.numth import FactoredNat
 from powertrees.spectra import (
     Clique,
@@ -139,6 +139,12 @@ def test_kappa_from_spectrum_complete_graphs():
 def test_kappa_from_spectrum_disconnected_is_zero():
     spec = spectrum(Union(Clique(2), Clique(3)))
     assert kappa_from_spectrum(spec) == FactoredNat.zero()
+
+
+def test_kappa_from_spectrum_checks_the_division():
+    # the eigenvalue product 3 is not divisible by the vertex count 2
+    with pytest.raises(InternalConsistencyError, match="negative exponents"):
+        kappa_from_spectrum(IntSpectrum(((3, 1), (0, 1))))
 
 
 def test_kappa_from_spectrum_needs_a_zero():
