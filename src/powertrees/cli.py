@@ -6,20 +6,20 @@
 
 Methods: `matrix-tree` is the determinant oracle on the explicit graph, one
 determinant per component of the graph without its universal vertices, else
-without a maximum-degree vertex; `quotient` collapses the graph's closed twins
-into clique blocks and takes one small determinant per block of the reduced
-matrix; `formula` is a closed form (a trusted family, or the one-determinant
-clique-replaced formula for zn and replaced targets); `spectrum` evaluates a
-clique expression's Laplacian spectrum; `smatrix` is the contraction-matrix
-route.  `auto` picks `formula` for a trusted group family and `quotient` for
-any other group, `quotient` for graph, `spectrum` for expr and `formula` for
-zn and replaced targets; matrix-tree runs only on request.
+without a maximum-degree vertex; `quotient` takes one small determinant per
+block of the graph's closed-twin quotient; `formula` is a group family's
+closed form, or the one-determinant clique-replaced formula for zn and
+replaced; `spectrum` evaluates a clique expression's Laplacian spectrum;
+`smatrix` is the contraction-matrix route.  `auto` takes the family's closed
+form when it has one, else `quotient`; `spectrum` for expr and `formula` for
+zn and replaced.  matrix-tree runs only on request.
 
 Factoring follows one rule.  With no `--factor-bound`, every prime of the
 small bases of kappa (block sizes, m_i, eigenvalues, n) is certified and each
 determinant is trial-divided up to max(n, 1000), n the vertex count; the
 matrix-tree route trial-divides its whole kappa up to that bound.  An
-explicit bound refactors the whole kappa on every route.
+explicit bound replaces both: the whole kappa is trial-divided up to it on
+every route.
 
 Exit codes: 0 success, 1 verification mismatch, 2 usage error, 3 internal
 consistency assertion.  KAPPA_SEED fixes the randomized-case seed for verify.
@@ -48,7 +48,6 @@ from .graphs import (
 from .groups import (
     FAMILIES,
     FAMILY_USAGE,
-    Family,
     FiniteGroup,
     GroupSpec,
     build_group,
@@ -160,21 +159,33 @@ def _vertex_counts(target) -> tuple[int, int]:
     return target.n, universal_count(target)
 
 
-def _valid_methods(kind: str, family: Family | None) -> list[str]:
-    if kind == "group":
-        out = ["auto", "matrix-tree", "quotient"]
-        if family.closed_form:
-            out.append("formula")
-        if family.clique_expr:
-            out.append("spectrum")
-        return out
-    if kind == "graph":
-        return ["auto", "matrix-tree", "quotient"]
-    if kind == "expr":
-        return ["auto", "matrix-tree", "spectrum"]
-    if kind in ("zn", "replaced"):
-        return ["auto", "matrix-tree", "formula", "smatrix"]
-    raise UsageError(f"unknown target kind {kind!r}")
+def _quotient(graph: SimpleGraph, _) -> FactoredNat:
+    connected = graph.is_connected()  # a disconnected base has no clique spec
+    return F.kappa_quotient(twin_quotient(graph)) if connected else FactoredNat.zero()
+
+
+# Each target kind's routes besides the matrix-tree oracle, which every kind
+# has first, in the order a usage error lists them.  A route takes the loaded
+# target (on quotient, the expanded graph) and a group target's spec.  A group
+# has formula only with its family's closed form, spectrum only with its clique form.
+ROUTES = {
+    "group": {
+        "quotient": _quotient,
+        "formula": lambda _, spec: FAMILIES[spec.family].closed_form(*spec.params),
+        "spectrum": lambda _, spec: kappa_from_spectrum(spectrum(family_expr(spec))),
+    },
+    "graph": {"quotient": _quotient},
+    "expr": {"spectrum": lambda expr, _: kappa_from_spectrum(spectrum(expr))},
+    "zn": {
+        "formula": lambda spec, _: F.kappa_cyclic(spec.n),
+        "smatrix": lambda spec, _: F.kappa_clique_replaced_smatrix(spec),
+    },
+    "replaced": {
+        "formula": lambda spec, _: F.kappa_clique_replaced_formula(spec),
+        "smatrix": lambda spec, _: F.kappa_clique_replaced_smatrix(spec),
+    },
+}
+AUTO = ("formula", "quotient", "spectrum")  # auto: the first of these a target has
 
 
 def compute_kappa(req: Request) -> ResultRecord:
@@ -183,47 +194,27 @@ def compute_kappa(req: Request) -> ResultRecord:
     if bound is not None and bound < 2:
         raise UsageError(f"--factor-bound must be >= 2, got {bound}")
     group_spec = GroupSpec.parse(req.target) if req.kind == "group" else None
-    family = FAMILIES[group_spec.family] if group_spec else None
-    valid = _valid_methods(req.kind, family)
+    routes = ROUTES[req.kind]
+    if group_spec:
+        family = FAMILIES[group_spec.family]
+        absent = {"formula": not family.closed_form, "spectrum": not family.clique_expr}
+        routes = {m: route for m, route in routes.items() if not absent.get(m)}
     method = req.method
     if method == "auto":
-        if req.kind == "group":
-            method = "formula" if family.trusted else "quotient"
-        elif req.kind == "expr":
-            method = "spectrum"
-        elif req.kind in ("zn", "replaced"):
-            method = "formula"
-        else:
-            method = "quotient"
-    elif method not in valid:
-        raise UsageError(
-            f"method {method!r} not valid for this target; valid: {', '.join(valid)}"
-        )
+        method = next(m for m in AUTO if m in routes)
+    elif method != "matrix-tree" and method not in routes:
+        valid = ", ".join(["auto", "matrix-tree", *routes])
+        raise UsageError(f"method {method!r} not valid for this target; valid: {valid}")
     target = _load_target(req, group_spec)
     if method in ("matrix-tree", "quotient"):
         target = _expand(target)  # the counts below then come from the graph
-        if method == "matrix-tree":
-            kappa = FactoredNat.from_int(kappa_matrix_tree(target), max(target.n, 1000))
-        elif target.is_connected():
-            kappa = F.kappa_quotient(twin_quotient(target))
-        else:  # a disconnected base has no clique spec
-            kappa = FactoredNat.zero()
-    elif method == "formula":
-        if req.kind == "replaced":
-            kappa = F.kappa_clique_replaced_formula(target)
-        elif req.kind == "group":
-            kappa = family.closed_form(*group_spec.params)
-        else:
-            kappa = F.kappa_cyclic(_zn_order(req.target))
-    elif method == "spectrum":
-        expr = family_expr(group_spec) if req.kind == "group" else target
-        kappa = kappa_from_spectrum(spectrum(expr))
-    elif method == "smatrix":
-        kappa = F.kappa_clique_replaced_smatrix(target)
+    if method == "matrix-tree":  # the oracle's whole kappa, trial-divided once
+        bound = max(target.n, 1000) if bound is None else bound
+        kappa = FactoredNat.from_int(kappa_matrix_tree(target), bound)
     else:
-        raise UsageError(f"unknown method {method!r}")
-    if bound is not None:  # one rule on every route: refactor the whole kappa
-        kappa = FactoredNat.from_int(kappa.value(), bound)
+        kappa = routes[method](target, group_spec)
+        if bound is not None:  # one rule on every route: refactor the whole kappa
+            kappa = FactoredNat.from_int(kappa.value(), bound)
     vertex_count, universal = _vertex_counts(target)
     elapsed = (time.perf_counter() - start) * 1000.0
     return ResultRecord(
@@ -357,12 +348,12 @@ def build_parser() -> argparse.ArgumentParser:
                          help="route: matrix-tree (oracle: one determinant per component "
                               "of the graph without its universal vertices, else without a "
                               "max-degree vertex), quotient (closed-twin blocks), formula, "
-                              "spectrum or smatrix; auto picks formula "
-                              "for trusted group families, else quotient for group and "
-                              "graph, spectrum for expr and formula for zn and replaced")
+                              "spectrum or smatrix; auto takes the family's closed form "
+                              "when it has one, else quotient; spectrum for expr and "
+                              "formula for zn and replaced")
     p_kappa.add_argument("--output", choices=("decimal", "factored", "json"), default="decimal")
     p_kappa.add_argument("--factor-bound", type=int, default=None, metavar="N",
-                         help="trial-division bound (at least 2); it refactors the whole "
+                         help="trial-division bound (at least 2); it factors the whole "
                               "result on every route.  Without it, every prime of the "
                               "small bases (sizes, degrees, n) is certified and each "
                               "determinant (the whole kappa on matrix-tree) is "

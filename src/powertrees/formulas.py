@@ -58,27 +58,6 @@ def _det_int(rows: list[list[int]]) -> int:
     return det_bareiss(IntMatrix.from_rows(rows))
 
 
-def _replaced_factored(spec: CliqueReplacedSpec, vertices) -> FactoredNat:
-    """prod_i m_i**x_i * det(M[V]) / (prod_{i in V} m_i * n^2), with
-    m_i = block_degree_plus_one(i), M = diag(m) + diag(x) * A_complement and
-    V the given base vertices; every vertex left out of V must be isolated in
-    the base complement.  Factored by factored_ratio: only det(M[V]) is
-    trial-divided, and the division is checked in exponent space."""
-    adj, sizes = spec.base.adj, spec.sizes
-    m = [spec.block_degree_plus_one(i) for i in range(spec.k)]
-    rows = [
-        [m[i] if i == j else sizes[i] * (j not in adj[i]) for j in vertices]
-        for i in vertices
-    ]
-    powers = Counter()
-    for i, x in enumerate(sizes):
-        powers[m[i]] += x
-    for i in vertices:
-        powers[m[i]] -= 1
-    powers[spec.n] -= 2
-    return factored_ratio(powers, [_det_int(rows)], spec.n)
-
-
 def kappa_clique_replaced_formula(spec: CliqueReplacedSpec) -> FactoredNat:
     """Exact spanning-tree count of the clique-replaced graph by the
     ratio-product formula
@@ -91,16 +70,29 @@ def kappa_clique_replaced_formula(spec: CliqueReplacedSpec) -> FactoredNat:
     expansion det(D + A) = sum_S det(A[S]) prod_{i not in S} d_i, that bracket
     is the single determinant det(diag(lambda) + A_complement) (S = {} gives
     Psi, singletons give 0).  Scaling row i by x_i makes it integer:
-    M = diag(m) + diag(x) * A_complement, det(M) = prod x_i * (Psi + sum), so
+    M = diag(m) + diag(x) * A_complement, det(M) = prod x_i * (Psi + sum), and
+    kappa = prod m_i**x_i * det(M) / (prod m_i * n^2).  Universal base vertices
+    drop out: each is isolated in the base complement, so its row of M is m_i
+    on the diagonal, which cancels against its m_i in the denominator.  So one
+    |V| x |V| determinant, V the non-universal base vertices, gives
 
-        kappa = prod m_i**x_i * det(M) / (prod m_i * n^2),
+        kappa = prod m_i**x_i * det(M[V]) / (prod_{i in V} m_i * n^2),
 
-    one k x k determinant in exact integers.  It is factored from its parts
-    (factored_ratio): every prime of m_i and n is certified, det(M) is
-    trial-divided up to max(n, 1000), and the division is checked exact in
-    exponent space, where a negative exponent raises InternalConsistencyError.
+    factored from its parts (factored_ratio): the primes of m_i and n are
+    certified, det(M[V]) is trial-divided up to max(n, 1000), and the division
+    is checked exact in exponent space.
     """
-    return _replaced_factored(spec, range(spec.k))
+    adj, sizes = spec.base.adj, spec.sizes
+    m = [spec.block_degree_plus_one(i) for i in range(spec.k)]
+    kept = [i for i in range(spec.k) if len(adj[i]) != spec.k - 1]
+    rows = [[m[i] if i == j else sizes[i] * (j not in adj[i]) for j in kept] for i in kept]
+    powers = Counter()
+    for i, x in enumerate(sizes):
+        powers[m[i]] += x
+    for i in kept:
+        powers[m[i]] -= 1
+    powers[spec.n] -= 2
+    return factored_ratio(powers, [_det_int(rows)], spec.n)
 
 
 def clique_replaced_value(spec: CliqueReplacedSpec) -> int:
@@ -227,31 +219,15 @@ def divisor_clique_spec(n: int) -> CliqueReplacedSpec:
 def kappa_cyclic(n: int) -> FactoredNat:
     """Power graph of the cyclic group of order n.
 
-    For n = 1 and prime powers the power graph is complete (kappa_cayley).
-    Otherwise the divisor-graph formula is factored from its parts
-    (_replaced_factored) twice: in full, and restricted to the interior
-    divisors (d_1 = n and d_k = 1 are universal in the base, so
-    isolated in the complement, and their diagonal entries of M cancel
-    against their m_i in the denominator):
-
-        prod m_i**phi(d_i) * det(M[interior]) / (prod_{interior} m_i * n^2)
-
-    Each form's division is checked exact in exponent space, no prime's
-    exponent below 0, and the two forms must be the same FactoredNat, which
-    they are exactly when their values are equal; neither is multiplied out.
+    For n = 1 and prime powers the power graph is complete: kappa_cayley,
+    without a divisor graph.  Otherwise the clique-replaced formula on
+    divisor_clique_spec(n) takes the divisors other than 1 and n (universal).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if n == 1 or is_prime_power(n):
         return kappa_cayley(n)
-    spec = divisor_clique_spec(n)
-    interior = _replaced_factored(spec, range(1, spec.k - 1))
-    full = _replaced_factored(spec, range(spec.k))
-    if interior != full:
-        raise InternalConsistencyError(
-            f"divisor-interior value {interior} != full formula value {full} for n={n}"
-        )
-    return interior
+    return kappa_clique_replaced_formula(divisor_clique_spec(n))
 
 
 def kappa_psl2(p: int, n: int) -> FactoredNat:
@@ -321,12 +297,6 @@ def extraspecial_exponent_verdict(p: int) -> ExponentVerdict:
     candidates = (2 * p**3 - p - 5, 2 * p**3 - p - 4)
     matches = tuple(value == FactoredNat.prime_power(p, c) for c in candidates)
     return ExponentVerdict(p, value, candidates, matches)
-
-
-def kappa_extraspecial_exp_p2(p: int) -> FactoredNat:
-    """Structural (spectral) value of the published clique decomposition for
-    the order-p^3 exponent-p^2 group.  See extraspecial_exponent_verdict."""
-    return extraspecial_exponent_verdict(p).value
 
 
 def kappa_frobenius(kappa_kernel: FactoredNat, kappa_complement: FactoredNat, kernel_order: int) -> FactoredNat:

@@ -378,7 +378,9 @@ class Family:
 
     closed_form and clique_expr take the family's parameters and return the
     spanning-tree count and the clique expression of the power graph; either
-    may be missing.  trusted says whether `auto` may use the closed form.
+    may be missing.  `auto` takes the closed form when there is one.  `verify`
+    audits the closed form against the determinant oracle, or the clique form
+    where there is no closed form.
     """
 
     name: str
@@ -387,7 +389,6 @@ class Family:
     build: Callable[..., FiniteGroup]
     closed_form: Callable[..., FactoredNat] | None = None
     clique_expr: Callable[..., CliqueExpr] | None = None
-    trusted: bool = False
     alias: str | None = None
 
     @property
@@ -405,34 +406,30 @@ FAMILIES = {
     f.name: f
     for f in (
         Family("cyclic", ("n",), _v_cyclic, _build_cyclic,
-               closed_form=lambda n: F.kappa_cyclic(n), trusted=True),
+               closed_form=lambda n: F.kappa_cyclic(n)),
         Family("elementary", ("p", "n"), _v_elementary, _build_elementary,
                closed_form=lambda p, n: F.kappa_epo(_elementary_counts(p, n)),
-               clique_expr=lambda p, n: epo_expr(_elementary_counts(p, n)),
-               trusted=True),
+               clique_expr=lambda p, n: epo_expr(_elementary_counts(p, n))),
         Family("dihedral", ("n",), _v_dihedral, _build_dihedral),
         Family("quaternion", ("n",), _v_quaternion, _build_quaternion,
                closed_form=lambda n: F.kappa_quaternion(n),
                clique_expr=lambda n: Join(
                    Clique(2), union_of([Clique(2 ** (n - 1) - 2)] + [Clique(2)] * 2 ** (n - 2))
-               ),
-               trusted=True),
+               )),
         Family("heisenberg", ("p",), _need_odd_prime, _build_heisenberg,
                closed_form=lambda p: F.kappa_heisenberg(p),
-               clique_expr=lambda p: epo_expr({p: p * p + p + 1}),
-               trusted=True),
-        # its closed form evaluates the published clique form, which the
-        # determinant oracle refutes (see the verify report), so not trusted
+               clique_expr=lambda p: epo_expr({p: p * p + p + 1})),
+        # no closed form: its published clique form, which the determinant
+        # oracle refutes (see the verify report), is kept only as an audit
         Family("extraspecial_exp_p2", ("p",), _need_odd_prime, _build_extraspecial_exp_p2,
-               closed_form=lambda p: F.kappa_extraspecial_exp_p2(p),
                clique_expr=F.extraspecial_published_expr,
                alias="extraspecial"),
         Family("psl2", ("p", "n"), _v_psl2, _build_psl2,
-               closed_form=lambda p, n: F.kappa_psl2(p, n), trusted=True),
+               closed_form=lambda p, n: F.kappa_psl2(p, n)),
         Family("frobenius_pq", ("p", "q"), _v_frobenius, _build_frobenius_pq,
                closed_form=lambda p, q: F.kappa_frobenius_pq(p, q),
                clique_expr=lambda p, q: epo_expr({p: q, q: 1}),
-               trusted=True, alias="frobenius"),
+               alias="frobenius"),
         Family("cayley_table", ("PATH",), _v_cayley, _build_cayley_table, alias="table"),
     )
 }

@@ -92,8 +92,8 @@ _PSL_CONSTANTS = {
 _pp = FactoredNat.prime_power
 
 # The families' closed forms as audited claims: registry group -> rows of
-# (case name, group spec, pinned value or None).  A row's closed form is its
-# family's in FAMILIES, when the family has one.
+# (case name, group spec, pinned value or None).  A row's claim is its
+# family's closed form in FAMILIES, else its clique form, when it has one.
 _AUDITS = {
     # Z_(p^m) has a complete power graph: Cayley's (p^m)^(p^m - 2)
     "prime-power-cyclic": [
@@ -117,8 +117,8 @@ _AUDITS = {
         for p, q in ((2, 3), (3, 7), (5, 11))
     ],
     "heisenberg": [("extraspecial-heisenberg-27", "heisenberg:3", _pp(3, 13))],
-    # the published clique form of the exponent-p^2 group gives 3^49 here,
-    # not the oracle's 3^37 * 7^2: the case records the mismatch
+    # the exponent-p^2 group has no closed form; its published clique form
+    # gives 3^49 here, not the oracle's 3^37 * 7^2: the case records the mismatch
     "extraspecial-oracle": [("extraspecial-27-structural-vs-oracle", "extraspecial:3", None)],
     "elementary": [
         ("elementary-order-025", "elementary:5:2", _pp(5, 18)),
@@ -128,18 +128,23 @@ _AUDITS = {
 
 
 def cases_audit(group: str) -> list[CaseResult]:
-    """The rows of one audit group: the family's closed form, looked up in
-    the registry at call time, and the pinned value, whichever the row has,
-    must each equal the determinant oracle."""
+    """The rows of one audit group: the family's claim, looked up in the
+    registry at call time, and the pinned value, whichever the row has, must
+    each equal the determinant oracle.  The claim is the closed form, or the
+    clique form's spectral count when the family has no closed form."""
     out = []
     for name, text, pinned in _AUDITS[group]:
         spec = GroupSpec.parse(text)
-        closed_form = FAMILIES[spec.family].closed_form
-        formula = closed_form(*spec.params) if closed_form else None
+        family = FAMILIES[spec.family]
+        formula = None
+        if family.closed_form:
+            label, formula = "closed form", family.closed_form(*spec.params)
+        elif family.clique_expr:
+            label, formula = "clique form", kappa_from_spectrum(spectrum(family_expr(spec)))
         det = kappa_det_of_group(text)
         detail = f"determinant {FactoredNat.from_int(det)}"
         if formula is not None:
-            detail = f"closed form {formula}, {detail}"
+            detail = f"{label} {formula}, {detail}"
         if pinned is not None:
             detail += f", expected {pinned}"
         ok = all(v.value() == det for v in (formula, pinned) if v is not None)
@@ -212,7 +217,7 @@ def cases_dihedral_vs_cyclic() -> list[CaseResult]:
 
 def cases_quotient_vs_oracle(seed: int) -> list[CaseResult]:
     """The twin-quotient route, which `auto` takes for groups without a
-    trusted closed form and for graphs, against the determinant oracle: one
+    closed form and for graphs, against the determinant oracle: one
     small group of every family built in (the oracle values are memoized by
     the cases above), and seeded random graphs with n <= 9, disconnected ones
     included."""

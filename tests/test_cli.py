@@ -36,7 +36,7 @@ GROUPS = [
     ("dihedral:4", ["quotient"], "quotient", 8, 1),
     ("quaternion:3", ["quotient", "formula", "spectrum"], "formula", 8, 2),
     ("heisenberg:3", ["quotient", "formula", "spectrum"], "formula", 27, 1),
-    ("extraspecial:3", ["quotient", "formula", "spectrum"], "quotient", 27, 1),
+    ("extraspecial:3", ["quotient", "spectrum"], "quotient", 27, 1),
     ("psl2:2:2", ["quotient", "formula"], "formula", 60, 1),
     ("frobenius:2:3", ["quotient", "formula", "spectrum"], "formula", 6, 1),
 ]
@@ -51,8 +51,8 @@ def test_group_methods_auto_and_counts(capsys, target, extra, auto, n, universal
     graph = power_graph(build_group(GroupSpec.parse(target)))
     oracle = kappa_matrix_tree(graph)
     assert record["method"] == auto
-    # the auto value is the oracle's: a closed form that disagrees with it
-    # (the extraspecial one gives 3^49) must not be trusted by auto
+    # the auto value is the oracle's: a published clique form that disagrees
+    # with it (the extraspecial one gives 3^49) is no closed form for auto
     assert int(record["kappa_decimal"]) == oracle
     assert (record["vertex_count"], record["universal_count"]) == (n, universal)
     assert (graph.n, len(universal_vertices(graph))) == (n, universal)
@@ -61,10 +61,15 @@ def test_group_methods_auto_and_counts(capsys, target, extra, auto, n, universal
 def test_extraspecial_auto_value_and_published_forms(capsys):
     _, out, _ = run(capsys, "kappa", "group", "extraspecial:3", "--output", "json")
     assert json.loads(out)["kappa_factored"] == {"factors": [[3, 37], [7, 2]], "residual": 1}
-    for method in ("formula", "spectrum"):
-        _, out, _ = run(capsys, "kappa", "group", "extraspecial:3", "--method", method,
-                        "--output", "factored")
-        assert out.strip() == "3^49"
+    _, out, _ = run(capsys, "kappa", "group", "extraspecial:3", "--output", "factored")
+    assert out.strip() == "3^37 * 7^2"
+    # the published clique form is no closed form: only spectrum evaluates it
+    code, _, err = run(capsys, "kappa", "group", "extraspecial:3", "--method", "formula")
+    assert code == 2
+    assert err.strip().endswith("valid: auto, matrix-tree, quotient, spectrum")
+    _, out, _ = run(capsys, "kappa", "group", "extraspecial:3", "--method", "spectrum",
+                    "--output", "factored")
+    assert out.strip() == "3^49"
 
 
 @pytest.mark.parametrize(
@@ -166,6 +171,17 @@ def test_factor_bound_applies_to_every_route(capsys, kind, target):
         outputs.add(out.strip())
     _, decimal, _ = run(capsys, "kappa", kind, target)
     assert outputs == {str(FactoredNat.from_int(int(decimal), 2))}
+
+
+def test_matrix_tree_factors_its_kappa_once_under_a_bound(capsys, monkeypatch):
+    calls = []
+    from_int = FactoredNat.from_int.__func__
+    monkeypatch.setattr(FactoredNat, "from_int",
+                        classmethod(lambda cls, *a: calls.append(a[1:]) or from_int(cls, *a)))
+    code, out, _ = run(capsys, "kappa", "group", "psl2:2:2", "--method", "matrix-tree",
+                       "--factor-bound", "50", "--output", "factored")
+    assert code == 0 and out.strip() == "3^10 * 5^18"
+    assert calls == [(50,)]
 
 
 def test_factor_bound_controls_residual(capsys):

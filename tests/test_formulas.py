@@ -448,9 +448,15 @@ def test_quotient_route_factors_the_cyclic_form():
         assert F.kappa_quotient(F.divisor_clique_spec(n)) == F.kappa_cyclic(n), n
 
 
-def test_kappa_cyclic_interior_and_full_forms_must_agree(monkeypatch):
+def test_formula_takes_one_determinant_over_the_non_universal_vertices(monkeypatch):
+    sizes = []
     det = F._det_int
-    # n = 30 has 8 divisors: double the determinant of the full form only
-    monkeypatch.setattr(F, "_det_int", lambda rows: det(rows) * (2 if len(rows) == 8 else 1))
-    with pytest.raises(InternalConsistencyError, match="divisor-interior"):
-        F.kappa_cyclic(30)
+    monkeypatch.setattr(F, "_det_int", lambda rows: sizes.append(len(rows)) or det(rows))
+    # n = 30 has 8 divisors; 1 and 30 are universal in the divisor graph
+    assert F.kappa_cyclic(30).value() == det_kappa("cyclic:30")
+    assert sizes == [6]
+    # vertex 0 alone is universal in this base: one (k-1) x (k-1) determinant
+    sizes.clear()
+    spec = CliqueReplacedSpec(SimpleGraph(4, [(0, 1), (0, 2), (0, 3), (1, 2)]), (2, 1, 3, 2))
+    assert F.kappa_clique_replaced_formula(spec).value() == kappa_matrix_tree(clique_replaced(spec))
+    assert sizes == [3]
