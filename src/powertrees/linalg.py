@@ -1,6 +1,10 @@
 """Exact integer linear algebra: Bareiss determinants and ranks,
 spanning-tree counts, and Laplacian characteristic polynomials.
 
+`det_bareiss` and `rank_bareiss` share one fraction-free elimination,
+`_bareiss`, that skips a column without a pivot: the rank is its number of
+pivots, and the determinant its signed last pivot when every column has one.
+
 Spanning trees are counted on the symmetric positive semidefinite Laplacian
 blocks of the graph without its universal vertices, so `kappa_matrix_tree`
 eliminates only their upper half, without pivoting; the generic pivoting
@@ -66,58 +70,35 @@ class IntMatrix:
 
 
 def det_bareiss(m: IntMatrix) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination.
-
-    Pivoting is the first nonzero entry in the current column; every interior
-    division is checked to be exact.
-    """
+    """Exact determinant: the signed last pivot of `_bareiss` when every
+    column has a pivot, else 0."""
     if not m.is_square():
         raise DimensionError(f"determinant needs a square matrix, got {m.rows}x{m.cols}")
-    n = m.rows
-    if n == 0:
-        return 1
-    a = [[_mk(x) for x in row] for row in m.to_rows()]
-    sign = 1
-    prev = _mk(1)
-    for k in range(n - 1):
-        if not a[k][k]:
-            for r in range(k + 1, n):
-                if a[r][k]:
-                    a[k], a[r] = a[r], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = a[k][k]
-        row_k = a[k]
-        for i in range(k + 1, n):
-            row_i = a[i]
-            f = row_i[k]
-            new_tail = []
-            push = new_tail.append
-            for x, y in zip(row_i[k + 1 :], row_k[k + 1 :]):
-                q, rem = divmod(pivot * x - f * y, prev)
-                if rem:
-                    raise InternalConsistencyError("inexact division in Bareiss step")
-                push(q)
-            row_i[k + 1 :] = new_tail
-            row_i[k] = 0
-        prev = pivot
-    return int(sign * a[n - 1][n - 1])
+    rank, sign, last = _bareiss(m)
+    return int(sign * last) if rank == m.rows else 0
 
 
 def rank_bareiss(m: IntMatrix) -> int:
-    """Exact rank by fraction-free (Bareiss) elimination that skips a column
-    with no nonzero entry in the rows not yet pivoted on.  The entries stay
-    minors of m, so every interior division is checked to be exact."""
+    """Exact rank: the number of pivots `_bareiss` finds."""
+    return _bareiss(m)[0]
+
+
+def _bareiss(m: IntMatrix) -> tuple[int, int, int]:
+    """Fraction-free (Bareiss) elimination that pivots on the first nonzero
+    entry of each column below the rows already pivoted on, and skips a
+    column without one.  Returns (rank, sign of the row swaps, last pivot or
+    1).  The entries stay minors of m, so every division is checked exact."""
     a = [[_mk(x) for x in row] for row in m.to_rows()]
-    rank = 0
-    prev = _mk(1)
+    rank, sign, prev = 0, 1, _mk(1)
     for c in range(m.cols):
-        r = next((i for i in range(rank, m.rows) if a[i][c]), None)
-        if r is None:
+        for r in range(rank, m.rows):
+            if a[r][c]:
+                break
+        else:
             continue
-        a[rank], a[r] = a[r], a[rank]
+        if r != rank:
+            a[rank], a[r] = a[r], a[rank]
+            sign = -sign
         top = a[rank]
         pivot = top[c]
         for row_i in a[rank + 1 :]:
@@ -127,13 +108,13 @@ def rank_bareiss(m: IntMatrix) -> int:
             for x, y in zip(row_i[c + 1 :], top[c + 1 :]):
                 q, rem = divmod(pivot * x - f * y, prev)
                 if rem:
-                    raise InternalConsistencyError("inexact division in Bareiss rank step")
+                    raise InternalConsistencyError("inexact division in Bareiss step")
                 push(q)
             row_i[c + 1 :] = new_tail
             row_i[c] = 0
         prev = pivot
         rank += 1
-    return rank
+    return rank, sign, prev
 
 
 def _det_psd_upper(upper: list[list[int]]) -> int:

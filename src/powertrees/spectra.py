@@ -1,15 +1,20 @@
 """Integer Laplacian spectra for graphs built from cliques by unions and joins.
 
 All power graphs with known closed forms decompose this way, so their spectra
-(and hence spanning-tree counts) stay in exact integer arithmetic.  Spectra
-are stored as run-length pairs because the interesting examples have a few
-distinct eigenvalues with huge multiplicities.
+(and hence spanning-tree counts) stay in exact integer arithmetic.  An
+expression is a tree with one node per run of unions or of joins: a `Union`
+or `Join` holds its parts in order and flattens in a part of its own kind, so
+`c#x` is one union of c parts and every walker loops over a node's parts.
+Recursion goes only as deep as the nesting of unions inside joins, which
+`parse_expr` bounds.  Spectra are stored as run-length pairs because the
+interesting examples have a few distinct eigenvalues with huge multiplicities.
 """
 
 from __future__ import annotations
 
+import functools
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import graphs
 from .numth import FactoredNat, factored_ratio
@@ -35,57 +40,55 @@ class Clique:
         return f"K({self.size})"
 
 
-@dataclass(frozen=True)
-class Union:
-    left: "CliqueExpr"
-    right: "CliqueExpr"
+@dataclass(frozen=True, init=False)
+class _Run:
+    """Two or more parts under one operator, in order.  A part of the same
+    kind is flattened in, so equality holds up to associativity.  n and the
+    hash are stored at construction, so hashing a node reads no subtree."""
 
-    @property
-    def n(self) -> int:
-        return self.left.n + self.right.n
+    parts: tuple["CliqueExpr", ...]
+    n: int = field(compare=False)
+
+    def __init__(self, *parts: "CliqueExpr"):
+        flat = []
+        for part in parts:
+            flat.extend(part.parts if type(part) is type(self) else (part,))
+        if len(flat) < 2:
+            raise ValueError(f"a {type(self).__name__} needs at least two parts, got {len(flat)}")
+        object.__setattr__(self, "parts", tuple(flat))
+        object.__setattr__(self, "n", sum(part.n for part in flat))
+        object.__setattr__(self, "_hash", hash(self.parts))
+
+    def __hash__(self):
+        return self._hash
+
+
+class Union(_Run):
+    """Vertex-disjoint union of its parts."""
 
     def __str__(self):
-        """Text that parse_expr reads back to this identical tree: '+' is
-        left-associative, so a right-hand Union is parenthesised."""
-        return f"{self.left}+{_wrap(self.right, Union)}"
+        """Text that parse_expr reads back to this tree; no part is a union."""
+        return "+".join(map(str, self.parts))
 
 
-@dataclass(frozen=True)
-class Join:
-    left: "CliqueExpr"
-    right: "CliqueExpr"
-
-    @property
-    def n(self) -> int:
-        return self.left.n + self.right.n
+class Join(_Run):
+    """Union of its parts plus every edge between two different parts."""
 
     def __str__(self):
-        """Text that parse_expr reads back to this identical tree: '*' binds
-        tighter than '+' and is left-associative, so a Union operand and a
-        right-hand Join are parenthesised."""
-        return f"{_wrap(self.left, Union)}*{_wrap(self.right, (Union, Join))}"
+        """Text that parse_expr reads back to this tree; no part is a join."""
+        return "*".join(f"({p})" if isinstance(p, Union) else str(p) for p in self.parts)
 
 
 CliqueExpr = Clique | Union | Join
 
 
-def _wrap(expr: CliqueExpr, kinds) -> str:
-    return f"({expr})" if isinstance(expr, kinds) else str(expr)
-
-
 def union_of(exprs) -> CliqueExpr:
+    """The union of a nonempty list of expressions; one expression is itself."""
     exprs = list(exprs)
-    if not exprs:
-        raise ValueError("empty union")
-    out = exprs[0]
-    for e in exprs[1:]:
-        out = Union(out, e)
-    return out
+    return exprs[0] if len(exprs) == 1 else Union(*exprs)
 
 
 def copies(count: int, expr: CliqueExpr) -> CliqueExpr:
-    if count < 1:
-        raise ValueError("copy count must be >= 1")
     return union_of([expr] * count)
 
 
@@ -138,40 +141,38 @@ class IntSpectrum:
 def spectrum(expr: CliqueExpr) -> IntSpectrum:
     """Laplacian spectrum of a clique expression.
 
-    K(n) has eigenvalue n with multiplicity n-1 plus a zero; a union takes the
-    multiset union; a join of an m-vertex and an n-vertex graph keeps m+n, the
-    two side spectra shifted by the other side's size with one zero dropped
-    from each, and one final zero.
+    K(n) has eigenvalue n with multiplicity n-1 plus a zero; a union takes
+    the multiset union of its parts' spectra.  A join of r parts, n_i
+    vertices in part i and N in all, has 0 once, N with multiplicity r-1, and
+    each part's spectrum less one zero, shifted by N - n_i (the binary rule
+    applied r-1 times).  Its Laplacian is L_i + (N - n_i)I on block i and -1
+    between blocks, so an eigenvector of L_i orthogonal to the ones vector
+    gains N - n_i, and on the vectors constant on each block it is N*I minus
+    a rank-one map onto the ones vector.  Equal parts are evaluated once.
     """
     counts = _spectrum_counts(expr)
     return IntSpectrum(tuple(sorted(counts.items(), reverse=True)))
 
 
-def _spectrum_counts(expr: CliqueExpr) -> dict[int, int]:
+def _spectrum_counts(expr: CliqueExpr) -> Counter:
     if isinstance(expr, Clique):
         k = expr.size
-        return {k: k - 1, 0: 1} if k > 1 else {0: 1}
-    if isinstance(expr, Union):
-        left = _spectrum_counts(expr.left)
-        right = _spectrum_counts(expr.right)
-        for v, m in right.items():
-            left[v] = left.get(v, 0) + m
-        return left
-    if isinstance(expr, Join):
-        m, n = expr.left.n, expr.right.n
-        out = {m + n: 1}
-        for side, shift in ((expr.left, n), (expr.right, m)):
-            counts = _spectrum_counts(side)
-            if counts.get(0, 0) < 1:
-                raise RuntimeError("operand spectrum lacks a zero eigenvalue")  # pragma: no cover
-            counts[0] -= 1  # the join consumes one zero from each operand
-            for v, mult in counts.items():
-                if mult:
-                    key = v + shift
-                    out[key] = out.get(key, 0) + mult
-        out[0] = out.get(0, 0) + 1
-        return out
-    raise TypeError(f"not a clique expression: {expr!r}")
+        return Counter({k: k - 1, 0: 1} if k > 1 else {0: 1})
+    if not isinstance(expr, (Union, Join)):
+        raise TypeError(f"not a clique expression: {expr!r}")
+    join = isinstance(expr, Join)
+    out = Counter({expr.n: len(expr.parts) - 1, 0: 1}) if join else Counter()
+    for part, copies_of_part in Counter(expr.parts).items():
+        counts = _spectrum_counts(part)
+        shift = expr.n - part.n if join else 0
+        if join:
+            if counts[0] < 1:
+                raise RuntimeError("part spectrum lacks a zero eigenvalue")  # pragma: no cover
+            counts[0] -= 1  # the join consumes one zero from each part
+        for v, mult in counts.items():
+            if mult:
+                out[v + shift] += mult * copies_of_part
+    return out
 
 
 def kappa_from_spectrum(spec: IntSpectrum) -> FactoredNat:
@@ -192,14 +193,14 @@ def kappa_from_spectrum(spec: IntSpectrum) -> FactoredNat:
 
 def universal_count(expr: CliqueExpr) -> int:
     """Universal vertices of the expression's graph, without building it: all
-    of K(s), none of a union of two nonempty graphs, and for a join those
-    universal within their own side."""
+    of K(s), none of a union of nonempty graphs, and for a join those
+    universal within their own part."""
     if isinstance(expr, Clique):
         return expr.size
     if isinstance(expr, Union):
         return 0
     if isinstance(expr, Join):
-        return universal_count(expr.left) + universal_count(expr.right)
+        return sum(map(universal_count, expr.parts))
     raise TypeError(f"not a clique expression: {expr!r}")
 
 
@@ -207,80 +208,96 @@ def expr_to_graph(expr: CliqueExpr) -> graphs.SimpleGraph:
     """Materialize a clique expression as an explicit graph (for oracles)."""
     if isinstance(expr, Clique):
         return graphs.complete_graph(expr.size)
-    if isinstance(expr, Union):
-        return graphs.union(expr_to_graph(expr.left), expr_to_graph(expr.right))
-    if isinstance(expr, Join):
-        return graphs.join(expr_to_graph(expr.left), expr_to_graph(expr.right))
+    if isinstance(expr, (Union, Join)):
+        combine = graphs.union if isinstance(expr, Union) else graphs.join
+        return functools.reduce(combine, map(expr_to_graph, expr.parts))
     raise TypeError(f"not a clique expression: {expr!r}")
 
 
 # --- expression string syntax: K(n), + union, * join, c#expr copies ---
 
+MAX_DEPTH = 100  # parentheses nested deeper than this are a usage error
+MAX_COPIES = 10**6  # union parts that the c#x in one text may expand to
+
 
 def parse_expr(text: str) -> CliqueExpr:
     """Parse the CLI expression syntax, e.g. 'K(2)*(K(6)+4#K(2))'.
 
-    '*' (join) binds tighter than '+' (union), and both are left-associative:
-    'a+b+c' is Union(Union(a, b), c) and 'a*b*c' is Join(Join(a, b), c).
-    'c#x' binds tightest and stands for c copies of the factor x, unioned
-    left to right.  For every expression e, parse_expr(str(e)) == e.
+    '*' (join) binds tighter than '+' (union).  A run of '+' or of '*' is one
+    node with a part per operand, so '(a*b)*c' and 'a*(b*c)' parse to the
+    same tree.  'c#x' binds tightest and stands for c copies of the factor x,
+    unioned left to right, and 'c#d#x' for c*d copies.  For every expression
+    e, parse_expr(str(e)) == e.
+
+    Parentheses nested more than MAX_DEPTH deep, which keeps every walker
+    within Python's default recursion limit, and c#x copies of more than
+    MAX_COPIES parts in all, which would have to be held in memory, raise
+    ValueError.
     """
     tokens = _tokenize(text)
     pos = 0
+    copied = 0
 
     def peek():
-        return tokens[pos] if pos < len(tokens) else None
+        return tokens[pos] if pos < len(tokens) else (None, None)
 
     def take(kind):
         nonlocal pos
         tok = peek()
-        if tok is None or tok[0] != kind:
+        if tok[0] != kind:
             raise ValueError(f"expected {kind} at position {pos} in {text!r}")
         pos += 1
         return tok[1]
 
-    def parse_union():
-        node = parse_join()
+    def parse_union(depth):
+        parts = [parse_join(depth)]
         while peek() == ("op", "+"):
             take("op")
-            node = Union(node, parse_join())
-        return node
+            parts.append(parse_join(depth))
+        return union_of(parts)
 
-    def parse_join():
-        node = parse_factor()
+    def parse_join(depth):
+        parts = [parse_factor(depth)]
         while peek() == ("op", "*"):
             take("op")
-            node = Join(node, parse_factor())
-        return node
+            parts.append(parse_factor(depth))
+        return parts[0] if len(parts) == 1 else Join(*parts)
 
-    def parse_factor():
-        tok = peek()
-        if tok is None:
-            raise ValueError(f"unexpected end of expression in {text!r}")
-        if tok[0] == "int":
-            count = take("int")
+    def parse_factor(depth):
+        nonlocal copied
+        count = 1
+        while peek()[0] == "int":
+            count *= take("int")
             take("hash")
-            return copies(count, parse_factor())
+        tok = peek()
         if tok == ("op", "("):
+            if depth == MAX_DEPTH:
+                raise ValueError(f"parentheses nested more than {MAX_DEPTH} deep at position {pos}")
             take("op")
-            node = parse_union()
+            node = parse_union(depth + 1)
             if peek() != ("op", ")"):
                 raise ValueError(f"missing ')' in {text!r}")
             take("op")
-            return node
-        if tok[0] == "K":
+        elif tok[0] == "K":
             take("K")
             if peek() != ("op", "("):
                 raise ValueError(f"K must be followed by (n) in {text!r}")
             take("op")
-            size = take("int")
+            node = Clique(take("int"))
             if peek() != ("op", ")"):
                 raise ValueError(f"missing ')' after K( in {text!r}")
             take("op")
-            return Clique(size)
-        raise ValueError(f"unexpected token {tok} in {text!r}")
+        elif tok[0] is None:
+            raise ValueError(f"unexpected end of expression in {text!r}")
+        else:
+            raise ValueError(f"unexpected token {tok} in {text!r}")
+        if count != 1:
+            copied += count * (len(node.parts) if isinstance(node, Union) else 1)
+            if copied > MAX_COPIES:
+                raise ValueError(f"c#x copies expand to more than {MAX_COPIES} parts in {text!r}")
+        return copies(count, node)
 
-    node = parse_union()
+    node = parse_union(0)
     if pos != len(tokens):
         raise ValueError(f"trailing input after position {pos} in {text!r}")
     return node

@@ -418,3 +418,27 @@ def test_zn_target_must_be_a_positive_integer(capsys, target):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
         assert f"zn target must be an integer n >= 1, got {target!r}" in err
+
+
+@pytest.mark.parametrize("target", ["quaternion:12", "heisenberg:31"])
+def test_spectrum_route_past_a_thousand_union_parts(capsys, target):
+    # 1025 and 993 parts in the clique form's union
+    outs = []
+    for method in ("spectrum", "formula"):
+        code, out, _ = run(capsys, "kappa", "group", target, "--method", method,
+                           "--output", "factored")
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1]
+
+
+def test_expr_with_thousands_of_copies(capsys):
+    # the star K(1,2000) has one spanning tree
+    assert run(capsys, "kappa", "expr", "2000#K(1)*K(1)") == (0, "1\n", "")
+
+
+@pytest.mark.parametrize("target", ["(" * 400 + "K(1)" + ")" * 400,
+                                    "1000#1000#1000#K(1)"])
+def test_expr_beyond_the_parser_bounds_is_a_usage_error(capsys, target):
+    code, out, err = run(capsys, "kappa", "expr", target)
+    assert code == 2 and out == "" and len(err.splitlines()) == 1

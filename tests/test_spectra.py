@@ -10,6 +10,8 @@ from powertrees.groups import GroupSpec, build_group, family_expr, power_graph
 from powertrees.linalg import InternalConsistencyError, kappa_matrix_tree, laplacian_char_poly
 from powertrees.numth import FactoredNat
 from powertrees.spectra import (
+    MAX_COPIES,
+    MAX_DEPTH,
     Clique,
     IntSpectrum,
     Join,
@@ -53,22 +55,13 @@ def spectrum_oracle(expr):
 
 
 def canon(expr):
-    """Canonical form that flattens nested unions and sorts their parts, and
-    compares the two operands of each join up to order; nested joins are not
-    flattened, so Join(a, Join(b, c)) and Join(Join(a, b), c) differ."""
+    """Canonical form that sorts the parts of every union and join, so it
+    compares expressions up to the order of their parts; runs of one kind
+    are already flattened into one node."""
     if isinstance(expr, Clique):
         return ("K", expr.size)
-    if isinstance(expr, Union):
-        parts = []
-        stack = [expr]
-        while stack:
-            x = stack.pop()
-            if isinstance(x, Union):
-                stack += [x.left, x.right]
-            else:
-                parts.append(canon(x))
-        return ("U", tuple(sorted(parts)))
-    return ("J",) + tuple(sorted((canon(expr.left), canon(expr.right))))
+    kind = "U" if isinstance(expr, Union) else "J"
+    return (kind, tuple(sorted(map(canon, expr.parts))))
 
 
 def test_spectrum_single_clique():
@@ -248,6 +241,50 @@ def test_expr_str_reparses():
         expr = _random_expr(rng, rng.randint(1, 20))
         assert canon(parse_expr(str(expr))) == canon(expr)
         assert parse_expr(str(expr)) == expr
+
+
+def test_runs_are_one_node():
+    a, b, c = Clique(1), Clique(2), Clique(3)
+    assert Union(Union(a, b), c) == Union(a, Union(b, c)) == Union(a, b, c)
+    assert Join(Join(a, b), c) == Join(a, Join(b, c))
+    assert hash(Join(Join(a, b), c)) == hash(Join(a, Join(b, c)))
+    assert Union(a, b) != Join(a, b)
+    assert parse_expr("K(1)*K(2)*K(3)").parts == (a, b, c)
+    assert parse_expr("(K(1)*K(2))*K(3)") == parse_expr("K(1)*(K(2)*K(3))")
+    assert parse_expr("2#3#K(1)") == copies(6, a)
+    with pytest.raises(ValueError):
+        Union(a)
+    with pytest.raises(ValueError):
+        Join(Union(a, b))
+
+
+def test_walkers_on_thousands_of_parts():
+    expr = Join(copies(5000, Clique(2)), Clique(1))
+    assert expr.n == 10001
+    assert universal_count(expr) == 1
+    assert spectrum(expr).pairs == ((10001, 1), (3, 5000), (1, 4999), (0, 1))
+    assert parse_expr(str(expr)) == expr
+
+
+def test_deepest_nesting_stays_within_the_recursion_limit():
+    # each level puts a union inside a join, two tree levels per parenthesis
+    text = "K(1)"
+    for _ in range(MAX_DEPTH):
+        text = f"K(1)*(K(1)+{text})"
+    expr = parse_expr(text)
+    assert parse_expr(str(expr)) == expr and hash(parse_expr(text)) == hash(expr)
+    assert spectrum(expr).n == expr_to_graph(expr).n == 2 * MAX_DEPTH + 1
+    assert universal_count(expr) == 1
+    with pytest.raises(ValueError, match="nested more than"):
+        parse_expr(f"K(1)*({text})")
+
+
+def test_copies_beyond_the_part_bound_rejected():
+    assert parse_expr(f"{MAX_COPIES}#K(1)").n == MAX_COPIES
+    for text in (f"{MAX_COPIES + 1}#K(1)", "1000#1000#1000#K(1)", "1000#(1000#K(1)+K(2))",
+                 f"{MAX_COPIES}#K(1)+2#K(1)"):
+        with pytest.raises(ValueError, match="copies expand"):
+            parse_expr(text)
 
 
 def test_union_of_empty_rejected():
