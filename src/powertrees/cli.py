@@ -56,7 +56,7 @@ from .groups import (
     power_graph,
 )
 from .linalg import InternalConsistencyError, kappa_matrix_tree
-from .numth import FactoredNat, divisors_desc, euler_phi
+from .numth import FactoredNat, divisors_desc
 from .spectra import expr_to_graph, kappa_from_spectrum, parse_expr, spectrum, universal_count
 
 
@@ -285,15 +285,14 @@ def cmd_verify(args) -> int:
 
 
 def _zn_description(n: int) -> str:
-    divs = divisors_desc(n)
-    base = F.divisor_clique_spec(n).base
+    spec = F.divisor_clique_spec(n)
     return json.dumps(
         {
             "n": n,
-            "divisors": divs,
-            "sizes": [euler_phi(d) for d in divs],
-            "base_edges": list(base.edges()),
-            "vertex_count": sum(euler_phi(d) for d in divs),
+            "divisors": divisors_desc(n),
+            "sizes": list(spec.sizes),
+            "base_edges": list(spec.base.edges()),
+            "vertex_count": spec.n,
         }
     )
 

@@ -1,5 +1,5 @@
-"""Simple graphs and the constructions used throughout: union, join,
-divisor graphs, clique-replaced graphs and closed-twin quotients.
+"""Simple graphs and the constructions used throughout: joins, divisor
+graphs, clique-replaced graphs and closed-twin quotients.
 
 Graphs are immutable after construction; adjacency is kept as frozensets for
 O(1) edge queries, and dense matrices are only materialized at determinant
@@ -86,29 +86,21 @@ class SimpleGraph:
         return f"SimpleGraph(n={self.n}, edges={self.edge_count})"
 
 
-def complete_graph(n: int, labels=None) -> SimpleGraph:
-    return SimpleGraph(n, [(i, j) for i in range(n) for j in range(i + 1, n)], labels)
+def complete_graph(n: int) -> SimpleGraph:
+    return SimpleGraph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
 
 
 def path_graph(n: int) -> SimpleGraph:
     return SimpleGraph(n, [(i, i + 1) for i in range(n - 1)])
 
 
-def union(g1: SimpleGraph, g2: SimpleGraph) -> SimpleGraph:
-    """Vertex-disjoint union; g2's vertices are shifted past g1's."""
-    off = g1.n
-    edges = list(g1.edges()) + [(u + off, v + off) for u, v in g2.edges()]
-    labels = None
-    if g1.labels is not None and g2.labels is not None:
-        labels = g1.labels + g2.labels
-    return SimpleGraph(g1.n + g2.n, edges, labels)
-
-
 def join(g1: SimpleGraph, g2: SimpleGraph) -> SimpleGraph:
-    """Disjoint union plus every edge between the two sides."""
-    g = union(g1, g2)
-    cross = [(u, g1.n + v) for u in range(g1.n) for v in range(g2.n)]
-    return SimpleGraph(g.n, list(g.edges()) + cross, g.labels)
+    """Disjoint union plus every edge between the two sides; g2's vertices
+    are shifted past g1's."""
+    off = g1.n
+    edges = [*g1.edges(), *((u + off, v + off) for u, v in g2.edges())]
+    edges.extend((u, off + v) for u in range(off) for v in range(g2.n))
+    return SimpleGraph(off + g2.n, edges)
 
 
 def universal_vertices(g: SimpleGraph) -> list[int]:
@@ -228,8 +220,8 @@ def from_edge_list_text(text: str) -> SimpleGraph:
     return SimpleGraph(n, edges)
 
 
-def to_dot(g: SimpleGraph, name: str = "G") -> str:
-    lines = [f"graph {name} {{"]
+def to_dot(g: SimpleGraph) -> str:
+    lines = ["graph G {"]
     for v in range(g.n):
         lines.append(f'  {v} [label="{g.label(v)}"];')
     for u, v in g.edges():

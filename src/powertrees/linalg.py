@@ -14,6 +14,11 @@ A Laplacian L is symmetric, hence diagonalizable, so the multiplicity of an
 eigenvalue mu is the nullity n - rank(L - mu*I); `laplacian_nullity` gives it
 from one fraction-free elimination.
 
+The characteristic polynomial det(mu*I - L) comes from the Faddeev-LeVerrier
+trace recurrence in integer matrix products read off the adjacency sets, with
+every division checked exact; no determinant is taken for it, so it checks the
+Bareiss route independently.
+
 No floating point anywhere.  When gmpy2 is importable its mpz type is used
 inside the elimination loops (bit-identical results, much faster on the
 hundred-digit intermediates that large graphs produce); otherwise plain
@@ -23,7 +28,6 @@ Python ints are used.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .numth import InternalConsistencyError  # re-exported: raised here and by callers
 
@@ -158,11 +162,12 @@ def _det_psd_upper(upper: list[list[int]]) -> int:
     return int(last)
 
 
-def _laplacian_rows(g) -> list[list[int]]:
+def _laplacian_rows(g, shift: int = 0) -> list[list[int]]:
+    """Rows of L + shift*I."""
     n = g.n
     rows = [[0] * n for _ in range(n)]
     for v in range(n):
-        rows[v][v] = g.degree(v)
+        rows[v][v] = g.degree(v) + shift
         for w in g.adj[v]:
             rows[v][w] = -1
     return rows
@@ -170,10 +175,7 @@ def _laplacian_rows(g) -> list[list[int]]:
 
 def laplacian_nullity(g, mu: int) -> int:
     """Multiplicity of mu as a Laplacian eigenvalue: n - rank(L - mu*I)."""
-    lap = _laplacian_rows(g)
-    for i, row in enumerate(lap):
-        row[i] -= mu
-    return g.n - rank_bareiss(IntMatrix.from_rows(lap))
+    return g.n - rank_bareiss(IntMatrix.from_rows(_laplacian_rows(g, -mu)))
 
 
 def kappa_matrix_tree(g) -> int:
@@ -257,70 +259,42 @@ class IntPolynomial:
 
 
 def laplacian_char_poly(g) -> IntPolynomial:
-    """Characteristic polynomial det(mu*I - L) of the graph Laplacian.
-
-    Evaluated exactly at the integer points mu = 0..n and interpolated with
-    rationals; the result is asserted to have integer coefficients and zero
-    constant term.
+    """Characteristic polynomial det(mu*I - L) = sum c_k mu^k of the graph
+    Laplacian, by the Faddeev-LeVerrier recurrence: c_n = 1, M_0 = 0,
+    M_k = L*M_{k-1} + c_{n-k+1}*I and c_{n-k} = -tr(L*M_k)/k.  Row v of L*M
+    is deg(v) * M[v] minus the rows M[w] of v's neighbours w.  Each division
+    by k is checked exact, and the constant term det(-L) is checked zero.
     """
-    n = g.n
-    lap = _laplacian_rows(g)
-    xs = list(range(n + 1))
-    ys = []
-    for mu in xs:
-        rows = [
-            [(mu if i == j else 0) - lap[i][j] for j in range(n)] for i in range(n)
+    n, adj = g.n, g.adj
+    coeffs = [0] * n + [1]
+    m = [[int(i == j) for j in range(n)] for i in range(n)]  # M_1 = I
+    for k in range(1, n + 1):
+        lm = [
+            [len(adj[v]) * x - sum(ys) for x, *ys in zip(m[v], *(m[w] for w in adj[v]))]
+            for v in range(n)
         ]
-        ys.append(det_bareiss(IntMatrix.from_rows(rows)))
-    out = []
-    for c in _newton_interpolate(xs, ys):
-        if c.denominator != 1:
-            raise InternalConsistencyError("char poly interpolation gave non-integer")
-        out.append(int(c))
-    if out and out[0] != 0:
+        c, r = divmod(-sum(lm[i][i] for i in range(n)), k)
+        if r:
+            raise InternalConsistencyError(f"trace recurrence: tr(L*M_{k}) not divisible by {k}")
+        coeffs[n - k] = c
+        for i in range(n):
+            lm[i][i] += c
+        m = lm
+    if coeffs[0] != 0:
         raise InternalConsistencyError("Laplacian char poly must have zero constant term")
-    return IntPolynomial(tuple(out))
-
-
-def _newton_interpolate(xs: list[int], ys: list[int]) -> list[Fraction]:
-    """Exact polynomial interpolation; all len(xs) coefficients, constant first."""
-    k = len(xs)
-    # divided differences
-    table = [Fraction(y) for y in ys]
-    newton = [table[0]]
-    for level in range(1, k):
-        table = [
-            (table[i + 1] - table[i]) / (xs[i + level] - xs[i])
-            for i in range(k - level)
-        ]
-        newton.append(table[0])
-    # expand c0 + c1(x-x0) + c2(x-x0)(x-x1) + ...
-    coeffs = [Fraction(0)] * k
-    basis = [Fraction(1)] + [Fraction(0)] * (k - 1)  # running product poly
-    for level, c in enumerate(newton):
-        for i in range(level + 1):
-            coeffs[i] += c * basis[i]
-        if level + 1 < k:
-            # basis *= (x - xs[level])
-            shifted = [Fraction(0)] + basis[:-1]
-            basis = [s - xs[level] * b for s, b in zip(shifted, basis)]
-    return coeffs
+    return IntPolynomial(tuple(coeffs))
 
 
 def shifted_product_integer_check(g, m: int) -> int:
     """Product of (mu_i + m) over the n-1 largest Laplacian eigenvalues.
 
-    Computed exactly as (-1)^n * sigma(-m) / m where sigma is the Laplacian
-    characteristic polynomial; the division by m is asserted exact.
+    Computed exactly as det(L + m*I) / m, which is (-1)^n * sigma(-m) / m for
+    the Laplacian characteristic polynomial sigma; the division by m is
+    asserted exact.
     """
     if m == 0:
         raise ValueError("shift m must be nonzero")
-    n = g.n
-    lap = _laplacian_rows(g)
-    rows = [[(-m if i == j else 0) - lap[i][j] for j in range(n)] for i in range(n)]
-    sigma_at_minus_m = det_bareiss(IntMatrix.from_rows(rows))
-    value = (-1) ** n * sigma_at_minus_m
-    q, r = divmod(value, m)
+    q, r = divmod(det_bareiss(IntMatrix.from_rows(_laplacian_rows(g, m))), m)
     if r:
         raise InternalConsistencyError(
             f"shifted eigenvalue product not divisible by m={m}"

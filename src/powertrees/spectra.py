@@ -12,7 +12,6 @@ interesting examples have a few distinct eigenvalues with huge multiplicities.
 
 from __future__ import annotations
 
-import functools
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -205,13 +204,31 @@ def universal_count(expr: CliqueExpr) -> int:
 
 
 def expr_to_graph(expr: CliqueExpr) -> graphs.SimpleGraph:
-    """Materialize a clique expression as an explicit graph (for oracles)."""
-    if isinstance(expr, Clique):
-        return graphs.complete_graph(expr.size)
-    if isinstance(expr, (Union, Join)):
-        combine = graphs.union if isinstance(expr, Union) else graphs.join
-        return functools.reduce(combine, map(expr_to_graph, expr.parts))
-    raise TypeError(f"not a clique expression: {expr!r}")
+    """Materialize a clique expression as an explicit graph (for oracles).
+
+    The tree is laid out in one pass: each node's vertices form one interval,
+    its parts' intervals follow each other in order, a clique's interval is
+    complete, and a join adds every edge between a part's interval and the
+    vertices of the parts before it.  The edge list goes into one SimpleGraph.
+    """
+    edges = []
+
+    def lay_out(node, start):
+        if isinstance(node, Clique):
+            stop = start + node.size
+            edges.extend((a, b) for a in range(start, stop) for b in range(a + 1, stop))
+            return
+        if not isinstance(node, (Union, Join)):
+            raise TypeError(f"not a clique expression: {node!r}")
+        lo = start
+        for part in node.parts:
+            lay_out(part, lo)
+            if isinstance(node, Join):
+                edges.extend((a, b) for a in range(start, lo) for b in range(lo, lo + part.n))
+            lo += part.n
+
+    lay_out(expr, 0)
+    return graphs.SimpleGraph(expr.n, edges)
 
 
 # --- expression string syntax: K(n), + union, * join, c#expr copies ---

@@ -13,11 +13,11 @@ from powertrees.graphs import (
     path_graph,
     to_dot,
     to_edge_list_text,
-    union,
     universal_vertices,
 )
 from powertrees.groups import GroupSpec, build_group, power_graph
 from powertrees.numth import divisors_desc, euler_phi
+from powertrees.spectra import expr_to_graph, parse_expr
 
 
 def random_graph(rng, n):
@@ -37,7 +37,7 @@ def test_simple_graph_validation():
 
 def test_union_and_join():
     assert join(complete_graph(1), complete_graph(1)) == complete_graph(2)
-    u = union(complete_graph(3), complete_graph(2))
+    u = expr_to_graph(parse_expr("K(3)+K(2)"))
     assert (u.n, u.edge_count) == (5, 4)
     assert 3 not in u.adj[0]
     j = join(complete_graph(3), complete_graph(2))
@@ -45,7 +45,7 @@ def test_union_and_join():
 
 
 def test_join_of_cliques_is_quaternion_power_graph():
-    expr = join(complete_graph(2), union(union(complete_graph(2), complete_graph(2)), complete_graph(2)))
+    expr = expr_to_graph(parse_expr("K(2)*(3#K(2))"))
     pg = power_graph(build_group(GroupSpec.parse("quaternion:3")))
     assert (expr.n, expr.edge_count) == (pg.n, pg.edge_count) == (8, 16)
     assert sorted(map(expr.degree, range(8))) == sorted(map(pg.degree, range(8)))

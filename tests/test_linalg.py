@@ -236,6 +236,19 @@ def test_char_poly_examples():
     assert laplacian_char_poly(SimpleGraph(3)).coeffs == (0, 0, 0, 1)
 
 
+def test_char_poly_equals_the_determinant_at_every_integer_point():
+    rng = random.Random(17)
+    for _ in range(200):
+        g = random_graph(rng, rng.randint(1, 9))
+        poly = laplacian_char_poly(g)
+        for mu in range(g.n + 1):
+            rows = [  # mu*I - L
+                [mu - g.degree(i) if i == j else int(j in g.adj[i]) for j in range(g.n)]
+                for i in range(g.n)
+            ]
+            assert poly(mu) == det_bareiss(IntMatrix.from_rows(rows))
+
+
 def test_char_poly_integer_coeffs_zero_constant():
     rng = random.Random(99)
     for _ in range(60):

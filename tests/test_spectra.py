@@ -5,7 +5,7 @@ import pytest
 
 from powertrees import linalg
 from powertrees import verify as V
-from powertrees.graphs import complete_graph, universal_vertices
+from powertrees.graphs import SimpleGraph, complete_graph, universal_vertices
 from powertrees.groups import GroupSpec, build_group, family_expr, power_graph
 from powertrees.linalg import InternalConsistencyError, kappa_matrix_tree, laplacian_char_poly
 from powertrees.numth import FactoredNat
@@ -256,6 +256,30 @@ def test_runs_are_one_node():
         Union(a)
     with pytest.raises(ValueError):
         Join(Union(a, b))
+
+
+def test_expr_to_graph_builds_one_graph(monkeypatch):
+    built = []
+    init = SimpleGraph.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(SimpleGraph, "__init__", counting_init)
+    for text in ("K(4)", "K(2)*(K(6)+4#K(2))", "K(1)*3#(K(1)*(K(1)+K(2)))"):
+        built.clear()
+        expr_to_graph(parse_expr(text))
+        assert len(built) == 1, text
+
+
+def test_char_poly_is_the_product_over_the_spectrum():
+    for expr in V._spectrum_exprs(0):
+        coeffs = [1]  # prod (x - mu)^mult, constant term first
+        for mu, mult in spectrum(expr).pairs:
+            for _ in range(mult):
+                coeffs = [a - mu * b for a, b in zip([0] + coeffs, coeffs + [0])]
+        assert laplacian_char_poly(expr_to_graph(expr)).coeffs == tuple(coeffs), str(expr)
 
 
 def test_walkers_on_thousands_of_parts():
