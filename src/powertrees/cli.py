@@ -4,15 +4,18 @@
     powertrees verify {quick,full} [--jobs K]
     powertrees export {group,graph,expr,zn,replaced} TARGET --format {dot,edges,json}
 
-Methods: `matrix-tree` is the determinant oracle on the explicit graph, one
-determinant per component of the graph without its universal vertices, else
-without a maximum-degree vertex; `quotient` takes one small determinant per
-block of the graph's closed-twin quotient; `formula` is a group family's
-closed form, or the one-determinant clique-replaced formula for zn and
-replaced; `spectrum` evaluates a clique expression's Laplacian spectrum;
-`smatrix` is the contraction-matrix route.  `auto` takes the family's closed
-form when it has one, else `quotient`; `spectrum` for expr and `formula` for
-zn and replaced.  matrix-tree runs only on request.
+Methods: `matrix-tree` is the determinant oracle on the explicit graph: it
+peels the universal vertices off the graph, then off each remaining
+component, level by level, and takes one determinant per component left
+without a universal vertex that is not a clique (per component of the graph
+without a maximum-degree vertex, if the graph has no universal vertex at
+all); `quotient` takes one small determinant per block of the graph's
+closed-twin quotient; `formula` is a group family's closed form, or the
+one-determinant clique-replaced formula for zn and replaced; `spectrum`
+evaluates a clique expression's Laplacian spectrum; `smatrix` is the
+contraction-matrix route.  `auto` takes the family's closed form when it has
+one, else `quotient`; `spectrum` for expr and `formula` for zn and replaced.
+matrix-tree runs only on request.
 
 Factoring follows one rule.  With no `--factor-bound`, every prime of the
 small bases of kappa (block sizes, m_i, eigenvalues, n) is certified and each
@@ -344,8 +347,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_kappa.add_argument("target", help=TARGET_HELP)
     p_kappa.add_argument("--sizes", help="comma-separated block sizes for 'replaced'")
     p_kappa.add_argument("--method", choices=METHODS, default="auto",
-                         help="route: matrix-tree (oracle: one determinant per component "
-                              "of the graph without its universal vertices, else without a "
+                         help="route: matrix-tree (oracle: peels universal vertices off "
+                              "the graph and off each remaining component, and takes one "
+                              "determinant per non-clique component with none; without a "
+                              "universal vertex, one per component of the graph without a "
                               "max-degree vertex), quotient (closed-twin blocks), formula, "
                               "spectrum or smatrix; auto takes the family's closed form "
                               "when it has one, else quotient; spectrum for expr and "

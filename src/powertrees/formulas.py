@@ -158,15 +158,21 @@ def smatrix(spec: CliqueReplacedSpec, convention: str = "arcs") -> list[list[int
 
 
 def smatrix_minor_sum(spec: CliqueReplacedSpec, convention: str = "arcs") -> int:
+    """Sum of the k principal (k-1)-minors of S, as the one determinant
+    det(S + 1 e_0^T): S with 1 added to every entry of column 0.
+
+    S has zero row sums, S1 = 0, under both conventions.  Since
+    S adj(S) = det(S) I = 0, every column of adj(S) lies in ker S: when S has
+    rank k - 1 that kernel is spanned by 1, so each column is constant, and
+    when its rank is lower adj(S) = 0.  Either way adj(S)[0][j] =
+    adj(S)[j][j] = det S_jj.  The matrix determinant lemma, with det S = 0,
+    gives det(S + 1 e_0^T) = e_0^T adj(S) 1 = sum_j adj(S)[0][j] =
+    sum_j det S_jj.
+    """
     rows = smatrix(spec, convention)
-    k = spec.k
-    total = 0
-    for j in range(k):
-        sub = [
-            [rows[a][b] for b in range(k) if b != j] for a in range(k) if a != j
-        ]
-        total += _det_int(sub)
-    return total
+    for row in rows:
+        row[0] += 1
+    return _det_int(rows)
 
 
 def kappa_clique_replaced_smatrix(spec: CliqueReplacedSpec, convention: str = "arcs") -> FactoredNat:

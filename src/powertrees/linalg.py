@@ -5,10 +5,13 @@ spanning-tree counts, and Laplacian characteristic polynomials.
 `_bareiss`, that skips a column without a pivot: the rank is its number of
 pivots, and the determinant its signed last pivot when every column has one.
 
-Spanning trees are counted on the symmetric positive semidefinite Laplacian
-blocks of the graph without its universal vertices, so `kappa_matrix_tree`
-eliminates only their upper half, without pivoting; the generic pivoting
-`det_bareiss` stays behind `kappa_via_jl`, the route that cross-checks it.
+`kappa_matrix_tree` counts spanning trees by peeling universal vertices:
+G = K_u v H, and each component of H is again such a join at a larger
+diagonal shift, down to cliques, which have a closed form, and leaves without
+a universal vertex.  Only a leaf takes a determinant, of its symmetric
+positive semidefinite Laplacian block, and only its upper half is eliminated,
+without pivoting; the generic pivoting `det_bareiss` stays behind
+`kappa_via_jl`, the route that cross-checks it.
 
 A Laplacian L is symmetric, hence diagonalizable, so the multiplicity of an
 eigenvalue mu is the nullity n - rank(L - mu*I); `laplacian_nullity` gives it
@@ -27,6 +30,7 @@ Python ints are used.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .numth import InternalConsistencyError  # re-exported: raised here and by callers
@@ -178,46 +182,91 @@ def laplacian_nullity(g, mu: int) -> int:
     return g.n - rank_bareiss(IntMatrix.from_rows(_laplacian_rows(g, -mu)))
 
 
-def kappa_matrix_tree(g) -> int:
-    """Number of spanning trees, from the Laplacian minor at the set U of the m
-    universal vertices (for a power graph, the identity and any generators):
-    kappa(G) = n^(m-1) * prod_C det L[C] / m over the components C of G - U.
-    G = K_m v H, H = G - U, has Laplacian eigenvalues 0, n (m times) and
-    mu_j(H) + m (j >= 2), while L[V - U] = L_H + mI has determinant m *
-    prod_{j>=2} (mu_j(H) + m); it is block-diagonal over H's components, each
-    L[C] built from G's degrees.  The division by m is checked exact.  With no
-    universal vertex, U is the lowest-numbered vertex of maximum degree (the
-    cofactor there; m = 1), and a vanishing block (if G is disconnected) gives
-    0.  The oracle stays independent: it reads only degrees and adjacency of
-    the explicit graph and takes real determinants, no quotient or closed form.
-
-    Each L[C] is a principal submatrix of a Laplacian, hence symmetric positive
-    semidefinite, so `_det_psd_upper` eliminates only its upper half without
-    pivoting: a zero leading minor forces a zero pivot row, and det = 0."""
-    n = g.n
-    if n == 0:
-        raise DimensionError("graph must have at least one vertex")
-    adj = g.adj
-    roots = [v for v in range(n) if len(adj[v]) == n - 1]
-    roots = roots or [max(range(n), key=lambda v: len(adj[v]))]
-    rest = set(range(n)).difference(roots)
-    kappa = 1
+def _components(adj, rest: set) -> list[list[int]]:
+    """Connected components of the subgraph induced on `rest`, which is
+    emptied."""
+    comps = []
     while rest:
         comp = [rest.pop()]
         for u in comp:
             fresh = adj[u] & rest
             rest -= fresh
             comp.extend(fresh)
-        upper = [
-            [len(adj[v])] + [-(w in adj[v]) for w in comp[i + 1 :]] for i, v in enumerate(comp)
-        ]
-        kappa *= _det_psd_upper(upper)
-        if not kappa:
-            return 0
-    m = len(roots)
-    kappa, r = divmod(n ** (m - 1) * kappa, m)
+        comps.append(comp)
+    return comps
+
+
+def _block_det(adj, comp: list[int]) -> int:
+    """det L[comp] for the whole graph's Laplacian L, by `_det_psd_upper`."""
+    return _det_psd_upper(
+        [[len(adj[v])] + [-(w in adj[v]) for w in comp[i + 1 :]] for i, v in enumerate(comp)]
+    )
+
+
+def kappa_matrix_tree(g) -> int:
+    """Number of spanning trees, by peeling universal vertices level by level.
+
+    For a connected vertex set C whose vertices all have s neighbours outside
+    C, L[C] = L_{G[C]} + sI, and let f(C, s) = prod_{j>=2} (mu_j(G[C]) + s).
+    If C has u universal vertices U_C (read off G's degrees: len(adj[v]) - s
+    == |C| - 1), then G[C] = K_u v H with H = G[C - U_C], whose Laplacian
+    eigenvalues are 0, h = |C| (u times) and mu_j(H) + u (j >= 2).  H's
+    spectrum is the union of its c components' spectra, so its mu_j, j >= 2,
+    are c - 1 zeros and the mu_j, j >= 2, of each component C'; every vertex
+    of C' has u + s neighbours outside it.  With t = u + s:
+
+        C complete:  f(C, s) = (h + s)^(h - 1)
+        u > 0:       f(C, s) = (h + s)^u * t^(c - 1) * prod_C' f(C', t)
+        u = 0:       f(C, s) = det L[C] / s   (a leaf; mu_1 = 0 gives s)
+
+    and kappa(G) = f(V, 0) / n when G has a universal vertex.  The sets are
+    kept on a worklist, not on the call stack, and both divisions are checked
+    exact.  Each leaf block L[C] is a principal submatrix of the Laplacian,
+    hence symmetric positive semidefinite, so `_det_psd_upper` eliminates only
+    its upper half without pivoting.
+
+    With no universal vertex, kappa is the cofactor at the lowest-numbered
+    vertex of maximum degree: the product of det L[C] over the components C
+    of G without it, 0 if one vanishes (G disconnected).  The oracle stays
+    independent: it reads only degrees and adjacency of the explicit graph,
+    and uses no twin quotient, clique spec or family closed form."""
+    n = g.n
+    if n == 0:
+        raise DimensionError("graph must have at least one vertex")
+    adj = g.adj
+    if not any(len(adj[v]) == n - 1 for v in range(n)):
+        root = max(range(n), key=lambda v: len(adj[v]))
+        kappa = 1
+        for comp in _components(adj, set(range(n)) - {root}):
+            kappa *= _block_det(adj, comp)
+            if not kappa:
+                return 0
+        return kappa
+    powers = Counter()
+    kappa = 1
+    work = [(list(range(n)), 0)]
+    while work:
+        comp, s = work.pop()
+        h = len(comp)
+        universal = [v for v in comp if len(adj[v]) - s == h - 1]
+        if len(universal) == h:
+            powers[h + s] += h - 1
+        elif universal:
+            t = len(universal) + s
+            children = _components(adj, set(comp).difference(universal))
+            powers[h + s] += len(universal)
+            powers[t] += len(children) - 1
+            work.extend((child, t) for child in children)
+        else:
+            leaf, r = divmod(_block_det(adj, comp), s)
+            if r:
+                raise InternalConsistencyError(f"leaf determinant not divisible by its shift {s}")
+            kappa *= leaf
+    for base, e in powers.items():
+        kappa *= base**e
+    kappa, r = divmod(kappa, n)
     if r:
-        raise InternalConsistencyError(f"block determinant product not divisible by m = {m}")
+        raise InternalConsistencyError(f"peeled eigenvalue product not divisible by n = {n}")
     return kappa
 
 

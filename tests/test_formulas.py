@@ -123,6 +123,30 @@ def test_smatrix_divisor_graph_of_6():
     assert F.kappa_clique_replaced_smatrix(spec).value() == 540
 
 
+def test_smatrix_minor_sum_equals_the_explicit_minor_sum():
+    from types import SimpleNamespace
+
+    rng = random.Random(1806)
+    disconnected = 0
+    for _ in range(300):
+        k = rng.randint(1, 7)
+        p = rng.choice((0.2, 0.5, 0.9))
+        base = SimpleGraph(k, [(i, j) for i in range(k) for j in range(i + 1, k) if rng.random() < p])
+        # a stand-in spec: CliqueReplacedSpec rejects a disconnected base
+        spec = SimpleNamespace(base=base, sizes=tuple(rng.randint(1, 5) for _ in range(k)), k=k)
+        disconnected += not base.is_connected()
+        for convention in ("arcs", "table"):
+            rows = F.smatrix(spec, convention)
+            minors = sum(
+                det_bareiss(IntMatrix.from_rows(
+                    [[rows[a][b] for b in range(k) if b != j] for a in range(k) if a != j]
+                ))
+                for j in range(k)
+            )
+            assert F.smatrix_minor_sum(spec, convention) == minors
+    assert disconnected >= 30
+
+
 def test_equivalence_triangle_sampled():
     rng = random.Random(2024)
     for k in range(2, 6):

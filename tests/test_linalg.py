@@ -8,6 +8,7 @@ from powertrees.linalg import (
     DimensionError,
     IntMatrix,
     InternalConsistencyError,
+    _components,
     _det_psd_upper,
     det_bareiss,
     kappa_matrix_tree,
@@ -204,8 +205,90 @@ def test_power_graph_determinants_stay_small(monkeypatch):
     sizes = _recorded_block_sizes(monkeypatch)
     g = power_graph(build_group(GroupSpec.parse("psl2:3:2")))
     assert kappa_matrix_tree(g) == kappa_psl2(3, 2).value()
-    assert sizes and max(sizes) <= 4
-    assert sum(sizes) == g.n - 1
+    # every component peels down to cliques
+    assert sizes == []
+    g = power_graph(build_group(GroupSpec.parse("psl2:5:2")))
+    assert kappa_matrix_tree(g) == kappa_psl2(5, 2).value()
+    assert sizes == [7] * 325
+
+
+def nested_universal_graph(rng, depth: int) -> SimpleGraph:
+    """K_u joined to a disjoint union of 1-3 smaller such graphs, or, at
+    depth 0 or by chance, a random leaf graph."""
+    if depth == 0 or rng.random() < 0.25:
+        return random_graph(rng, rng.randint(1, 5))
+    u = rng.randint(1, 3)
+    edges = [(i, j) for i in range(u) for j in range(i + 1, u)]
+    n = u
+    for _ in range(rng.randint(1, 3)):
+        part = nested_universal_graph(rng, depth - 1)
+        edges += [(i, n + v) for i in range(u) for v in range(part.n)]
+        edges += [(n + v, n + w) for v, w in part.edges()]
+        n += part.n
+    perm = rng.sample(range(n), n)
+    return SimpleGraph(n, [(perm[v], perm[w]) for v, w in edges])
+
+
+def peel_levels(g: SimpleGraph) -> list[tuple[str, int, int, int]]:
+    """(kind, depth, shift, size) of every set the universal-vertex peel
+    visits, walked recursively; a join's size is its number of children."""
+    out = []
+
+    def walk(comp, s, depth):
+        universal = [v for v in comp if g.degree(v) - s == len(comp) - 1]
+        if len(universal) in (0, len(comp)):
+            out.append(("leaf" if not universal else "complete", depth, s, len(comp)))
+            return
+        children = _components(g.adj, set(comp).difference(universal))
+        out.append(("join", depth, s, len(children)))
+        for child in children:
+            walk(child, s + len(universal), depth + 1)
+
+    walk(list(range(g.n)), 0, 0)
+    return out
+
+
+def test_nested_peel_equals_the_unsplit_cofactor_and_det_jl():
+    rng = random.Random(1806_02122)
+    seen = {"depth >= 2": 0, "complete inner": 0, "leaf at shift >= 2": 0, "child level c >= 2": 0}
+    for _ in range(300):
+        g = nested_universal_graph(rng, rng.randint(1, 3))
+        assert kappa_matrix_tree(g) == unsplit_cofactor(g) == kappa_via_jl(g)
+        levels = peel_levels(g)
+        seen["depth >= 2"] += max(depth for _, depth, _, _ in levels) >= 2
+        seen["complete inner"] += any(k == "complete" and d > 0 for k, d, _, _ in levels)
+        seen["leaf at shift >= 2"] += any(k == "leaf" and s >= 2 for k, _, s, _ in levels)
+        seen["child level c >= 2"] += any(k == "join" and d > 0 and c >= 2 for k, d, _, c in levels)
+    assert min(seen.values()) >= 10, seen
+
+
+def test_frobenius_oracle_takes_no_determinant(monkeypatch):
+    from powertrees.formulas import kappa_frobenius_pq
+    from powertrees.groups import GroupSpec, build_group, power_graph
+
+    sizes = _recorded_block_sizes(monkeypatch)
+    g = power_graph(build_group(GroupSpec.parse("frobenius:2:89")))
+    assert kappa_matrix_tree(g) == kappa_frobenius_pq(2, 89).value()
+    # the 88 rotations other than the identity are a clique
+    assert sizes == []
+
+
+def test_threshold_graph_peels_without_recursion():
+    import math
+    import sys
+
+    # odd i is adjacent to every j < i: the peel goes 300 levels deep
+    n = 600
+    g = SimpleGraph(n, [(j, i) for i in range(1, n, 2) for j in range(i)])
+    # Merris: a threshold graph's Laplacian spectrum is its conjugate degrees
+    conjugate = [sum(g.degree(v) >= k for v in range(n)) for k in range(1, n)]
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(150)
+    try:
+        kappa = kappa_matrix_tree(g)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert kappa * n == math.prod(conjugate)
 
 
 def test_kappa_via_jl_examples():
