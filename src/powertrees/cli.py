@@ -54,7 +54,6 @@ from .groups import (
     FiniteGroup,
     GroupSpec,
     build_group,
-    clique_spec,
     family_expr,
     power_graph,
 )
@@ -114,7 +113,8 @@ def _load_target(req: Request, group_spec: GroupSpec | None = None):
     target its graph, an expr target its expression and a zn or replaced
     target its clique spec.  Only matrix-tree, quotient and export expand a
     target (_expand), since a power graph or an expanded spec costs up to n^2
-    edges."""
+    edges.  A group is built only for the routes that expand it, and a zn
+    spec is not loaded on formula: there the family's `counts` are read."""
     kind = req.kind
     if kind == "group":
         return build_group(group_spec or GroupSpec.parse(req.target))
@@ -147,13 +147,11 @@ def _expand(target) -> SimpleGraph:
 
 
 def _vertex_counts(target) -> tuple[int, int]:
-    """(vertex count, universal count) of a loaded or expanded target.  A
-    group counts through its clique spec; a vertex of block j of a spec has
-    degree m_j - 1, so it is universal iff m_j == n."""
+    """(vertex count, universal count) of a graph, a clique spec or an
+    expression.  A vertex of block j of a spec has degree m_j - 1, so it is
+    universal iff m_j == n."""
     if isinstance(target, SimpleGraph):
         return target.n, len(universal_vertices(target))
-    if isinstance(target, FiniteGroup):
-        target = clique_spec(target)
     if isinstance(target, CliqueReplacedSpec):
         n = target.n
         return n, sum(
@@ -169,8 +167,9 @@ def _quotient(graph: SimpleGraph, _) -> FactoredNat:
 
 # Each target kind's routes besides the matrix-tree oracle, which every kind
 # has first, in the order a usage error lists them.  A route takes the loaded
-# target (on quotient, the expanded graph) and a group target's spec.  A group
-# has formula only with its family's closed form, spectrum only with its clique form.
+# target (on quotient, the expanded graph; None where the counts come from the
+# family) and the target's family spec (cyclic:n for zn n).  A group has
+# formula only with its family's closed form, spectrum only with its clique form.
 ROUTES = {
     "group": {
         "quotient": _quotient,
@@ -180,7 +179,7 @@ ROUTES = {
     "graph": {"quotient": _quotient},
     "expr": {"spectrum": lambda expr, _: kappa_from_spectrum(spectrum(expr))},
     "zn": {
-        "formula": lambda spec, _: F.kappa_cyclic(spec.n),
+        "formula": lambda _, spec: F.kappa_cyclic(*spec.params),
         "smatrix": lambda spec, _: F.kappa_clique_replaced_smatrix(spec),
     },
     "replaced": {
@@ -208,8 +207,12 @@ def compute_kappa(req: Request) -> ResultRecord:
     elif method != "matrix-tree" and method not in routes:
         valid = ", ".join(["auto", "matrix-tree", *routes])
         raise UsageError(f"method {method!r} not valid for this target; valid: {valid}")
-    target = _load_target(req, group_spec)
-    if method in ("matrix-tree", "quotient"):
+    if req.kind == "zn" and method == "formula":
+        group_spec = GroupSpec("cyclic", (_zn_order(req.target),))
+    expands = method in ("matrix-tree", "quotient")
+    counts = group_spec and not expands and FAMILIES[group_spec.family].counts
+    target = None if counts else _load_target(req, group_spec)  # counts: nothing to build
+    if expands:
         target = _expand(target)  # the counts below then come from the graph
     if method == "matrix-tree":  # the oracle's whole kappa, trial-divided once
         bound = max(target.n, 1000) if bound is None else bound
@@ -218,7 +221,7 @@ def compute_kappa(req: Request) -> ResultRecord:
         kappa = routes[method](target, group_spec)
         if bound is not None:  # one rule on every route: refactor the whole kappa
             kappa = FactoredNat.from_int(kappa.value(), bound)
-    vertex_count, universal = _vertex_counts(target)
+    vertex_count, universal = counts(*group_spec.params) if counts else _vertex_counts(target)
     elapsed = (time.perf_counter() - start) * 1000.0
     return ResultRecord(
         input=f"{req.kind} {req.target}" + (f" sizes={','.join(map(str, req.sizes))}" if req.sizes else ""),

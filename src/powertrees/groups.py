@@ -21,7 +21,7 @@ from typing import Callable
 from . import formulas as F
 from .gf import Gf
 from .graphs import CliqueReplacedSpec, SimpleGraph
-from .numth import FactoredNat, euler_phi, is_prime
+from .numth import FactoredNat, euler_phi, is_prime, is_prime_power
 from .spectra import Clique, CliqueExpr, Join, epo_expr, union_of
 
 
@@ -239,6 +239,10 @@ def _build_extraspecial_exp_p2(p: int) -> FiniteGroup:
     return FiniteGroup(f"extraspecial_exp_p2:{p}", elements, op, names)
 
 
+def _psl2_order(q: int) -> int:
+    return q * (q * q - 1) // gcd(2, q - 1)
+
+
 def _build_psl2(p: int, n: int) -> FiniteGroup:
     field = Gf(p, n)
     q = field.q
@@ -284,8 +288,7 @@ def _build_psl2(p: int, n: int) -> FiniteGroup:
 
     names = [f"[{a},{b};{c},{d}]" for a, b, c, d in elements]
     group = FiniteGroup(f"psl2:{p}:{n}", elements, op, names)
-    k = 2 if p > 2 else 1
-    expected = q * (q - 1) * (q + 1) // k
+    expected = _psl2_order(q)
     if group.order != expected:
         raise GroupConstructionError(
             f"psl2({p},{n}) built {group.order} elements, expected {expected}"
@@ -381,6 +384,10 @@ class Family:
     may be missing.  `auto` takes the closed form when there is one.  `verify`
     audits the closed form against the determinant oracle, or the clique form
     where there is no closed form.
+
+    counts takes the parameters and returns (order, universal count) of the
+    power graph without building the group; `verify` audits it against the
+    built power graph.  cayley_table, which every route builds, has none.
     """
 
     name: str
@@ -389,6 +396,7 @@ class Family:
     build: Callable[..., FiniteGroup]
     closed_form: Callable[..., FactoredNat] | None = None
     clique_expr: Callable[..., CliqueExpr] | None = None
+    counts: Callable[..., tuple[int, int]] | None = None
     alias: str | None = None
 
     @property
@@ -400,35 +408,48 @@ def _elementary_counts(p, n):
     return {p: (p**n - 1) // (p - 1)}
 
 
+def _cyclic_counts(n):
+    # prime-power order: all of Z_n is universal; else the identity and generators
+    return n, n if n == 1 or is_prime_power(n) else 1 + euler_phi(n)
+
+
 # Closed forms look their function up on the formulas module at call time, so
 # a wrapper installed there later sees the call.
 FAMILIES = {
     f.name: f
     for f in (
         Family("cyclic", ("n",), _v_cyclic, _build_cyclic,
-               closed_form=lambda n: F.kappa_cyclic(n)),
+               closed_form=lambda n: F.kappa_cyclic(n),
+               counts=_cyclic_counts),
         Family("elementary", ("p", "n"), _v_elementary, _build_elementary,
                closed_form=lambda p, n: F.kappa_epo(_elementary_counts(p, n)),
-               clique_expr=lambda p, n: epo_expr(_elementary_counts(p, n))),
-        Family("dihedral", ("n",), _v_dihedral, _build_dihedral),
+               clique_expr=lambda p, n: epo_expr(_elementary_counts(p, n)),
+               counts=lambda p, n: (p**n, p if n == 1 else 1)),
+        Family("dihedral", ("n",), _v_dihedral, _build_dihedral,
+               counts=lambda n: (2 * n, 1)),
         Family("quaternion", ("n",), _v_quaternion, _build_quaternion,
                closed_form=lambda n: F.kappa_quaternion(n),
                clique_expr=lambda n: Join(
                    Clique(2), union_of([Clique(2 ** (n - 1) - 2)] + [Clique(2)] * 2 ** (n - 2))
-               )),
+               ),
+               counts=lambda n: (2**n, 2)),
         Family("heisenberg", ("p",), _need_odd_prime, _build_heisenberg,
                closed_form=lambda p: F.kappa_heisenberg(p),
-               clique_expr=lambda p: epo_expr({p: p * p + p + 1})),
+               clique_expr=lambda p: epo_expr({p: p * p + p + 1}),
+               counts=lambda p: (p**3, 1)),
         # no closed form: its published clique form, which the determinant
         # oracle refutes (see the verify report), is kept only as an audit
         Family("extraspecial_exp_p2", ("p",), _need_odd_prime, _build_extraspecial_exp_p2,
                clique_expr=F.extraspecial_published_expr,
+               counts=lambda p: (p**3, 1),
                alias="extraspecial"),
         Family("psl2", ("p", "n"), _v_psl2, _build_psl2,
-               closed_form=lambda p, n: F.kappa_psl2(p, n)),
+               closed_form=lambda p, n: F.kappa_psl2(p, n),
+               counts=lambda p, n: (_psl2_order(p**n), 1)),
         Family("frobenius_pq", ("p", "q"), _v_frobenius, _build_frobenius_pq,
                closed_form=lambda p, q: F.kappa_frobenius_pq(p, q),
                clique_expr=lambda p, q: epo_expr({p: q, q: 1}),
+               counts=lambda p, q: (p * q, 1),
                alias="frobenius"),
         Family("cayley_table", ("PATH",), _v_cayley, _build_cayley_table, alias="table"),
     )

@@ -33,7 +33,7 @@ from .graphs import (
 from .groups import FAMILIES, GroupSpec, build_group, epo_class_counts, family_expr, power_graph
 from .linalg import kappa_matrix_tree, kappa_via_jl, laplacian_char_poly, laplacian_nullity
 from .linalg import shifted_product_integer_check
-from .numth import FactoredNat, euler_phi
+from .numth import FactoredNat
 from .spectra import (
     Clique,
     Join,
@@ -353,51 +353,24 @@ def cases_universal_divisibility_suite(seed: int) -> list[CaseResult]:
 
 
 _UNIVERSAL_CATALOG = (
-    # (spec, expected universal count rule)
-    ("cyclic:4", "complete"),
-    ("cyclic:8", "complete"),
-    ("cyclic:9", "complete"),
-    ("cyclic:25", "complete"),
-    ("cyclic:6", "generators"),
-    ("cyclic:12", "generators"),
-    ("cyclic:30", "generators"),
-    ("quaternion:3", "two"),
-    ("quaternion:4", "two"),
-    ("quaternion:5", "two"),
-    ("dihedral:3", "one"),
-    ("dihedral:4", "one"),
-    ("dihedral:6", "one"),
-    ("elementary:2:2", "one"),
-    ("elementary:3:2", "one"),
-    ("elementary:2:3", "one"),
-    ("heisenberg:3", "one"),
-    ("extraspecial:3", "one"),
-    ("frobenius:2:3", "one"),
-    ("frobenius:3:7", "one"),
-    ("frobenius:5:11", "one"),
-    ("psl2:2:2", "one"),
-    ("psl2:5:1", "one"),
-    ("psl2:7:1", "one"),
+    "cyclic:4", "cyclic:8", "cyclic:9", "cyclic:25", "cyclic:6", "cyclic:12", "cyclic:30",
+    "quaternion:3", "quaternion:4", "quaternion:5", "dihedral:3", "dihedral:4", "dihedral:6",
+    "elementary:2:2", "elementary:3:2", "elementary:2:3", "heisenberg:3", "extraspecial:3",
+    "frobenius:2:3", "frobenius:3:7", "frobenius:5:11", "psl2:2:2", "psl2:5:1", "psl2:7:1",
 )
 
 
 def cases_universal_classification() -> list[CaseResult]:
-    """Universal-vertex counts across the catalog: the whole group for cyclic
-    prime-power order, 1 + phi(n) for other cyclic orders, 2 for generalized
-    quaternion, and only the identity otherwise."""
+    """Each family's counts (order, universal count), which the CLI reports
+    without building the group, against the built power graph."""
     failures = []
-    for text, rule in _UNIVERSAL_CATALOG:
-        group = build_group(GroupSpec.parse(text))
-        count = len(universal_vertices(power_graph(group)))
-        n = group.order
-        expected = {
-            "complete": n,
-            "generators": 1 + euler_phi(n),
-            "two": 2,
-            "one": 1,
-        }[rule]
-        if count != expected:
-            failures.append(f"{text}: expected {expected} universal vertices, got {count}")
+    for text in _UNIVERSAL_CATALOG:
+        spec = GroupSpec.parse(text)
+        group = build_group(spec)
+        actual = (group.order, len(universal_vertices(power_graph(group))))
+        expected = FAMILIES[spec.family].counts(*spec.params)
+        if actual != expected:
+            failures.append(f"{text}: counts say {expected}, the power graph has {actual}")
     return [_aggregate("universal-set-classification", failures, len(_UNIVERSAL_CATALOG))]
 
 

@@ -10,9 +10,9 @@ import pytest
 from powertrees import cli
 from powertrees import formulas as F
 from powertrees.graphs import CliqueReplacedSpec, clique_replaced, path_graph, universal_vertices
-from powertrees.groups import GroupSpec, build_group, power_graph
+from powertrees.groups import FAMILIES, GroupSpec, build_group, clique_spec, power_graph
 from powertrees.linalg import kappa_matrix_tree
-from powertrees.numth import FactoredNat
+from powertrees.numth import FactoredNat, is_prime
 
 
 def run(capsys, *argv):
@@ -324,6 +324,72 @@ def test_psl2_of_order_7800_answers_from_its_clique_spec(capsys):
     record = json.loads(out)
     assert (record["vertex_count"], record["universal_count"]) == (7800, 1)
     assert int(record["kappa_decimal"]) == F.kappa_psl2(5, 2).value()
+
+
+def _counted_specs():
+    primes = [p for p in range(2, 120) if is_prime(p)]
+    yield from (f"cyclic:{n}" for n in range(1, 200))
+    yield from (f"elementary:{p}:{n}" for p in primes for n in range(1, 10) if p**n <= 800)
+    yield from (f"quaternion:{n}" for n in range(3, 9))
+    yield from (f"{family}:{p}" for family in ("heisenberg", "extraspecial") for p in (3, 5, 7))
+    yield from (f"psl2:{p}:{n}" for p in primes for n in range(1, 5) if 4 <= p**n <= 30)
+    yield from (f"frobenius:{p}:{q}" for p in (2, 3, 5, 7) for q in primes
+                if p < q and (q - 1) % p == 0)
+    yield from (f"dihedral:{n}" for n in range(2, 40))
+
+
+def test_family_counts_equal_the_built_groups_counts():
+    specs = [GroupSpec.parse(text) for text in _counted_specs()]
+    assert {s.family for s in specs} == {name for name, f in FAMILIES.items() if f.counts}
+    assert [name for name, f in FAMILIES.items() if not f.counts] == ["cayley_table"]
+    for spec in specs:
+        expected = cli._vertex_counts(clique_spec(build_group(spec)))
+        assert FAMILIES[spec.family].counts(*spec.params) == expected, str(spec)
+
+
+def test_closed_form_and_spectrum_routes_build_no_group(monkeypatch):
+    def no_build(spec):
+        raise AssertionError(f"built {spec}")
+
+    monkeypatch.setattr(cli, "build_group", no_build)
+    for kind, target, method, counts, kappa in [
+        ("group", "psl2:11:2", "auto", (885720, 1), F.kappa_psl2(11, 2)),
+        ("group", "cyclic:360", "auto", (360, 97), F.kappa_cyclic(360)),
+        ("group", "heisenberg:31", "spectrum", (29791, 1), F.kappa_heisenberg(31)),
+        ("zn", "360", "auto", (360, 97), F.kappa_cyclic(360)),
+    ]:
+        record = cli.compute_kappa(cli.Request(kind, target, None, method, "factored", None))
+        assert (record.vertex_count, record.universal_count) == counts, target
+        assert record.kappa == kappa, target
+
+
+def test_zn_formula_builds_its_divisor_spec_once(capsys, monkeypatch):
+    expected, built = str(F.kappa_cyclic(360)), []
+    divisor_spec = F.divisor_clique_spec
+
+    def recorded(n):
+        built.append(n)
+        return divisor_spec(n)
+
+    monkeypatch.setattr(F, "divisor_clique_spec", recorded)
+    code, out, _ = run(capsys, "kappa", "zn", "360", "--output", "factored")
+    assert code == 0 and out.strip() == expected
+    assert built == [360]  # inside kappa_cyclic, and not again for the counts
+
+
+@pytest.mark.parametrize("method", ["quotient", "matrix-tree"])
+def test_expanding_routes_build_the_group(capsys, monkeypatch, method):
+    built = []
+
+    def recorded(spec):
+        built.append(str(spec))
+        return build_group(spec)
+
+    monkeypatch.setattr(cli, "build_group", recorded)
+    code, out, _ = run(capsys, "kappa", "group", "cyclic:12", "--method", method, "--output", "json")
+    assert code == 0 and built == ["cyclic:12"]
+    record = json.loads(out)
+    assert (record["vertex_count"], record["universal_count"]) == (12, 5)
 
 
 @pytest.mark.parametrize("header", ["0", "-1"])
