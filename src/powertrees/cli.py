@@ -51,7 +51,6 @@ from .graphs import (
 from .groups import (
     FAMILIES,
     FAMILY_USAGE,
-    FiniteGroup,
     GroupSpec,
     build_group,
     family_expr,
@@ -108,16 +107,15 @@ class ResultRecord:
 
 
 def _load_target(req: Request, group_spec: GroupSpec | None = None):
-    """Resolve the request target without expanding it to a graph: a group
-    target is its group (parsed here unless its spec is given), a graph
-    target its graph, an expr target its expression and a zn or replaced
-    target its clique spec.  Only matrix-tree, quotient and export expand a
-    target (_expand), since a power graph or an expanded spec costs up to n^2
-    edges.  A group is built only for the routes that expand it, and a zn
-    spec is not loaded on formula: there the family's `counts` are read."""
+    """Resolve the request target: a group target is its power graph (the
+    spec parsed here unless given), since every route that loads a group
+    needs it; a graph target is its graph, an expr target its expression and
+    a zn or replaced target its clique spec, which only matrix-tree, quotient
+    and export expand (_expand), at up to n^2 edges.  A zn spec is not loaded
+    on formula: there the family's `counts` are read."""
     kind = req.kind
     if kind == "group":
-        return build_group(group_spec or GroupSpec.parse(req.target))
+        return power_graph(build_group(group_spec or GroupSpec.parse(req.target)))
     if kind == "graph":
         with open(req.target, "r", encoding="utf-8") as fh:
             return from_edge_list_text(fh.read())
@@ -137,8 +135,6 @@ def _load_target(req: Request, group_spec: GroupSpec | None = None):
 def _expand(target) -> SimpleGraph:
     """The explicit graph of a loaded target.  A group's is its power graph,
     so matrix-tree and quotient on a group do not depend on its clique spec."""
-    if isinstance(target, FiniteGroup):
-        return power_graph(target)
     if isinstance(target, CliqueReplacedSpec):
         return clique_replaced(target)
     if isinstance(target, SimpleGraph):

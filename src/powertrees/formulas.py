@@ -12,7 +12,7 @@ from collections import Counter
 from dataclasses import dataclass
 from math import gcd
 
-from .graphs import CliqueReplacedSpec, SimpleGraph, divisor_graph
+from .graphs import CliqueReplacedSpec, components, divisor_graph
 from .linalg import IntMatrix, InternalConsistencyError, det_bareiss
 from .numth import (
     FactoredNat,
@@ -117,11 +117,8 @@ def kappa_quotient(spec: CliqueReplacedSpec) -> FactoredNat:
     """
     adj, sizes = spec.base.adj, spec.sizes
     root = next((i for i in range(spec.k) if len(adj[i]) == spec.k - 1), 0)
-    rest = SimpleGraph(spec.k, [(u, v) for u, v in spec.base.edges() if root not in (u, v)])
     dets = []
-    for comp in rest.connected_components():
-        if comp == [root]:
-            continue
+    for comp in components(adj, set(range(spec.k)) - {root}):
         rows = [[-sizes[i] * sizes[j] * (j in adj[i]) for j in comp] for i in comp]
         for t, i in enumerate(comp):
             rows[t][t] = sizes[i] * sum(sizes[w] for w in adj[i])

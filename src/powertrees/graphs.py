@@ -3,7 +3,9 @@ graphs, clique-replaced graphs and closed-twin quotients.
 
 Graphs are immutable after construction; adjacency is kept as frozensets for
 O(1) edge queries, and dense matrices are only materialized at determinant
-time (linalg module).
+time (linalg module).  `components` is the package's one connected-components
+search: connectivity checks, the matrix-tree peel, the twin quotient's
+cofactor and verify's join-of-cliques signature all split a vertex set by it.
 """
 
 from __future__ import annotations
@@ -53,26 +55,7 @@ class SimpleGraph:
         return self.labels[v] if self.labels is not None else str(v)
 
     def is_connected(self) -> bool:
-        return len(self.connected_components()) == 1
-
-    def connected_components(self) -> list[list[int]]:
-        comps = []
-        seen = set()
-        for s in range(self.n):
-            if s in seen:
-                continue
-            comp = [s]
-            seen.add(s)
-            stack = [s]
-            while stack:
-                u = stack.pop()
-                for w in self.adj[u]:
-                    if w not in seen:
-                        seen.add(w)
-                        comp.append(w)
-                        stack.append(w)
-            comps.append(sorted(comp))
-        return comps
+        return len(components(self.adj, set(range(self.n)))) == 1
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SimpleGraph):
@@ -84,6 +67,25 @@ class SimpleGraph:
 
     def __repr__(self):
         return f"SimpleGraph(n={self.n}, edges={self.edge_count})"
+
+
+def components(adj, rest: set) -> list[list[int]]:
+    """Connected components of the subgraph induced on the vertex set `rest`,
+    given the whole graph's adjacency sets; `rest` is emptied.  A component
+    lists its vertices in the order the search reaches them.
+
+    Each visited vertex u costs one intersection adj[u] & rest, so the search
+    takes sum_u min(deg u, |rest|) set probes over the visited vertices.  The
+    matrix-tree peel calls it once per level, on what that level leaves."""
+    comps = []
+    while rest:
+        comp = [rest.pop()]
+        for u in comp:
+            fresh = adj[u] & rest
+            rest -= fresh
+            comp.extend(fresh)
+        comps.append(comp)
+    return comps
 
 
 def complete_graph(n: int) -> SimpleGraph:

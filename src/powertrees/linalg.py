@@ -8,7 +8,8 @@ pivots, and the determinant its signed last pivot when every column has one.
 `kappa_matrix_tree` counts spanning trees by peeling universal vertices:
 G = K_u v H, and each component of H is again such a join at a larger
 diagonal shift, down to cliques, which have a closed form, and leaves without
-a universal vertex.  Only a leaf takes a determinant, of its symmetric
+a universal vertex; `graphs.components`, the package's one connected-components
+search, splits each level.  Only a leaf takes a determinant, of its symmetric
 positive semidefinite Laplacian block, and only its upper half is eliminated,
 without pivoting; the generic pivoting `det_bareiss` stays behind
 `kappa_via_jl`, the route that cross-checks it.
@@ -33,6 +34,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
+from .graphs import components
 from .numth import InternalConsistencyError  # re-exported: raised here and by callers
 
 try:
@@ -182,20 +184,6 @@ def laplacian_nullity(g, mu: int) -> int:
     return g.n - rank_bareiss(IntMatrix.from_rows(_laplacian_rows(g, -mu)))
 
 
-def _components(adj, rest: set) -> list[list[int]]:
-    """Connected components of the subgraph induced on `rest`, which is
-    emptied."""
-    comps = []
-    while rest:
-        comp = [rest.pop()]
-        for u in comp:
-            fresh = adj[u] & rest
-            rest -= fresh
-            comp.extend(fresh)
-        comps.append(comp)
-    return comps
-
-
 def _block_det(adj, comp: list[int]) -> int:
     """det L[comp] for the whole graph's Laplacian L, by `_det_psd_upper`."""
     return _det_psd_upper(
@@ -237,7 +225,7 @@ def kappa_matrix_tree(g) -> int:
     if not any(len(adj[v]) == n - 1 for v in range(n)):
         root = max(range(n), key=lambda v: len(adj[v]))
         kappa = 1
-        for comp in _components(adj, set(range(n)) - {root}):
+        for comp in components(adj, set(range(n)) - {root}):
             kappa *= _block_det(adj, comp)
             if not kappa:
                 return 0
@@ -253,7 +241,7 @@ def kappa_matrix_tree(g) -> int:
             powers[h + s] += h - 1
         elif universal:
             t = len(universal) + s
-            children = _components(adj, set(comp).difference(universal))
+            children = components(adj, set(comp).difference(universal))
             powers[h + s] += len(universal)
             powers[t] += len(children) - 1
             work.extend((child, t) for child in children)

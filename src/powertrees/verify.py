@@ -17,7 +17,7 @@ from __future__ import annotations
 import os
 import random
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 
 from . import formulas as F
 from .graphs import (
@@ -25,6 +25,7 @@ from .graphs import (
     SimpleGraph,
     clique_replaced,
     complete_graph,
+    components,
     join,
     path_graph,
     twin_quotient,
@@ -52,15 +53,10 @@ class CaseResult:
     detail: str
 
 
-_det_memo: dict[str, int] = {}
-
-
+@cache
 def kappa_det_of_group(spec_text: str) -> int:
     """Matrix-tree count of the power graph of the named group (memoized)."""
-    if spec_text not in _det_memo:
-        g = build_group(GroupSpec.parse(spec_text))
-        _det_memo[spec_text] = kappa_matrix_tree(power_graph(g))
-    return _det_memo[spec_text]
+    return kappa_matrix_tree(power_graph(build_group(GroupSpec.parse(spec_text))))
 
 
 def _vs(expected: int, actual: int) -> str:
@@ -474,24 +470,11 @@ def _join_of_cliques_signature(g: SimpleGraph):
     """(universal count, sorted clique-component sizes) when the graph minus
     its universal vertices is a disjoint union of cliques, else None."""
     univ = set(universal_vertices(g))
-    rest = [v for v in range(g.n) if v not in univ]
     comp_sizes = []
-    seen = set()
-    for s in rest:
-        if s in seen:
-            continue
-        stack, comp = [s], {s}
-        seen.add(s)
-        while stack:
-            u = stack.pop()
-            for w in g.adj[u]:
-                if w not in univ and w not in seen:
-                    seen.add(w)
-                    comp.add(w)
-                    stack.append(w)
-        for u in comp:
-            if len(g.adj[u] & comp) != len(comp) - 1:
-                return None
+    for comp in components(g.adj, set(range(g.n)) - univ):
+        members = set(comp)
+        if any(len(g.adj[u] & members) != len(comp) - 1 for u in comp):
+            return None
         comp_sizes.append(len(comp))
     return (len(univ), tuple(sorted(comp_sizes)))
 

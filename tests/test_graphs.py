@@ -7,6 +7,7 @@ from powertrees.graphs import (
     SimpleGraph,
     clique_replaced,
     complete_graph,
+    components,
     divisor_graph,
     from_edge_list_text,
     join,
@@ -24,6 +25,47 @@ def random_graph(rng, n):
     return SimpleGraph(
         n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.5]
     )
+
+
+def bfs_components(g, subset):
+    """Components of the subgraph induced on subset, by a plain BFS."""
+    out, seen = set(), set()
+    for s in sorted(subset):
+        if s in seen:
+            continue
+        seen.add(s)
+        comp, queue = {s}, [s]
+        for u in queue:
+            for w in sorted(g.adj[u]):
+                if w in subset and w not in seen:
+                    seen.add(w)
+                    comp.add(w)
+                    queue.append(w)
+        out.add(frozenset(comp))
+    return out
+
+
+def test_components_match_a_bfs_on_random_subsets():
+    rng = random.Random(20)
+    seen = {"empty": 0, "singleton": 0, "disconnected": 0}
+    for _ in range(300):
+        n = rng.randint(1, 12)
+        p = rng.random()
+        g = SimpleGraph(n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p])
+        for _ in range(3):
+            subset = frozenset(rng.sample(range(n), rng.randint(0, n)))
+            rest = set(subset)
+            comps = components(g.adj, rest)
+            assert rest == set()
+            # a partition of the subset into nonempty pieces
+            assert all(comps) and sorted(v for c in comps for v in c) == sorted(subset)
+            for piece in map(frozenset, comps):
+                assert bfs_components(g, piece) == {piece}  # connected on its own
+                assert all(g.adj[u] & subset <= piece for u in piece)  # no edge out
+            seen["empty"] += not subset
+            seen["singleton"] += len(subset) == 1
+            seen["disconnected"] += len(comps) >= 2
+    assert all(seen.values()), seen
 
 
 def test_simple_graph_validation():

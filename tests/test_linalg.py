@@ -3,12 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from powertrees.graphs import SimpleGraph, complete_graph, path_graph
+from powertrees.graphs import SimpleGraph, complete_graph, components, path_graph
 from powertrees.linalg import (
     DimensionError,
     IntMatrix,
     InternalConsistencyError,
-    _components,
     _det_psd_upper,
     det_bareiss,
     kappa_matrix_tree,
@@ -239,7 +238,7 @@ def peel_levels(g: SimpleGraph) -> list[tuple[str, int, int, int]]:
         if len(universal) in (0, len(comp)):
             out.append(("leaf" if not universal else "complete", depth, s, len(comp)))
             return
-        children = _components(g.adj, set(comp).difference(universal))
+        children = components(g.adj, set(comp).difference(universal))
         out.append(("join", depth, s, len(children)))
         for child in children:
             walk(child, s + len(universal), depth + 1)
