@@ -9,13 +9,15 @@ peels the universal vertices off the graph, then off each remaining
 component, level by level, and takes one determinant per component left
 without a universal vertex that is not a clique (per component of the graph
 without a maximum-degree vertex, if the graph has no universal vertex at
-all); `quotient` takes one small determinant per block of the graph's
-closed-twin quotient; `formula` is a group family's closed form, or the
-one-determinant clique-replaced formula for zn and replaced; `spectrum`
-evaluates a clique expression's Laplacian spectrum; `smatrix` is the
-contraction-matrix route.  `auto` takes the family's closed form when it has
-one, else `quotient`; `spectrum` for expr and `formula` for zn and replaced.
-matrix-tree runs only on request.
+all).  `quotient` counts a clique spec by one determinant per component of
+its weighted base (formulas.kappa_quotient): a zn or replaced spec as
+loaded, a group or graph through its graph's closed-twin quotient.
+`formula` is a group family's closed form, or the one-determinant
+clique-replaced formula for zn and replaced; `spectrum` evaluates a clique
+expression's Laplacian spectrum.  `auto` takes the family's closed form when
+it has one, else `quotient`; `spectrum` for expr and `formula` for zn and
+replaced.  matrix-tree runs only on request.  The contraction matrix
+(formulas.smatrix) is no route, only an audited claim.
 
 Factoring follows one rule.  With no `--factor-bound`, every prime of the
 small bases of kappa (block sizes, m_i, eigenvalues, n) is certified and each
@@ -65,7 +67,7 @@ class UsageError(ValueError):
     pass
 
 
-METHODS = ("auto", "matrix-tree", "quotient", "formula", "spectrum", "smatrix")
+METHODS = ("auto", "matrix-tree", "quotient", "formula", "spectrum")
 KINDS = ("group", "graph", "expr", "zn", "replaced")
 TARGET_HELP = f"group spec ({FAMILY_USAGE}), edge-list file, expression string, or n"
 
@@ -110,9 +112,9 @@ def _load_target(req: Request, group_spec: GroupSpec | None = None):
     """Resolve the request target: a group target is its power graph (the
     spec parsed here unless given), since every route that loads a group
     needs it; a graph target is its graph, an expr target its expression and
-    a zn or replaced target its clique spec, which only matrix-tree, quotient
-    and export expand (_expand), at up to n^2 edges.  A zn spec is not loaded
-    on formula: there the family's `counts` are read."""
+    a zn or replaced target its clique spec, which quotient counts as it is
+    and only matrix-tree and export expand (_expand), at up to n^2 edges.  A
+    zn spec is not loaded on formula: there the family's `counts` are read."""
     kind = req.kind
     if kind == "group":
         return power_graph(build_group(group_spec or GroupSpec.parse(req.target)))
@@ -133,8 +135,8 @@ def _load_target(req: Request, group_spec: GroupSpec | None = None):
 
 
 def _expand(target) -> SimpleGraph:
-    """The explicit graph of a loaded target.  A group's is its power graph,
-    so matrix-tree and quotient on a group do not depend on its clique spec."""
+    """The explicit graph of a loaded target, for matrix-tree and export.  A
+    group's is its power graph, so the oracle does not use its clique spec."""
     if isinstance(target, CliqueReplacedSpec):
         return clique_replaced(target)
     if isinstance(target, SimpleGraph):
@@ -156,15 +158,17 @@ def _vertex_counts(target) -> tuple[int, int]:
     return target.n, universal_count(target)
 
 
-def _quotient(graph: SimpleGraph, _) -> FactoredNat:
-    connected = graph.is_connected()  # a disconnected base has no clique spec
-    return F.kappa_quotient(twin_quotient(graph)) if connected else FactoredNat.zero()
+def _quotient(target: SimpleGraph | CliqueReplacedSpec, _) -> FactoredNat:
+    if isinstance(target, CliqueReplacedSpec):
+        return F.kappa_quotient(target)
+    connected = target.is_connected()  # a disconnected graph has no clique spec
+    return F.kappa_quotient(twin_quotient(target)) if connected else FactoredNat.zero()
 
 
 # Each target kind's routes besides the matrix-tree oracle, which every kind
 # has first, in the order a usage error lists them.  A route takes the loaded
-# target (on quotient, the expanded graph; None where the counts come from the
-# family) and the target's family spec (cyclic:n for zn n).  A group has
+# target (a group's power graph on quotient; None where the counts come from
+# the family) and the target's family spec (cyclic:n for zn n).  A group has
 # formula only with its family's closed form, spectrum only with its clique form.
 ROUTES = {
     "group": {
@@ -174,13 +178,10 @@ ROUTES = {
     },
     "graph": {"quotient": _quotient},
     "expr": {"spectrum": lambda expr, _: kappa_from_spectrum(spectrum(expr))},
-    "zn": {
-        "formula": lambda _, spec: F.kappa_cyclic(*spec.params),
-        "smatrix": lambda spec, _: F.kappa_clique_replaced_smatrix(spec),
-    },
+    "zn": {"quotient": _quotient, "formula": lambda _, spec: F.kappa_cyclic(*spec.params)},
     "replaced": {
+        "quotient": _quotient,
         "formula": lambda spec, _: F.kappa_clique_replaced_formula(spec),
-        "smatrix": lambda spec, _: F.kappa_clique_replaced_smatrix(spec),
     },
 }
 AUTO = ("formula", "quotient", "spectrum")  # auto: the first of these a target has
@@ -205,12 +206,11 @@ def compute_kappa(req: Request) -> ResultRecord:
         raise UsageError(f"method {method!r} not valid for this target; valid: {valid}")
     if req.kind == "zn" and method == "formula":
         group_spec = GroupSpec("cyclic", (_zn_order(req.target),))
-    expands = method in ("matrix-tree", "quotient")
-    counts = group_spec and not expands and FAMILIES[group_spec.family].counts
+    # formula and spectrum read a family's counts; on a group the others need its graph
+    counts = method in ("formula", "spectrum") and group_spec and FAMILIES[group_spec.family].counts
     target = None if counts else _load_target(req, group_spec)  # counts: nothing to build
-    if expands:
-        target = _expand(target)  # the counts below then come from the graph
     if method == "matrix-tree":  # the oracle's whole kappa, trial-divided once
+        target = _expand(target)  # the counts below then come from the graph
         bound = max(target.n, 1000) if bound is None else bound
         kappa = FactoredNat.from_int(kappa_matrix_tree(target), bound)
     else:
@@ -350,10 +350,12 @@ def build_parser() -> argparse.ArgumentParser:
                               "the graph and off each remaining component, and takes one "
                               "determinant per non-clique component with none; without a "
                               "universal vertex, one per component of the graph without a "
-                              "max-degree vertex), quotient (closed-twin blocks), formula, "
-                              "spectrum or smatrix; auto takes the family's closed form "
-                              "when it has one, else quotient; spectrum for expr and "
-                              "formula for zn and replaced")
+                              "max-degree vertex), quotient (one determinant per "
+                              "component of the clique spec's weighted base: a zn or "
+                              "replaced spec as given, a group or graph through its "
+                              "closed-twin blocks), formula or spectrum; auto takes the "
+                              "family's closed form when it has one, else quotient; "
+                              "spectrum for expr and formula for zn and replaced")
     p_kappa.add_argument("--output", choices=("decimal", "factored", "json"), default="decimal")
     p_kappa.add_argument("--factor-bound", type=int, default=None, metavar="N",
                          help="trial-division bound (at least 2); it factors the whole "

@@ -95,11 +95,6 @@ def kappa_clique_replaced_formula(spec: CliqueReplacedSpec) -> FactoredNat:
     return factored_ratio(powers, [_det_int(rows)], spec.n)
 
 
-def clique_replaced_value(spec: CliqueReplacedSpec) -> int:
-    """kappa_clique_replaced_formula as an integer."""
-    return kappa_clique_replaced_formula(spec).value()
-
-
 def kappa_quotient(spec: CliqueReplacedSpec) -> FactoredNat:
     """Exact spanning-tree count of the clique-replaced graph through its
     blocks: each block j adds x_j - 1 Laplacian eigenvalues m_j, and the rest
@@ -136,11 +131,15 @@ def smatrix(spec: CliqueReplacedSpec, convention: str = "arcs") -> list[list[int
 
     convention='arcs': the off-diagonal entry s_pq for adjacent base vertices
     is -x_q (the arc p->q weighs the head block), the reading under which the
-    directed matrix-tree interpretation is consistent.  convention='table'
-    uses -x_max(p,q) instead; it is retained because it circulates in written
-    form, and the verification suite records that it disagrees with the
-    determinant oracle on asymmetric size vectors.  Diagonals make row sums
-    zero either way.
+    directed matrix-tree interpretation is consistent.  Then
+    S_arcs = diag(x)^-1 * L_W, L_W the base Laplacian with edge weights
+    x_p * x_q, so sum_j det S_jj = n * tau_W / prod x_j and
+    kappa_clique_replaced_smatrix equals kappa_quotient.  It is kept as an
+    audited claim, checked against the oracle by the verification suite,
+    not as a production route.  convention='table' uses -x_max(p,q) instead;
+    it is retained because it circulates in written form, and the
+    verification suite records that it disagrees with the determinant oracle
+    on asymmetric size vectors.  Diagonals make row sums zero either way.
     """
     if convention not in ("arcs", "table"):
         raise ValueError(f"unknown S-matrix convention {convention!r}")
@@ -316,8 +315,3 @@ def kappa_frobenius_pq(p: int, q: int) -> FactoredNat:
         raise ValueError(f"need primes p < q with p | q-1, got p={p}, q={q}")
     return kappa_frobenius(kappa_cyclic(q), kappa_cyclic(p), q)
 
-
-def ti_cover_product(parts) -> FactoredNat:
-    """Product rule for a cover by subgroups with pairwise trivial
-    intersections: the count is the product of the per-part counts."""
-    return product(list(parts))

@@ -278,25 +278,9 @@ def kappa_via_jl(g) -> int:
     return q
 
 
-@dataclass(frozen=True)
-class IntPolynomial:
-    """Integer polynomial, coefficients constant-term first."""
-
-    coeffs: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.coeffs) > 1 and self.coeffs[-1] == 0:
-            raise ValueError("leading coefficient must be nonzero")
-
-    def __call__(self, x: int) -> int:
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-
-def laplacian_char_poly(g) -> IntPolynomial:
-    """Characteristic polynomial det(mu*I - L) = sum c_k mu^k of the graph
+def laplacian_char_poly(g) -> tuple[int, ...]:
+    """Coefficients (c_0, ..., c_n), constant term first, of the
+    characteristic polynomial det(mu*I - L) = sum c_k mu^k of the graph
     Laplacian, by the Faddeev-LeVerrier recurrence: c_n = 1, M_0 = 0,
     M_k = L*M_{k-1} + c_{n-k+1}*I and c_{n-k} = -tr(L*M_k)/k.  Row v of L*M
     is deg(v) * M[v] minus the rows M[w] of v's neighbours w.  Each division
@@ -319,7 +303,7 @@ def laplacian_char_poly(g) -> IntPolynomial:
         m = lm
     if coeffs[0] != 0:
         raise InternalConsistencyError("Laplacian char poly must have zero constant term")
-    return IntPolynomial(tuple(coeffs))
+    return tuple(coeffs)
 
 
 def shifted_product_integer_check(g, m: int) -> int:

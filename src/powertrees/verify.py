@@ -34,7 +34,7 @@ from .graphs import (
 from .groups import FAMILIES, GroupSpec, build_group, epo_class_counts, family_expr, power_graph
 from .linalg import kappa_matrix_tree, kappa_via_jl, laplacian_char_poly, laplacian_nullity
 from .linalg import shifted_product_integer_check
-from .numth import FactoredNat
+from .numth import FactoredNat, product
 from .spectra import (
     Clique,
     Join,
@@ -149,15 +149,11 @@ def cases_audit(group: str) -> list[CaseResult]:
 
 
 def cases_ti_cover_assembly() -> list[CaseResult]:
-    # order-60 simple group assembled from its trivially-intersecting cover:
-    # 5 Sylow-2 parts, 10 order-3 parts, 6 order-5 parts
-    assembled = F.ti_cover_product(
-        [
-            F.kappa_epo({2: 3}) ** 5,
-            F.kappa_cyclic(3) ** 10,
-            F.kappa_cyclic(5) ** 6,
-        ]
-    )
+    # order-60 simple group assembled from its trivially-intersecting cover,
+    # whose count is the product of its parts' counts: 5 Sylow-2 parts,
+    # 10 order-3 parts, 6 order-5 parts
+    assembled = product([F.kappa_epo({2: 3}) ** 5, F.kappa_cyclic(3) ** 10,
+                         F.kappa_cyclic(5) ** 6])
     expected = _PSL_CONSTANTS[(2, 2)]
     return [
         CaseResult(
@@ -281,7 +277,7 @@ def cases_triangle(seed: int) -> list[CaseResult]:
             for _ in range(5):
                 sizes = tuple(rng.randint(1, 4) for _ in range(k))
                 spec = CliqueReplacedSpec(base, sizes)
-                v_formula = F.clique_replaced_value(spec)
+                v_formula = F.kappa_clique_replaced_formula(spec).value()
                 v_smatrix = F.kappa_clique_replaced_smatrix(spec).value()
                 v_det = kappa_matrix_tree(clique_replaced(spec))
                 total += 1
@@ -316,7 +312,7 @@ def cases_shifted_product_suite(seed: int) -> list[CaseResult]:
         except Exception as exc:  # exactness assertion must never fire
             failures.append(f"case {i} (n={n}, m={m}): raised {exc}")
             continue
-        sigma = laplacian_char_poly(g)(-m)
+        sigma = sum(c * (-m) ** k for k, c in enumerate(laplacian_char_poly(g)))
         via_poly, rem = divmod((-1) ** n * sigma, m)
         if rem or via_poly != direct:
             failures.append(f"case {i} (n={n}, m={m}): direct {direct}, char-poly {via_poly} rem {rem}")

@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +10,14 @@ import pytest
 
 from powertrees import cli
 from powertrees import formulas as F
-from powertrees.graphs import CliqueReplacedSpec, clique_replaced, path_graph, universal_vertices
+from powertrees.graphs import (
+    CliqueReplacedSpec,
+    SimpleGraph,
+    clique_replaced,
+    path_graph,
+    to_edge_list_text,
+    universal_vertices,
+)
 from powertrees.groups import FAMILIES, GroupSpec, build_group, clique_spec, power_graph
 from powertrees.linalg import kappa_matrix_tree
 from powertrees.numth import FactoredNat, is_prime
@@ -22,10 +30,8 @@ def run(capsys, *argv):
 
 
 def valid_methods(capsys, target):
-    # smatrix is never valid for a group, so the error lists the valid methods
-    code, _, err = run(capsys, "kappa", "group", target, "--method", "smatrix")
-    assert code == 2
-    return err.strip().rpartition("valid: ")[2].split(", ")
+    # the methods that answer for the group, in cli.METHODS order
+    return [m for m in cli.METHODS if run(capsys, "kappa", "group", target, "--method", m)[0] == 0]
 
 
 # (spec, methods valid besides auto and matrix-tree, method auto picks,
@@ -133,7 +139,7 @@ def test_factor_bound_below_two_is_a_usage_error(capsys, tmp_path, bound):
     for argv in (
         ("kappa", "expr", "K(4)", "--method", "matrix-tree"),
         ("kappa", "replaced", str(base), "--sizes", "2,3"),
-        ("kappa", "replaced", str(base), "--sizes", "2,3", "--method", "smatrix"),
+        ("kappa", "replaced", str(base), "--sizes", "2,3", "--method", "quotient"),
     ):
         code, out, err = run(capsys, *argv, "--factor-bound", bound)
         assert code == 2 and out == ""
@@ -162,7 +168,7 @@ def test_factor_bound_applies_to_every_route(capsys, kind, target):
     if kind == "group":
         methods = valid_methods(capsys, target)
     else:
-        methods = ["auto", "matrix-tree", "formula", "smatrix"]
+        methods = ["auto", "matrix-tree", "quotient", "formula"]
     outputs = set()
     for method in methods:
         code, out, _ = run(capsys, "kappa", kind, target, "--method", method,
@@ -222,7 +228,7 @@ def test_clique_target_counts(capsys, tmp_path, kind, target, sizes, n, universa
     graph = clique_replaced(spec)
     assert (graph.n, len(universal_vertices(graph))) == (n, universal)
     extra = ("--sizes", sizes) if sizes else ()
-    for method in ("auto", "matrix-tree", "formula", "smatrix"):
+    for method in ("auto", "matrix-tree", "quotient", "formula"):
         code, out, _ = run(capsys, "kappa", kind, target, *extra,
                            "--method", method, "--output", "json")
         assert code == 0
@@ -301,6 +307,43 @@ def test_only_graph_routes_expand_group_and_expr_targets(capsys, monkeypatch):
         assert code == 0
         record = json.loads(out)
         assert (record["vertex_count"], record["universal_count"]) == expected[kind, target]
+
+
+def test_zn_quotient_equals_formula_without_expanding_the_graph(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "clique_replaced", _no_expansion)
+    for n in [*range(1, 301), 2310]:
+        outs = {run(capsys, "kappa", "zn", str(n), "--method", method, "--output", "factored")
+                for method in ("quotient", "formula")}
+        assert len(outs) == 1 and outs.pop()[0] == 0, n
+
+
+def test_replaced_quotient_equals_formula_and_the_oracle(capsys, tmp_path):
+    rng = random.Random(21)
+    path = tmp_path / "base.txt"
+    for _ in range(60):
+        k = rng.randint(1, 7)
+        edges = {(rng.randrange(i), i) for i in range(1, k)}  # a random spanning tree
+        edges |= {(i, j) for i in range(k) for j in range(i + 1, k) if rng.random() < 0.4}
+        path.write_text(to_edge_list_text(SimpleGraph(k, edges)))
+        sizes = ",".join(str(rng.randint(1, 5)) for _ in range(k))
+        outs = {run(capsys, "kappa", "replaced", str(path), "--sizes", sizes,
+                    "--method", method, "--output", "factored")
+                for method in ("quotient", "formula", "matrix-tree")}
+        assert len(outs) == 1 and outs.pop()[0] == 0, (sorted(edges), sizes)
+
+
+@pytest.mark.parametrize("kind,target", [("zn", "12"), ("group", "cyclic:12")])
+def test_smatrix_is_no_method(capsys, kind, target):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["kappa", kind, target, "--method", "smatrix"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'smatrix'" in capsys.readouterr().err
+
+
+def test_every_route_is_a_method_and_every_method_a_route():
+    assert cli.METHODS == ("auto", "matrix-tree", "quotient", "formula", "spectrum")
+    routes = {method for row in cli.ROUTES.values() for method in row}
+    assert routes == set(cli.METHODS) - {"auto", "matrix-tree"}
 
 
 def test_vertex_counts_read_the_order_of_a_clique_spec_once(monkeypatch):
@@ -478,7 +521,7 @@ def test_factored_output_multiplies_nothing_out(capsys, monkeypatch):
 
 @pytest.mark.parametrize("target", ["-3", "0", "2.5", "twelve"])
 def test_zn_target_must_be_a_positive_integer(capsys, target):
-    for argv in (("kappa", "zn", target), ("kappa", "zn", target, "--method", "smatrix"),
+    for argv in (("kappa", "zn", target), ("kappa", "zn", target, "--method", "quotient"),
                  ("export", "zn", target, "--format", "json"),
                  ("export", "zn", target, "--format", "edges")):
         code, out, err = run(capsys, *argv)

@@ -17,7 +17,7 @@ from powertrees.graphs import (
 )
 from powertrees.groups import GroupSpec, build_group, epo_class_counts, power_graph
 from powertrees.linalg import IntMatrix, InternalConsistencyError, det_bareiss, kappa_matrix_tree
-from powertrees.numth import FactoredNat
+from powertrees.numth import FactoredNat, product
 from powertrees.verify import connected_labeled_graphs
 
 
@@ -155,7 +155,7 @@ def test_equivalence_triangle_sampled():
             sizes = tuple(rng.randint(1, 4) for _ in range(k))
             spec = CliqueReplacedSpec(base, sizes)
             oracle = kappa_matrix_tree(clique_replaced(spec))
-            assert F.clique_replaced_value(spec) == oracle
+            assert F.kappa_clique_replaced_formula(spec).value() == oracle
             assert F.kappa_clique_replaced_smatrix(spec).value() == oracle
 
 
@@ -189,7 +189,8 @@ def test_one_determinant_equals_the_literal_subset_sum():
     for k in range(1, 6):
         for base in connected_labeled_graphs(k):
             spec = CliqueReplacedSpec(base, tuple(rng.randint(1, 5) for _ in range(k)))
-            assert F.clique_replaced_value(spec) == literal_clique_replaced_value(spec)
+            value = F.kappa_clique_replaced_formula(spec).value()
+            assert value == literal_clique_replaced_value(spec)
 
 
 def test_clique_replaced_value_is_one_determinant(monkeypatch):
@@ -201,7 +202,7 @@ def test_clique_replaced_value_is_one_determinant(monkeypatch):
 
     monkeypatch.setattr(F, "det_bareiss", counting)
     spec = CliqueReplacedSpec(path_graph(13), tuple(range(1, 14)))
-    F.clique_replaced_value(spec)
+    F.kappa_clique_replaced_formula(spec)
     assert calls == [13]
 
 
@@ -219,7 +220,8 @@ def test_formula_matches_smatrix_beyond_subset_reach():
     for k in range(12, 21):
         base = random_connected_graph(rng, k)
         spec = CliqueReplacedSpec(base, tuple(rng.randint(1, 6) for _ in range(k)))
-        assert F.clique_replaced_value(spec) == F.kappa_clique_replaced_smatrix(spec).value()
+        formula = F.kappa_clique_replaced_formula(spec)
+        assert formula.value() == F.kappa_clique_replaced_smatrix(spec).value()
 
 
 def test_quotient_matches_the_oracle_on_random_graphs():
@@ -389,11 +391,10 @@ def test_kappa_frobenius_pq_matches_determinant():
 
 
 def test_ti_cover_product():
-    assert F.ti_cover_product([FactoredNat.prime_power(3, 10)]) == FactoredNat.prime_power(3, 10)
-    assert F.ti_cover_product(
-        [FactoredNat.prime_power(7, 1)] * 4
-    ) == FactoredNat.prime_power(7, 4)
-    assembled = F.ti_cover_product(
+    # a cover by pairwise trivially-intersecting subgroups multiplies their counts
+    assert product([FactoredNat.prime_power(3, 10)]) == FactoredNat.prime_power(3, 10)
+    assert product([FactoredNat.prime_power(7, 1)] * 4) == FactoredNat.prime_power(7, 4)
+    assembled = product(
         [F.kappa_epo({2: 3}) ** 5, F.kappa_cyclic(3) ** 10, F.kappa_cyclic(5) ** 6]
     )
     assert assembled == FactoredNat(((3, 10), (5, 18)))
@@ -414,7 +415,7 @@ def test_universal_divisibility_across_power_graphs():
 
 def test_factored_from_parts_equals_trial_division_of_the_value():
     for n in range(1, 501):
-        value = F.clique_replaced_value(F.divisor_clique_spec(n))
+        value = F.kappa_clique_replaced_formula(F.divisor_clique_spec(n)).value()
         assert F.kappa_cyclic(n) == FactoredNat.from_int(value, max(n, 1000)), n
     rng = random.Random(1806)
     with_universal = 0
@@ -423,7 +424,7 @@ def test_factored_from_parts_equals_trial_division_of_the_value():
         base = random_connected_graph(rng, k)
         spec = CliqueReplacedSpec(base, tuple(rng.randint(1, 40) for _ in range(k)))
         with_universal += any(len(nb) == k - 1 for nb in base.adj)
-        value = F.clique_replaced_value(spec)
+        value = F.kappa_clique_replaced_formula(spec).value()
         assert F.kappa_clique_replaced_formula(spec) == FactoredNat.from_int(
             value, max(spec.n, 1000)), spec
     assert 0 < with_universal < 300

@@ -5,7 +5,7 @@ import pytest
 
 from powertrees import formulas, verify
 from powertrees.gf import Gf
-from powertrees.formulas import clique_replaced_value, kappa_quotient
+from powertrees.formulas import kappa_clique_replaced_formula, kappa_quotient
 from powertrees.graphs import clique_replaced, complete_graph, twin_quotient, universal_vertices
 from powertrees.groups import (
     FAMILIES,
@@ -241,7 +241,7 @@ def _check_clique_spec(g):
     expanded = clique_replaced(spec)
     assert (expanded.n, expanded.edge_count) == (pg.n, pg.edge_count)
     assert len(universal_vertices(expanded)) == len(universal_vertices(pg))
-    assert clique_replaced_value(spec) == kappa_matrix_tree(pg)
+    assert kappa_clique_replaced_formula(spec).value() == kappa_matrix_tree(pg)
 
 
 @pytest.mark.parametrize("text", [text for text, _ in ADVERTISED])

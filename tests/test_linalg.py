@@ -312,10 +312,15 @@ def test_kappa_routes_agree_on_small_graphs():
     assert trees > 0
 
 
+def evaluate(coeffs, x):
+    """A polynomial given constant term first, at x."""
+    return sum(c * x**k for k, c in enumerate(coeffs))
+
+
 def test_char_poly_examples():
-    assert laplacian_char_poly(complete_graph(2)).coeffs == (0, -2, 1)
-    assert laplacian_char_poly(complete_graph(3)).coeffs == (0, 9, -6, 1)
-    assert laplacian_char_poly(SimpleGraph(3)).coeffs == (0, 0, 0, 1)
+    assert laplacian_char_poly(complete_graph(2)) == (0, -2, 1)
+    assert laplacian_char_poly(complete_graph(3)) == (0, 9, -6, 1)
+    assert laplacian_char_poly(SimpleGraph(3)) == (0, 0, 0, 1)
 
 
 def test_char_poly_equals_the_determinant_at_every_integer_point():
@@ -328,7 +333,7 @@ def test_char_poly_equals_the_determinant_at_every_integer_point():
                 [mu - g.degree(i) if i == j else int(j in g.adj[i]) for j in range(g.n)]
                 for i in range(g.n)
             ]
-            assert poly(mu) == det_bareiss(IntMatrix.from_rows(rows))
+            assert evaluate(poly, mu) == det_bareiss(IntMatrix.from_rows(rows))
 
 
 def test_char_poly_integer_coeffs_zero_constant():
@@ -336,11 +341,9 @@ def test_char_poly_integer_coeffs_zero_constant():
     for _ in range(60):
         g = random_graph(rng, rng.randint(1, 7))
         poly = laplacian_char_poly(g)
-        assert len(poly.coeffs) == g.n + 1
-        assert poly.coeffs[0] == 0
-        assert poly.coeffs[-1] == 1  # monic
-        # evaluating at 0 gives det(-L) = 0 for n>=1
-        assert poly(0) == 0
+        assert len(poly) == g.n + 1
+        assert poly[0] == 0  # det(-L) = 0 for n>=1
+        assert poly[-1] == 1  # monic
 
 
 def test_shifted_product_examples():
@@ -353,7 +356,7 @@ def test_shifted_product_matches_char_poly_route():
     g = random_graph(rng, 6)
     m = 3
     sigma = laplacian_char_poly(g)
-    expected, rem = divmod((-1) ** g.n * sigma(-m), m)
+    expected, rem = divmod((-1) ** g.n * evaluate(sigma, -m), m)
     assert rem == 0
     assert shifted_product_integer_check(g, m) == expected
 
