@@ -9,7 +9,6 @@ never rounded.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from math import gcd
 
 from .graphs import CliqueReplacedSpec, components, divisor_graph
@@ -23,7 +22,6 @@ from .numth import (
     is_prime_power,
     product,
 )
-from .spectra import Clique, CliqueExpr, Join, copies, kappa_from_spectrum, spectrum
 
 
 def kappa_cayley(n: int) -> FactoredNat:
@@ -266,39 +264,6 @@ def kappa_heisenberg(p: int) -> FactoredNat:
     if p == 2 or not is_prime(p):
         raise ValueError(f"p = {p} must be an odd prime")
     return FactoredNat.prime_power(p, (p - 2) * (p * p + p + 1))
-
-
-@dataclass(frozen=True)
-class ExponentVerdict:
-    """Structural value for the order-p^3 exponent-p^2 family, compared with
-    the two circulating closed-form exponent candidates."""
-
-    p: int
-    value: FactoredNat
-    candidate_exponents: tuple[int, int]
-    matches: tuple[bool, bool]
-
-
-def extraspecial_published_expr(p: int) -> CliqueExpr:
-    """The published clique decomposition K(p) * (p+1)#K(p^2-p) of the power
-    graph of the order-p^3 exponent-p^2 group."""
-    return Join(Clique(p), copies(p + 1, Clique(p * p - p)))
-
-
-def extraspecial_exponent_verdict(p: int) -> ExponentVerdict:
-    """Evaluate the published clique decomposition K(p) * (p+1)#K(p^2-p) of the
-    order-p^3 exponent-p^2 group spectrally, and report which (if either) of
-    the candidate exponents 2p^3-p-5 and 2p^3-p-4 it matches.
-
-    The determinant oracle on the explicitly constructed group is the ground
-    truth that settles the question; see the verification suite.
-    """
-    if p == 2 or not is_prime(p):
-        raise ValueError(f"p = {p} must be an odd prime")
-    value = kappa_from_spectrum(spectrum(extraspecial_published_expr(p)))
-    candidates = (2 * p**3 - p - 5, 2 * p**3 - p - 4)
-    matches = tuple(value == FactoredNat.prime_power(p, c) for c in candidates)
-    return ExponentVerdict(p, value, candidates, matches)
 
 
 def kappa_frobenius(kappa_kernel: FactoredNat, kappa_complement: FactoredNat, kernel_order: int) -> FactoredNat:

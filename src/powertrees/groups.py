@@ -22,7 +22,7 @@ from . import formulas as F
 from .gf import Gf
 from .graphs import CliqueReplacedSpec, SimpleGraph
 from .numth import FactoredNat, euler_phi, is_prime, is_prime_power
-from .spectra import Clique, CliqueExpr, Join, epo_expr, union_of
+from .spectra import Clique, CliqueExpr, Join, copies, epo_expr, union_of
 
 
 class GroupConstructionError(ValueError):
@@ -437,10 +437,12 @@ FAMILIES = {
                closed_form=lambda p: F.kappa_heisenberg(p),
                clique_expr=lambda p: epo_expr({p: p * p + p + 1}),
                counts=lambda p: (p**3, 1)),
-        # no closed form: its published clique form, which the determinant
-        # oracle refutes (see the verify report), is kept only as an audit
+        # no closed form.  The clique form is the published K(p)*(p+1)#K(p^2-p),
+        # whose count p^(2p^3-5) matches neither published exponent, 2p^3-p-5
+        # nor 2p^3-p-4; verify's audit row refutes all three at p = 3 with
+        # the determinant oracle (3^49 against 3^37 * 7^2)
         Family("extraspecial_exp_p2", ("p",), _need_odd_prime, _build_extraspecial_exp_p2,
-               clique_expr=F.extraspecial_published_expr,
+               clique_expr=lambda p: Join(Clique(p), copies(p + 1, Clique(p * p - p))),
                counts=lambda p: (p**3, 1),
                alias="extraspecial"),
         Family("psl2", ("p", "n"), _v_psl2, _build_psl2,
@@ -466,7 +468,8 @@ def family_expr(spec: GroupSpec) -> CliqueExpr:
     """The clique expression of the power graph, for families that have one.
 
     For extraspecial_exp_p2 it is the published decomposition
-    K(p) * (p+1)#K(p^2-p) (see extraspecial_exponent_verdict).
+    K(p) * (p+1)#K(p^2-p), which the verify audit row
+    extraspecial-27-structural-vs-oracle refutes.
     """
     family = FAMILIES[spec.family]
     if family.clique_expr is None:

@@ -282,10 +282,12 @@ def parse_expr(text: str) -> CliqueExpr:
 
     def parse_factor(depth):
         nonlocal copied
-        count = 1
+        count, start = 1, pos
         while peek()[0] == "int":
             count *= take("int")
             take("hash")
+        if count == 0:
+            raise ValueError(f"c#x needs c >= 1, at position {start} in {text!r}")
         tok = peek()
         if tok == ("op", "("):
             if depth == MAX_DEPTH:

@@ -621,34 +621,6 @@ def run_suite(suite: str, seed: int | None = None, jobs: int = 1) -> tuple[str, 
         lines.append(f"[{status}] {r.name}: {r.detail}")
     failures = sum(not r.ok for r in results)
     lines.append("")
-    lines.extend(extraspecial_verdict_text())
-    lines.append("")
     lines.append(f"{len(results) - failures}/{len(results)} cases passed")
     return "\n".join(lines) + "\n", 1 if failures else 0
 
-
-def extraspecial_verdict_text() -> list[str]:
-    """The explicit exponent verdict for the order-27 exponent-9 group."""
-    verdict = F.extraspecial_exponent_verdict(3)
-    det = kappa_det_of_group("extraspecial:3")
-    spec = GroupSpec.parse("extraspecial:3")
-    real = power_graph(build_group(spec))
-    claimed = expr_to_graph(family_expr(spec))
-    lines = [
-        "extraspecial exponent verdict (order 27, exponent 9):",
-        f"  determinant oracle on the constructed power graph: {FactoredNat.from_int(det)}",
-        f"  structural value of the clique form K(3)*4#K(6):   {verdict.value}",
-    ]
-    for exp, hit in zip(verdict.candidate_exponents, verdict.matches):
-        lines.append(
-            f"  candidate exponent 3^{exp}: "
-            f"{'matches' if hit else 'does not match'} the structural value"
-        )
-    if det != verdict.value.value():
-        lines.append(
-            f"  the clique form does not describe the constructed group "
-            f"({claimed.edge_count} edges vs {real.edge_count}; "
-            f"{len(universal_vertices(claimed))} universal vertices vs "
-            f"{len(universal_vertices(real))}); the determinant value is authoritative"
-        )
-    return lines

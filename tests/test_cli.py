@@ -267,6 +267,17 @@ def test_verify_jobs_below_one_is_a_usage_error(capsys, jobs):
     assert "--jobs" in err
 
 
+def test_verify_quick_passes_and_prints_only_its_case_lines(capsys, monkeypatch):
+    monkeypatch.setenv("KAPPA_SEED", "7")
+    code, out, _ = run(capsys, "verify", "quick")
+    assert code == 0
+    header, blank, *cases, blank2, total = out.splitlines()
+    assert (header, blank, blank2) == ("verify suite: quick (seed 7)", "", "")
+    assert cases and all(line.startswith("[PASS] ") for line in cases)
+    assert cases == sorted(cases, key=lambda line: line.split(":")[0])
+    assert total == f"{len(cases)}/{len(cases)} cases passed"
+
+
 def test_cyclic_sweep_reports_its_first_failure(monkeypatch):
     from powertrees import verify
 
@@ -544,6 +555,13 @@ def test_spectrum_route_past_a_thousand_union_parts(capsys, target):
 def test_expr_with_thousands_of_copies(capsys):
     # the star K(1,2000) has one spanning tree
     assert run(capsys, "kappa", "expr", "2000#K(1)*K(1)") == (0, "1\n", "")
+
+
+@pytest.mark.parametrize("target", ["0#K(1)", "2#0#K(1)", "K(1)*0#K(2)"])
+def test_expr_with_zero_copies_is_a_usage_error(capsys, target):
+    code, out, err = run(capsys, "kappa", "expr", target)
+    assert code == 2 and out == ""
+    assert "c#x needs c >= 1, at position" in err
 
 
 @pytest.mark.parametrize("target", ["(" * 400 + "K(1)" + ")" * 400,

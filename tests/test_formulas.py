@@ -15,7 +15,7 @@ from powertrees.graphs import (
     twin_quotient,
     universal_vertices,
 )
-from powertrees.groups import GroupSpec, build_group, epo_class_counts, power_graph
+from powertrees.groups import GroupSpec, build_group, epo_class_counts, family_expr, power_graph
 from powertrees.linalg import IntMatrix, InternalConsistencyError, det_bareiss, kappa_matrix_tree
 from powertrees.numth import FactoredNat, product
 from powertrees.verify import connected_labeled_graphs
@@ -335,25 +335,21 @@ def test_kappa_heisenberg():
             F.kappa_heisenberg(bad)
 
 
-def test_extraspecial_verdict_p3():
-    verdict = F.extraspecial_exponent_verdict(3)
-    assert verdict.value == FactoredNat.prime_power(3, 49)
-    assert verdict.candidate_exponents == (46, 47)
-    assert verdict.matches == (False, False)
-    # ground truth from the determinant oracle on the constructed group:
-    # 3^37 * 7^2, so the published clique form misses the actual graph
+def test_extraspecial_published_form_misses_both_published_exponents():
+    # the spectral count of the published clique form K(p) * (p+1)#K(p^2-p)
+    # is p^(2p^3-5) for any odd prime, which matches neither published
+    # exponent, 2p^3-p-5 or 2p^3-p-4
+    from powertrees.spectra import kappa_from_spectrum, spectrum
+
+    for p in (3, 5, 7):
+        value = kappa_from_spectrum(spectrum(family_expr(GroupSpec.parse(f"extraspecial:{p}"))))
+        assert value == FactoredNat.prime_power(p, 2 * p**3 - 5)
+        for exponent in (2 * p**3 - p - 5, 2 * p**3 - p - 4):
+            assert value != FactoredNat.prime_power(p, exponent)
+    # the determinant oracle on the constructed group is none of the three
     det = det_kappa("extraspecial:3")
     assert det == 3**37 * 7**2
-    assert det != verdict.value.value()
-
-
-def test_extraspecial_structural_value_general_p():
-    # the spectral value of K(p) * (p+1)#K(p^2-p) is p**(2p^3-5) for any odd
-    # prime, which matches neither circulating candidate exponent
-    for p in (3, 5, 7):
-        verdict = F.extraspecial_exponent_verdict(p)
-        assert verdict.value == FactoredNat.prime_power(p, 2 * p**3 - 5)
-        assert verdict.matches == (False, False)
+    assert det not in (3**46, 3**47, 3**49)
 
 
 def test_extraspecial_true_power_graph_kappa():

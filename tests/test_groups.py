@@ -393,6 +393,14 @@ def test_audit_table_covers_every_closed_form():
     assert audited >= {f.name for f in FAMILIES.values() if f.closed_form}
 
 
+def test_extraspecial_audit_row_states_both_values():
+    # the one statement of the published form's discrepancy: its clique form
+    # against the determinant oracle, both printed
+    [row] = verify.cases_audit("extraspecial-oracle")
+    assert row.name == "extraspecial-27-structural-vs-oracle" and not row.ok
+    assert row.detail == "clique form 3^49, determinant 3^37 * 7^2"
+
+
 def test_audit_reads_the_closed_form_through_the_registry(monkeypatch):
     monkeypatch.setattr(formulas, "kappa_quaternion", lambda n: FactoredNat.prime_power(2, 12))
     results = verify.cases_audit("quaternion-family") + verify.cases_audit("small-2groups")

@@ -175,11 +175,13 @@ def test_family_expr_extraspecial_is_published_form():
     expr = family_expr(GroupSpec.parse("extraspecial:3"))
     assert str(expr) == "K(3)*(K(6)+K(6)+K(6)+K(6))"
     # the published form does NOT match the constructed group: it overcounts
-    # the universal set (see the verify module's exponent verdict)
+    # the universal set (the verify audit row extraspecial-27-structural-vs-oracle
+    # refutes its count)
     real = power_graph(build_group(GroupSpec.parse("extraspecial:3")))
     claimed = expr_to_graph(expr)
     assert claimed.n == real.n == 27
     assert claimed.edge_count == 135 and real.edge_count == 111
+    assert len(universal_vertices(claimed)) == 3 and len(universal_vertices(real)) == 1
 
 
 def test_family_expr_realizations_match_power_graphs():
