@@ -335,7 +335,22 @@ def test_kappa_heisenberg():
             F.kappa_heisenberg(bad)
 
 
-def test_extraspecial_published_form_misses_both_published_exponents():
+def test_extraspecial_verdict_p3():
+    # the published clique form counts 3^49, which matches neither published
+    # exponent (46, 47); the determinant oracle on the constructed group gives
+    # 3^37 * 7^2, so the published form misses the actual graph
+    from powertrees.spectra import kappa_from_spectrum, spectrum
+
+    value = kappa_from_spectrum(spectrum(family_expr(GroupSpec.parse("extraspecial:3"))))
+    assert value == FactoredNat.prime_power(3, 49)
+    for exponent in (46, 47):
+        assert value != FactoredNat.prime_power(3, exponent)
+    det = det_kappa("extraspecial:3")
+    assert det == 3**37 * 7**2
+    assert det not in (3**46, 3**47, value.value())
+
+
+def test_extraspecial_structural_value_general_p():
     # the spectral count of the published clique form K(p) * (p+1)#K(p^2-p)
     # is p^(2p^3-5) for any odd prime, which matches neither published
     # exponent, 2p^3-p-5 or 2p^3-p-4
@@ -346,10 +361,6 @@ def test_extraspecial_published_form_misses_both_published_exponents():
         assert value == FactoredNat.prime_power(p, 2 * p**3 - 5)
         for exponent in (2 * p**3 - p - 5, 2 * p**3 - p - 4):
             assert value != FactoredNat.prime_power(p, exponent)
-    # the determinant oracle on the constructed group is none of the three
-    det = det_kappa("extraspecial:3")
-    assert det == 3**37 * 7**2
-    assert det not in (3**46, 3**47, 3**49)
 
 
 def test_extraspecial_true_power_graph_kappa():
