@@ -103,22 +103,32 @@ def kappa_quotient(spec: CliqueReplacedSpec) -> FactoredNat:
     tau_W a cofactor of that weighted Laplacian.  It is taken at a universal
     base vertex when there is one (else at vertex 0), and the reduced matrix
     is block-diagonal over the components of the base without that vertex:
-    tau_W is one determinant per component.  Factored by factored_ratio: each
-    component determinant is trial-divided up to max(n, 1000) on its own,
-    every prime of m_j and x_j is certified, and the division is checked
-    exact in exponent space.
+    tau_W is one determinant per component.  A component's vertices are
+    sorted by (x_i, m_i), a simultaneous row and column permutation that
+    keeps its determinant, so that equal components (the reflections of a
+    dihedral group, the conjugate subgroups of a simple group) give equal
+    rows, and each distinct matrix is taken once.  Factored by
+    factored_ratio: each distinct component determinant is trial-divided up
+    to max(n, 1000) on its own, every prime of m_j and x_j is certified, and
+    the division is checked exact in exponent space.
     """
     adj, sizes = spec.base.adj, spec.sizes
+    m = [spec.block_degree_plus_one(i) for i in range(spec.k)]
     root = next((i for i in range(spec.k) if len(adj[i]) == spec.k - 1), 0)
+    taken: dict[tuple, int] = {}
     dets = []
     for comp in components(adj, set(range(spec.k)) - {root}):
+        comp.sort(key=lambda i: (sizes[i], m[i]))
         rows = [[-sizes[i] * sizes[j] * (j in adj[i]) for j in comp] for i in comp]
         for t, i in enumerate(comp):
-            rows[t][t] = sizes[i] * sum(sizes[w] for w in adj[i])
-        dets.append(_det_int(rows))
+            rows[t][t] = sizes[i] * (m[i] - sizes[i])
+        key = tuple(map(tuple, rows))
+        if key not in taken:
+            taken[key] = _det_int(rows)
+        dets.append(taken[key])
     powers = Counter()
     for j, x in enumerate(sizes):
-        powers[spec.block_degree_plus_one(j)] += x - 1
+        powers[m[j]] += x - 1
         powers[x] -= 1
     return factored_ratio(powers, dets, spec.n)
 

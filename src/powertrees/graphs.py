@@ -3,7 +3,12 @@ graphs, clique-replaced graphs and closed-twin quotients.
 
 Graphs are immutable after construction; adjacency is kept as frozensets for
 O(1) edge queries, and dense matrices are only materialized at determinant
-time (linalg module).  `components` is the package's one connected-components
+time (linalg module).  Files and the small builders pass an edge list, which
+is checked edge by edge.  The large builders (clique_replaced, the group
+power graph, a clique expression's graph) know that a whole block of twins
+shares one closed neighbourhood: they form it once per block and pass each
+vertex that set less itself as SimpleGraph's adjacency, with no per-edge
+tuple or check.  `components` is the package's one connected-components
 search: connectivity checks, the matrix-tree peel, the twin quotient's
 cofactor and verify's join-of-cliques signature all split a vertex set by it.
 """
@@ -20,23 +25,31 @@ class SimpleGraph:
 
     __slots__ = ("n", "adj", "labels", "_edge_count")
 
-    def __init__(self, n: int, edges=(), labels=None):
+    def __init__(self, n: int, edges=(), labels=None, *, adjacency=None):
+        """Files and the small builders give edges, which are checked edge by
+        edge.  A builder that forms its neighbour frozensets itself passes
+        them as adjacency, in place of edges: they are taken as they are, the
+        builder guaranteeing that they are symmetric and loop-free."""
         if n < 0:
             raise ValueError("vertex count must be >= 0")
         if labels is not None and len(labels) != n:
             raise ValueError("label count must match vertex count")
-        sets = [set() for _ in range(n)]
-        for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u},{v}) out of range for n={n}")
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            sets[u].add(v)
-            sets[v].add(u)
+        if adjacency is None:
+            sets = [set() for _ in range(n)]
+            for u, v in edges:
+                if not (0 <= u < n and 0 <= v < n):
+                    raise ValueError(f"edge ({u},{v}) out of range for n={n}")
+                if u == v:
+                    raise ValueError(f"self-loop at vertex {u}")
+                sets[u].add(v)
+                sets[v].add(u)
+            adjacency = map(frozenset, sets)
         self.n = n
-        self.adj = tuple(frozenset(s) for s in sets)
+        self.adj = tuple(adjacency)
+        if len(self.adj) != n:
+            raise ValueError("one neighbour set per vertex required")
         self.labels = tuple(labels) if labels is not None else None
-        self._edge_count = sum(len(s) for s in sets) // 2
+        self._edge_count = sum(map(len, self.adj)) // 2
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])
@@ -171,27 +184,23 @@ def clique_replaced(spec: CliqueReplacedSpec) -> SimpleGraph:
     """Blow each base vertex i up into a clique of size x_i; base edges become
     complete bipartite connections between blocks.
 
-    Blocks are laid out consecutively in base-vertex order.
+    Blocks are laid out consecutively in base-vertex order.  Block i's
+    vertices share the closed neighbourhood made of its own interval and the
+    intervals of its neighbouring blocks, formed once per block.
     """
     base, sizes = spec.base, spec.sizes
     starts = [0]
     for x in sizes:
         starts.append(starts[-1] + x)
-    edges = []
-    for i in range(base.n):
-        lo, hi = starts[i], starts[i + 1]
-        edges.extend((a, b) for a in range(lo, hi) for b in range(a + 1, hi))
-        for j in base.adj[i]:
-            if j > i:
-                edges.extend(
-                    (a, b)
-                    for a in range(lo, hi)
-                    for b in range(starts[j], starts[j + 1])
-                )
+    blocks = [range(starts[i], starts[i + 1]) for i in range(base.n)]
+    adj = []
+    for i, block in enumerate(blocks):
+        closed = frozenset(block).union(*(blocks[j] for j in base.adj[i]))
+        adj.extend(closed - {a} for a in block)
     labels = [
         f"{base.label(i)}.{t}" for i in range(base.n) for t in range(sizes[i])
     ]
-    return SimpleGraph(starts[-1], edges, labels)
+    return SimpleGraph(len(adj), labels=labels, adjacency=adj)
 
 
 # --- file formats ---

@@ -479,9 +479,30 @@ def family_expr(spec: GroupSpec) -> CliqueExpr:
 
 def power_graph(group: FiniteGroup) -> SimpleGraph:
     """Power graph: distinct u, v are adjacent iff one lies in the cyclic
-    subgroup generated by the other."""
-    edges = [(u, v) for u, c in enumerate(group.cyclic_subgroups) for v in c if v != u]
-    return SimpleGraph(group.order, edges, group.element_names)
+    subgroup generated by the other.
+
+    v is adjacent to u iff v lies in C = <u> or <v> contains C, so all the
+    generators of C share the closed neighbourhood C together with the
+    generators of every cyclic D containing C.  The elements are grouped by
+    their cyclic subgroup; each distinct D is walked once to find the cyclic
+    subgroups it contains, and each closed neighbourhood is formed once per
+    subgroup.  Of the group's structure only group.cyclic_subgroups is read,
+    so the graph stays an oracle independent of the group's clique spec.
+    """
+    cyclic = group.cyclic_subgroups
+    generators: dict[frozenset, list[int]] = {}
+    for u, c in enumerate(cyclic):
+        generators.setdefault(c, []).append(u)
+    containing: dict[frozenset, list[frozenset]] = {c: [] for c in generators}
+    for d in generators:
+        for c in {cyclic[x] for x in d}:
+            containing[c].append(d)
+    adj = [None] * group.order
+    for c, gens in generators.items():
+        closed = c.union(*(generators[d] for d in containing[c]))
+        for u in gens:
+            adj[u] = closed - {u}
+    return SimpleGraph(group.order, labels=group.element_names, adjacency=adj)
 
 
 def clique_spec(group: FiniteGroup) -> CliqueReplacedSpec:

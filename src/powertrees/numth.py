@@ -242,17 +242,22 @@ def factored_ratio(powers: dict[int, int], dets, n: int) -> FactoredNat:
     prime's exponent falls below 0, which is asserted, as is every det > 0.
     With one det the result equals FactoredNat.from_int of the value under
     that bound; with several, each det's cofactor is certified on its own.
+    A det that recurs is trial-divided once, and its count multiplies its
+    exponents and raises its cofactor.
     """
     bound = max(n, 1000)
     exponents: dict[int, int] = {}
     residual = 1
+    counts: dict[int, int] = {}
     for det in dets:
+        counts[det] = counts.get(det, 0) + 1
+    for det, count in counts.items():
         if det <= 0:
             raise InternalConsistencyError(f"non-positive determinant {det}")
         factors, rest = trial_division(det, bound)
         for p, e in factors:
-            exponents[p] = exponents.get(p, 0) + e
-        residual *= rest
+            exponents[p] = exponents.get(p, 0) + e * count
+        residual *= rest**count
     for base, k in powers.items():
         for p, e in _small_factors(base):
             exponents[p] = exponents.get(p, 0) + e * k

@@ -206,29 +206,35 @@ def universal_count(expr: CliqueExpr) -> int:
 def expr_to_graph(expr: CliqueExpr) -> graphs.SimpleGraph:
     """Materialize a clique expression as an explicit graph (for oracles).
 
-    The tree is laid out in one pass: each node's vertices form one interval,
-    its parts' intervals follow each other in order, a clique's interval is
-    complete, and a join adds every edge between a part's interval and the
-    vertices of the parts before it.  The edge list goes into one SimpleGraph.
+    The tree is laid out in one pass: each node's vertices form one interval
+    and its parts' intervals follow each other in order.  The vertices of a
+    clique leaf are closed twins: their closed neighbourhood is the leaf's
+    interval plus, for each join above it, the join's interval less that of
+    the part on the way down, at most two ranges.  It is formed once per
+    leaf and goes, less each vertex, into SimpleGraph's adjacency.
     """
-    edges = []
+    adj = []
 
-    def lay_out(node, start):
+    def lay_out(node, start, outside):
+        stop = start + node.n
         if isinstance(node, Clique):
-            stop = start + node.size
-            edges.extend((a, b) for a in range(start, stop) for b in range(a + 1, stop))
+            leaf = range(start, stop)
+            closed = frozenset(leaf).union(*outside)
+            adj.extend(closed - {v} for v in leaf)
             return
         if not isinstance(node, (Union, Join)):
             raise TypeError(f"not a clique expression: {node!r}")
         lo = start
         for part in node.parts:
-            lay_out(part, lo)
+            hi = lo + part.n
             if isinstance(node, Join):
-                edges.extend((a, b) for a in range(start, lo) for b in range(lo, lo + part.n))
-            lo += part.n
+                lay_out(part, lo, outside + [range(start, lo), range(hi, stop)])
+            else:
+                lay_out(part, lo, outside)
+            lo = hi
 
-    lay_out(expr, 0)
-    return graphs.SimpleGraph(expr.n, edges)
+    lay_out(expr, 0, [])
+    return graphs.SimpleGraph(expr.n, adjacency=adj)
 
 
 # --- expression string syntax: K(n), + union, * join, c#expr copies ---
@@ -249,9 +255,10 @@ def parse_expr(text: str) -> CliqueExpr:
     Parentheses nested more than MAX_DEPTH deep, which keeps every walker
     within Python's default recursion limit, and c#x copies of more than
     MAX_COPIES parts in all, which would have to be held in memory, raise
-    ValueError.
+    ValueError.  A position in an error message is the 0-based character
+    offset of the token it names in the text, or the text's length at its end.
     """
-    tokens = _tokenize(text)
+    tokens, offsets = _tokenize(text)
     pos = 0
     copied = 0
 
@@ -262,7 +269,7 @@ def parse_expr(text: str) -> CliqueExpr:
         nonlocal pos
         tok = peek()
         if tok[0] != kind:
-            raise ValueError(f"expected {kind} at position {pos} in {text!r}")
+            raise ValueError(f"expected {kind} at position {offsets[pos]} in {text!r}")
         pos += 1
         return tok[1]
 
@@ -287,11 +294,13 @@ def parse_expr(text: str) -> CliqueExpr:
             count *= take("int")
             take("hash")
         if count == 0:
-            raise ValueError(f"c#x needs c >= 1, at position {start} in {text!r}")
+            raise ValueError(f"c#x needs c >= 1, at position {offsets[start]} in {text!r}")
         tok = peek()
         if tok == ("op", "("):
             if depth == MAX_DEPTH:
-                raise ValueError(f"parentheses nested more than {MAX_DEPTH} deep at position {pos}")
+                raise ValueError(
+                    f"parentheses nested more than {MAX_DEPTH} deep at position {offsets[pos]}"
+                )
             take("op")
             node = parse_union(depth + 1)
             if peek() != ("op", ")"):
@@ -318,18 +327,22 @@ def parse_expr(text: str) -> CliqueExpr:
 
     node = parse_union(0)
     if pos != len(tokens):
-        raise ValueError(f"trailing input after position {pos} in {text!r}")
+        raise ValueError(f"trailing input at position {offsets[pos]} in {text!r}")
     return node
 
 
 def _tokenize(text: str):
-    tokens = []
+    """The tokens of the text and their character offsets, with the text's
+    length appended as the offset of its end."""
+    tokens, offsets = [], []
     i = 0
     while i < len(text):
         ch = text[i]
         if ch.isspace():
             i += 1
-        elif ch.isdigit():
+            continue
+        offsets.append(i)
+        if ch.isdigit():
             j = i
             while j < len(text) and text[j].isdigit():
                 j += 1
@@ -346,4 +359,5 @@ def _tokenize(text: str):
             i += 1
         else:
             raise ValueError(f"bad character {ch!r} in expression {text!r}")
-    return tokens
+    offsets.append(len(text))
+    return tokens, offsets

@@ -262,12 +262,36 @@ def test_quotient_value_takes_one_determinant_per_component(monkeypatch):
     monkeypatch.setattr(F, "det_bareiss", counting)
     # dihedral(6): the identity is the universal block; without it, the
     # rotation classes of orders 6, 3 and 2 form one component and each of
-    # the 6 reflections is its own
+    # the 6 reflections is its own.  The 6 reflection components have the
+    # same 1 x 1 matrix, whose determinant is taken once
     g = power_graph(build_group(GroupSpec.parse("dihedral:6")))
     spec = twin_quotient(g)
     assert spec.k == 10
     assert F.kappa_quotient(spec).value() == kappa_matrix_tree(g) == 540
-    assert sorted(calls) == [1] * 6 + [3]
+    assert sorted(calls) == [1, 3]
+
+
+@pytest.mark.parametrize(
+    "text",
+    [f"dihedral:{n}" for n in range(3, 41)] + ["frobenius:3:13", "psl2:7:1", "elementary:3:3"],
+)
+def test_quotient_equals_the_oracle_on_groups_with_equal_components(text):
+    # the reflections, the conjugate subgroups and the lines are components
+    # that repeat; each distinct matrix is taken once
+    g = power_graph(build_group(GroupSpec.parse(text)))
+    assert F.kappa_quotient(twin_quotient(g)).value() == kappa_matrix_tree(g)
+
+
+def test_quotient_tells_apart_components_with_the_same_sizes_and_degrees():
+    # a universal block joined to K(3,3) and to the triangular prism: both
+    # components are 3-regular on six blocks of the same sizes, so every
+    # (x_i, m_i) agrees, but their matrices and determinants differ
+    k33 = [(a, b) for a in (1, 2, 3) for b in (4, 5, 6)]
+    prism = [(7, 8), (8, 9), (7, 9), (10, 11), (11, 12), (10, 12), (7, 10), (8, 11), (9, 12)]
+    base = SimpleGraph(13, [(0, v) for v in range(1, 13)] + k33 + prism)
+    for sizes in ((1,) * 13, (3,) + (2,) * 12):
+        spec = CliqueReplacedSpec(base, sizes)
+        assert F.kappa_quotient(spec).value() == kappa_matrix_tree(clique_replaced(spec))
 
 
 def test_path_closed_form_audited_values():

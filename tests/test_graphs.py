@@ -19,6 +19,7 @@ from powertrees.graphs import (
 from powertrees.groups import GroupSpec, build_group, power_graph
 from powertrees.numth import divisors_desc, euler_phi
 from powertrees.spectra import expr_to_graph, parse_expr
+from powertrees.verify import connected_labeled_graphs
 
 
 def random_graph(rng, n):
@@ -161,6 +162,33 @@ def test_clique_replaced_matches_cyclic_power_graph():
         assert new == n
         remapped = SimpleGraph(n, [(mapping[u], mapping[v]) for u, v in pg.edges()])
         assert remapped == expanded
+
+
+def edge_list_clique_replaced(spec):
+    """clique_replaced built from one edge per vertex pair, for comparison."""
+    starts = [0]
+    for x in spec.sizes:
+        starts.append(starts[-1] + x)
+    edges = []
+    for i in range(spec.k):
+        block = range(starts[i], starts[i + 1])
+        edges.extend((a, b) for a in block for b in block if a < b)
+        for j in spec.base.adj[i]:
+            if j > i:
+                edges.extend((a, b) for a in block for b in range(starts[j], starts[j + 1]))
+    labels = [f"{spec.base.label(i)}.{t}" for i in range(spec.k) for t in range(spec.sizes[i])]
+    return SimpleGraph(starts[-1], edges, labels)
+
+
+def test_clique_replaced_equals_the_edge_list_expansion():
+    rng = random.Random(23)
+    for k in range(1, 5):
+        for base in connected_labeled_graphs(k):
+            for _ in range(3):
+                spec = CliqueReplacedSpec(base, tuple(rng.randint(1, 4) for _ in range(k)))
+                g, expected = clique_replaced(spec), edge_list_clique_replaced(spec)
+                assert g == expected, spec
+                assert (g.labels, g.edge_count) == (expected.labels, expected.edge_count)
 
 
 def test_clique_replaced_spec_validation():

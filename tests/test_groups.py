@@ -6,7 +6,13 @@ import pytest
 from powertrees import formulas, verify
 from powertrees.gf import Gf
 from powertrees.formulas import kappa_clique_replaced_formula, kappa_quotient
-from powertrees.graphs import clique_replaced, complete_graph, twin_quotient, universal_vertices
+from powertrees.graphs import (
+    SimpleGraph,
+    clique_replaced,
+    complete_graph,
+    twin_quotient,
+    universal_vertices,
+)
 from powertrees.groups import (
     FAMILIES,
     GroupConstructionError,
@@ -269,6 +275,39 @@ def test_twin_quotient_of_the_power_graph(text):
 def test_twin_quotient_of_a_table_group(tmp_path):
     path = write_table(tmp_path, cayley_table(build("dihedral:6")))
     _check_twin_quotient(build_group(GroupSpec.parse(f"table:{path}")))
+
+
+def _edge_list_power_graph(g):
+    return SimpleGraph(
+        g.order,
+        [(u, v) for u, c in enumerate(g.cyclic_subgroups) for v in c if v != u],
+        g.element_names,
+    )
+
+
+def _check_power_graph(g):
+    pg, expected = power_graph(g), _edge_list_power_graph(g)
+    assert pg == expected
+    assert pg.labels == expected.labels
+    assert pg.edge_count == expected.edge_count
+
+
+@pytest.mark.parametrize(
+    "text",
+    [text for text, _ in ADVERTISED]
+    + ["cyclic:1", "cyclic:2", "cyclic:30", "elementary:2:1", "elementary:2:4", "dihedral:2",
+       "dihedral:15", "quaternion:5", "heisenberg:5", "extraspecial:5", "psl2:2:3", "psl2:3:2",
+       "frobenius:2:5", "frobenius:5:11"],
+)
+def test_power_graph_equals_the_edge_list_construction(text):
+    # one closed neighbourhood per cyclic subgroup against one edge per
+    # element of each <u>
+    _check_power_graph(build(text))
+
+
+def test_power_graph_of_a_table_group_equals_the_edge_list_construction(tmp_path):
+    path = write_table(tmp_path, cayley_table(build("frobenius:3:7")))
+    _check_power_graph(build_group(GroupSpec.parse(f"table:{path}")))
 
 
 # --- EPO classification ---

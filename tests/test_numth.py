@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -131,3 +132,22 @@ def test_factored_ratio_of_one_det_equals_trial_division_of_the_value():
         det = den * rng.randint(1, 10**6) * rng.choice(big)
         value = num * det // den
         assert factored_ratio(powers, [det], n) == FactoredNat.from_int(value, max(n, 1000))
+
+
+def test_factored_ratio_with_repeated_determinants():
+    # fully factored below the bound: the same as factoring the product
+    dets = [12, 35, 12, 2**10 * 997, 35, 12]
+    assert factored_ratio({}, dets, 10) == FactoredNat.from_int(math.prod(dets))
+    powers = {6: 3, 35: -2, 4: -1}
+    assert factored_ratio(powers, dets, 10) == FactoredNat.from_int(
+        math.prod(dets) * 6**3 // (35**2 * 4)
+    )
+    # a composite cofactor beyond the bound is raised to its count, and each
+    # det's cofactor is certified on its own, as if the dets were distinct
+    big = 1009 * 1013 * 4
+    got = factored_ratio({}, [big, 3, big, big], 10)
+    assert got == FactoredNat(((2, 6), (3, 1)), (1009 * 1013) ** 3)
+    assert got == product([FactoredNat.from_int(d) for d in (big, 3, big, big)])
+    assert factored_ratio({}, [2018] * 3, 10) == FactoredNat(((2, 3), (1009, 3)))
+    with pytest.raises(InternalConsistencyError):
+        factored_ratio({}, [4, 0, 4], 10)

@@ -231,6 +231,38 @@ def test_parse_expr_errors():
             parse_expr(bad)
 
 
+def parse_error(text):
+    with pytest.raises(ValueError) as info:
+        parse_expr(text)
+    return str(info.value)
+
+
+# a position is the character offset of the token in the text, spaces counted
+
+
+def test_parse_error_position_of_a_zero_count():
+    assert parse_error("K(12)*0#K(2)") == "c#x needs c >= 1, at position 6 in 'K(12)*0#K(2)'"
+    assert parse_error("K(1) *  2#0#K(2)").startswith("c#x needs c >= 1, at position 8 ")
+
+
+def test_parse_error_position_of_an_expected_token():
+    assert parse_error("K( )") == "expected int at position 3 in 'K( )'"
+    assert parse_error("K(1)*2 K(1)") == "expected hash at position 7 in 'K(1)*2 K(1)'"
+    # past the last token, the position is the length of the text
+    assert parse_error("K(1)*2 ") == "expected hash at position 7 in 'K(1)*2 '"
+
+
+def test_parse_error_position_of_too_deep_nesting():
+    text = " " + "(" * (MAX_DEPTH + 1) + "K(1)" + ")" * (MAX_DEPTH + 1)
+    expected = f"parentheses nested more than {MAX_DEPTH} deep at position {MAX_DEPTH + 1}"
+    assert parse_error(text) == expected
+
+
+def test_parse_error_position_of_trailing_input():
+    assert parse_error("K(1)  K(2)") == "trailing input at position 6 in 'K(1)  K(2)'"
+    assert parse_error("(K(1)))") == "trailing input at position 6 in '(K(1)))'"
+
+
 def test_expr_str_reparses():
     # a right-hand operand of the same operator must be parenthesised
     for expr in (
@@ -273,6 +305,39 @@ def test_expr_to_graph_builds_one_graph(monkeypatch):
         built.clear()
         expr_to_graph(parse_expr(text))
         assert len(built) == 1, text
+
+
+def edge_list_expr_graph(expr):
+    """expr_to_graph built from one edge per vertex pair, for comparison: a
+    clique's interval is complete, and a join joins each part's interval to
+    the parts before it."""
+    edges = []
+
+    def lay_out(node, start):
+        if isinstance(node, Clique):
+            leaf = range(start, start + node.size)
+            edges.extend((a, b) for a in leaf for b in leaf if a < b)
+            return
+        lo = start
+        for part in node.parts:
+            lay_out(part, lo)
+            if isinstance(node, Join):
+                edges.extend((a, b) for a in range(start, lo) for b in range(lo, lo + part.n))
+            lo += part.n
+
+    lay_out(expr, 0)
+    return SimpleGraph(expr.n, edges)
+
+
+def test_expr_to_graph_equals_the_edge_list_construction():
+    rng = random.Random(29)
+    exprs = [family_expr(GroupSpec.parse(t)) for t in V._CATALOG_EXPR_SPECS]
+    exprs += [_random_expr(rng, rng.randint(1, 25)) for _ in range(2000)]
+    exprs.append(parse_expr("4000#K(1)*K(1)"))
+    for expr in exprs:
+        g, expected = expr_to_graph(expr), edge_list_expr_graph(expr)
+        assert g == expected, str(expr)
+        assert g.edge_count == expected.edge_count and g.labels is None
 
 
 def test_char_poly_is_the_product_over_the_spectrum():
