@@ -27,7 +27,8 @@ explicit bound replaces both: the whole kappa is trial-divided up to it on
 every route.
 
 Exit codes: 0 success, 1 verification mismatch, 2 usage error, 3 internal
-consistency assertion.  KAPPA_SEED fixes the randomized-case seed for verify.
+consistency assertion, 4 a number beyond the certified primality range.
+KAPPA_SEED fixes the randomized-case seed for verify.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ from .groups import (
     power_graph,
 )
 from .linalg import InternalConsistencyError, kappa_matrix_tree
-from .numth import FactoredNat, divisors_desc
+from .numth import FactoredNat, PrimalityRangeError, divisors_desc
 from .spectra import expr_to_graph, kappa_from_spectrum, parse_expr, spectrum, universal_count
 
 
@@ -391,6 +392,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
+    except PrimalityRangeError as exc:
+        print(f"error: beyond the certified range: {exc}", file=sys.stderr)
+        return 4
     except (ValueError, OSError) as exc:  # UsageError, GroupConstructionError included
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -304,21 +304,23 @@ def parse_expr(text: str) -> CliqueExpr:
             take("op")
             node = parse_union(depth + 1)
             if peek() != ("op", ")"):
-                raise ValueError(f"missing ')' in {text!r}")
+                raise ValueError(f"missing ')' at position {offsets[pos]} in {text!r}")
             take("op")
         elif tok[0] == "K":
             take("K")
             if peek() != ("op", "("):
-                raise ValueError(f"K must be followed by (n) in {text!r}")
+                raise ValueError(
+                    f"K must be followed by (n) at position {offsets[pos]} in {text!r}"
+                )
             take("op")
             node = Clique(take("int"))
             if peek() != ("op", ")"):
-                raise ValueError(f"missing ')' after K( in {text!r}")
+                raise ValueError(f"missing ')' after K( at position {offsets[pos]} in {text!r}")
             take("op")
         elif tok[0] is None:
-            raise ValueError(f"unexpected end of expression in {text!r}")
+            raise ValueError(f"unexpected end of expression at position {offsets[pos]} in {text!r}")
         else:
-            raise ValueError(f"unexpected token {tok} in {text!r}")
+            raise ValueError(f"unexpected token {tok[1]!r} at position {offsets[pos]} in {text!r}")
         if count != 1:
             copied += count * (len(node.parts) if isinstance(node, Union) else 1)
             if copied > MAX_COPIES:
@@ -358,6 +360,6 @@ def _tokenize(text: str):
             tokens.append(("K", "K"))
             i += 1
         else:
-            raise ValueError(f"bad character {ch!r} in expression {text!r}")
+            raise ValueError(f"bad character {ch!r} at position {i} in expression {text!r}")
     offsets.append(len(text))
     return tokens, offsets

@@ -6,10 +6,12 @@ det(J+L)/n^2 where the oracle's reduction at the universal vertices makes a
 claim hold by construction).  The group families' closed forms are read
 through the registry (`groups.FAMILIES`) into one audit table, `_AUDITS`,
 whose rows may also pin a value.  A claimed integer Laplacian spectrum is
-proved by exact ranks: L is symmetric, so each eigenvalue's multiplicity is
-n - rank(L - mu*I).  Reports are deterministic for a fixed seed: no timings,
-case lines sorted by name.  Large randomized sweeps aggregate into a single
-line; the named constant regressions print both values.
+proved exactly: L is symmetric, so each eigenvalue's multiplicity is
+n - rank(L - mu*I).  That of 0 is the component count, and tr L and tr L^2
+stand in for the costliest rank.  Reports are deterministic for a fixed
+seed: no timings, case lines sorted by name.  Large randomized sweeps
+aggregate into a single line; the named constant regressions print both
+values.
 """
 
 from __future__ import annotations
@@ -405,25 +407,52 @@ def _spectrum_exprs(seed: int) -> list:
 def spectrum_mismatch(g: SimpleGraph, spec) -> str:
     """Why spec is not the Laplacian spectrum of g, or '' when it is proved.
 
-    L is symmetric, so each eigenvalue's multiplicity is its nullity
-    n - rank(L - mu*I).  Distinct claimed eigenvalues whose nullities equal
-    their claimed multiplicities, which sum to n, leave no room for any other
-    eigenvalue, so the spectrum is exact.
+    The claimed values are distinct and their multiplicities sum to n.  L is
+    symmetric, so an eigenvalue's multiplicity is its nullity n - rank(L -
+    mu*I).  The nullity of L itself is the number of components, so 0 takes
+    no rank.  Let mu* be the nonzero claimed value of least multiplicity r
+    (L - mu*I has the largest rank); every other nonzero value is proved by
+    its exact rank.  The r eigenvalues left are then real, none of them a
+    proved value, and they sum to s1 = tr L less the proved ones and their
+    squares to s2 = tr L^2 less theirs, where tr L = sum deg and tr L^2 =
+    sum deg*(deg+1).  Both must equal r*mu* and r*mu*^2, and then the sum
+    of (nu - mu*)^2 over them, s2 - 2*mu*s1 + r*mu*^2, is 0: each one is
+    mu*.  So d distinct claimed values take d - 2 ranks, none for two.
     """
     if spec.n != g.n:
         return f"spectrum claims {spec.n} eigenvalues for {g.n} vertices"
-    for mu, mult in spec.pairs:
+    zeros = len(components(g.adj, set(range(g.n))))
+    if spec.multiplicity(0) != zeros:
+        return f"nullity of L - 0I is {zeros}, spectrum claims {spec.multiplicity(0)}"
+    nonzero = [pair for pair in spec.pairs if pair[0]]
+    if not nonzero:
+        return ""
+    mu_star, r = min(nonzero, key=lambda pair: pair[1])
+    degrees = list(map(len, g.adj))
+    s1 = sum(degrees)
+    s2 = sum(d * (d + 1) for d in degrees)
+    for mu, mult in nonzero:
+        if mu == mu_star:
+            continue
         nullity = laplacian_nullity(g, mu)
         if nullity != mult:
             return f"nullity of L - {mu}I is {nullity}, spectrum claims {mult}"
+        s1 -= mu * mult
+        s2 -= mu * mu * mult
+    if s1 != r * mu_star or s2 != r * mu_star * mu_star:
+        return (
+            f"nullity of L - {mu_star}I is not {r}: the {r} eigenvalues left "
+            f"sum to {s1} and their squares to {s2}"
+        )
     return ""
 
 
 def cases_spectrum_charpoly(seed: int) -> list[CaseResult]:
     """spectrum(e) is the Laplacian spectrum of the realized graph, proved by
-    one exact rank per distinct claimed eigenvalue (see `spectrum_mismatch`),
-    and it gives the same spanning-tree count as the determinant; catalog
-    expressions plus seeded random ones."""
+    the component count for 0, tr L and tr L^2 for the nonzero value of least
+    multiplicity and one exact rank for each other value (see
+    `spectrum_mismatch`), and it gives the same spanning-tree count as the
+    determinant; catalog expressions plus seeded random ones."""
     exprs = _spectrum_exprs(seed)
     failures = []
     for i, expr in enumerate(exprs):

@@ -569,3 +569,14 @@ def test_expr_with_zero_copies_is_a_usage_error(capsys, target):
 def test_expr_beyond_the_parser_bounds_is_a_usage_error(capsys, target):
     code, out, err = run(capsys, "kappa", "expr", target)
     assert code == 2 and out == "" and len(err.splitlines()) == 1
+
+
+def test_a_prime_beyond_the_certified_range_exits_4(capsys):
+    # q lies past the deterministic Miller-Rabin bound, so its primality
+    # cannot be certified
+    code, out, err = run(capsys, "kappa", "group", "psl2:3317044064679887385961987:1")
+    assert code == 4 and out == ""
+    assert err == (
+        "error: beyond the certified range: cannot certify primality of "
+        "3317044064679887385961987: out of deterministic range\n"
+    )

@@ -263,6 +263,33 @@ def test_parse_error_position_of_trailing_input():
     assert parse_error("(K(1)))") == "trailing input at position 6 in '(K(1)))'"
 
 
+def test_parse_error_position_of_a_bad_character():
+    assert parse_error("K(1)*x") == "bad character 'x' at position 5 in expression 'K(1)*x'"
+
+
+def test_parse_error_position_of_an_unexpected_token():
+    # the token's text, not the tokenizer's tuple
+    assert parse_error("K(1)*)") == "unexpected token ')' at position 5 in 'K(1)*)'"
+    assert parse_error(" #K(2)") == "unexpected token '#' at position 1 in ' #K(2)'"
+
+
+def test_parse_error_position_of_a_missing_parenthesis():
+    assert parse_error("(K(1)+K(2) K(3)") == "missing ')' at position 11 in '(K(1)+K(2) K(3)'"
+    assert parse_error("(K(1) ") == "missing ')' at position 6 in '(K(1) '"
+
+
+def test_parse_error_position_of_a_missing_parenthesis_after_k():
+    assert parse_error("K(3 +K(1)") == "missing ')' after K( at position 4 in 'K(3 +K(1)'"
+
+
+def test_parse_error_position_of_k_without_its_size():
+    assert parse_error("K(1)+K 3") == "K must be followed by (n) at position 7 in 'K(1)+K 3'"
+
+
+def test_parse_error_position_of_an_early_end():
+    assert parse_error("K(1)+ ") == "unexpected end of expression at position 6 in 'K(1)+ '"
+
+
 def test_expr_str_reparses():
     # a right-hand operand of the same operator must be parenthesised
     for expr in (
@@ -435,3 +462,86 @@ def test_spectrum_suite_fails_on_a_moved_multiplicity(monkeypatch):
         [result] = V.cases_spectrum_charpoly(7)
         assert result.name == "spectrum-vs-charpoly-suite"
         assert not result.ok and why in result.detail
+
+
+def count_ranks(monkeypatch):
+    """A list that gets the mu of every exact rank spectrum_mismatch takes."""
+    shifts = []
+    real = linalg.laplacian_nullity
+
+    def recorded(g, mu):
+        shifts.append(mu)
+        return real(g, mu)
+
+    monkeypatch.setattr(V, "laplacian_nullity", recorded)
+    return shifts
+
+
+def test_spectrum_proof_takes_at_most_d_minus_2_ranks(monkeypatch):
+    calls = []
+    real = linalg.rank_bareiss
+
+    def counted(m):
+        calls.append(m.rows)
+        return real(m)
+
+    monkeypatch.setattr(linalg, "rank_bareiss", counted)
+    for expr in V._spectrum_exprs(1):
+        calls.clear()
+        spec = spectrum(expr)
+        assert V.spectrum_mismatch(expr_to_graph(expr), spec) == ""
+        assert len(calls) <= max(len(spec.pairs) - 2, 0)
+    # two distinct eigenvalues take no rank at all
+    calls.clear()
+    assert V.spectrum_mismatch(complete_graph(5), spectrum(Clique(5))) == ""
+    assert calls == []
+
+
+def test_spectrum_proof_reads_zero_from_the_components(monkeypatch):
+    shifts = count_ranks(monkeypatch)
+    g = expr_to_graph(parse_expr("K(3)+K(2)+K(1)"))
+    spec = spectrum(parse_expr("K(3)+K(2)+K(1)"))
+    assert spec == IntSpectrum(((3, 2), (2, 1), (0, 3)))
+    assert V.spectrum_mismatch(g, spec) == ""
+    # 2 has the least multiplicity, so only L - 3I is ranked
+    assert shifts == [3]
+    shifts.clear()
+    one_zero = IntSpectrum(((3, 2), (2, 3), (0, 1)))
+    assert V.spectrum_mismatch(g, one_zero) == "nullity of L - 0I is 3, spectrum claims 1"
+    assert shifts == []
+    # a claim without 0 fails too
+    no_zero = IntSpectrum(((3, 2), (2, 3), (1, 1)))
+    assert V.spectrum_mismatch(g, no_zero) == "nullity of L - 0I is 3, spectrum claims 0"
+
+
+def test_spectrum_proof_rejects_a_trace_preserving_split(monkeypatch):
+    # one unit of mu* each to mu*-1 and mu*+1 keeps n and tr L
+    monkeypatch.setattr(linalg, "rank_bareiss", functools.cache(linalg.rank_bareiss))
+    split = 0
+    for expr in V._spectrum_exprs(1):
+        g = expr_to_graph(expr)
+        spec = spectrum(expr)
+        nonzero = [pair for pair in spec.pairs if pair[0]]
+        if not nonzero:
+            continue
+        last, r = min(nonzero, key=lambda pair: pair[1])
+        if r < 2:
+            continue
+        bad = moved_unit(moved_unit(spec, last, last - 1), last, last + 1)
+        assert bad.n == spec.n and bad.eigenvalue_sum() == spec.eigenvalue_sum()
+        assert "nullity" in V.spectrum_mismatch(g, bad)
+        split += 1
+    assert split > 50
+
+
+def test_spectrum_proof_catches_a_merge_by_the_square_trace(monkeypatch):
+    # the path 0-1-2 has spectrum {3, 1, 0}; {2^2, 0} has its n, its
+    # component count and its trace, and takes no rank, so only tr L^2
+    # (10, not 2 * 2^2) rejects it
+    shifts = count_ranks(monkeypatch)
+    g = expr_to_graph(parse_expr("K(1)*(K(1)+K(1))"))
+    assert spectrum(parse_expr("K(1)*(K(1)+K(1))")) == IntSpectrum(((3, 1), (1, 1), (0, 1)))
+    why = V.spectrum_mismatch(g, IntSpectrum(((2, 2), (0, 1))))
+    left = "the 2 eigenvalues left sum to 4 and their squares to 10"
+    assert why == f"nullity of L - 2I is not 2: {left}"
+    assert shifts == []
