@@ -4,27 +4,23 @@
     powertrees verify {quick,full} [--jobs K]
     powertrees export {group,graph,expr,zn,replaced} TARGET --format {dot,edges,json}
 
-Methods: `matrix-tree` is the determinant oracle on the explicit graph: it
-peels the universal vertices off the graph, then off each remaining
-component, level by level, and takes one determinant per component left
-without a universal vertex that is not a clique (per component of the graph
-without a maximum-degree vertex, if the graph has no universal vertex at
-all).  `quotient` counts a clique spec by one determinant per component of
-its weighted base (formulas.kappa_quotient): a zn or replaced spec as
-loaded, a group or graph through its graph's closed-twin quotient.
-`formula` is a group family's closed form, or the one-determinant
-clique-replaced formula for zn and replaced; `spectrum` evaluates a clique
-expression's Laplacian spectrum.  `auto` takes the family's closed form when
-it has one, else `quotient`; `spectrum` for expr and `formula` for zn and
-replaced.  matrix-tree runs only on request.  The contraction matrix
-(formulas.smatrix) is no route, only an audited claim.
+Methods, each a row of `ROUTES`: `matrix-tree` is the determinant oracle on
+the explicit graph (linalg.kappa_matrix_tree peels its universal vertices off
+level by level and takes one determinant per non-clique component left).
+`quotient` counts a clique spec by one determinant per component of its
+weighted base (formulas.kappa_quotient): a zn or replaced spec as loaded, a
+group or graph through its graph's closed-twin quotient.  `formula` is a
+group family's closed form (cyclic:n for zn n), or the one-determinant
+clique-replaced formula for replaced; `spectrum` evaluates a clique
+expression's Laplacian spectrum.  `auto` takes `formula` where the target has
+it, else `quotient`, else `spectrum` (expr); matrix-tree is a route like the
+others that auto never picks.  The contraction matrix (formulas.smatrix) is
+no route, only an audited claim.
 
-Factoring follows one rule.  With no `--factor-bound`, every prime of the
-small bases of kappa (block sizes, m_i, eigenvalues, n) is certified and each
-determinant is trial-divided up to max(n, 1000), n the vertex count; the
-matrix-tree route trial-divides its whole kappa up to that bound.  An
-explicit bound replaces both: the whole kappa is trial-divided up to it on
-every route.
+Factoring follows one rule on every route: every prime of the small bases of
+kappa (block sizes, m_i, eigenvalues, n) is certified, and each determinant is
+trial-divided up to max(n, 1000), n the vertex count.  The oracle knows no
+bases, so its determinant is its whole kappa.
 
 Exit codes: 0 success, 1 verification mismatch, 2 usage error, 3 internal
 consistency assertion, 4 a number beyond the certified primality range.
@@ -80,7 +76,6 @@ class Request:
     sizes: tuple[int, ...] | None
     method: str
     output: str
-    factor_bound: int | None
 
 
 @dataclass(frozen=True)
@@ -109,23 +104,31 @@ class ResultRecord:
         )
 
 
-def _load_target(req: Request, group_spec: GroupSpec | None = None):
-    """Resolve the request target: a group target is its power graph (the
-    spec parsed here unless given), since every route that loads a group
-    needs it; a graph target is its graph, an expr target its expression and
-    a zn or replaced target its clique spec, which quotient counts as it is
-    and only matrix-tree and export expand (_expand), at up to n^2 edges.  A
-    zn spec is not loaded on formula: there the family's `counts` are read."""
+def _family_spec(req: Request) -> GroupSpec | None:
+    """A group target's family spec, cyclic:n for zn n, None for other kinds."""
+    if req.kind == "group":
+        return GroupSpec.parse(req.target)
+    if req.kind == "zn":
+        return GroupSpec("cyclic", (_zn_order(req.target),))
+    return None
+
+
+def _load_target(req: Request, spec: GroupSpec | None):
+    """Resolve the request target: a group target is its power graph, since
+    every route that loads a group needs it; a graph target is its graph, an
+    expr target its expression and a zn or replaced target its clique spec,
+    which quotient counts as it is and only matrix-tree and export expand
+    (_expand), at up to n^2 edges.  spec is the target's family spec."""
     kind = req.kind
     if kind == "group":
-        return power_graph(build_group(group_spec or GroupSpec.parse(req.target)))
+        return power_graph(build_group(spec))
     if kind == "graph":
         with open(req.target, "r", encoding="utf-8") as fh:
             return from_edge_list_text(fh.read())
     if kind == "expr":
         return parse_expr(req.target)
     if kind == "zn":
-        return F.divisor_clique_spec(_zn_order(req.target))
+        return F.divisor_clique_spec(*spec.params)
     if kind == "replaced":
         if not req.sizes:
             raise UsageError("replaced targets need --sizes x1,x2,...")
@@ -159,6 +162,11 @@ def _vertex_counts(target) -> tuple[int, int]:
     return target.n, universal_count(target)
 
 
+def _matrix_tree(target, _) -> FactoredNat:
+    g = _expand(target)
+    return FactoredNat.from_int(kappa_matrix_tree(g), max(g.n, 1000))
+
+
 def _quotient(target: SimpleGraph | CliqueReplacedSpec, _) -> FactoredNat:
     if isinstance(target, CliqueReplacedSpec):
         return F.kappa_quotient(target)
@@ -166,21 +174,27 @@ def _quotient(target: SimpleGraph | CliqueReplacedSpec, _) -> FactoredNat:
     return F.kappa_quotient(twin_quotient(target)) if connected else FactoredNat.zero()
 
 
-# Each target kind's routes besides the matrix-tree oracle, which every kind
-# has first, in the order a usage error lists them.  A route takes the loaded
-# target (a group's power graph on quotient; None where the counts come from
-# the family) and the target's family spec (cyclic:n for zn n).  A group has
-# formula only with its family's closed form, spectrum only with its clique form.
+def _closed_form(_, spec: GroupSpec) -> FactoredNat:
+    return FAMILIES[spec.family].closed_form(*spec.params)
+
+
+# Each target kind's routes, in the order a usage error lists them, the
+# matrix-tree oracle first.  A route takes the loaded target (a group's power
+# graph; None where the counts come from the family) and the target's family
+# spec.  A group has formula only with its family's closed form, spectrum only
+# with its clique form.
 ROUTES = {
     "group": {
+        "matrix-tree": _matrix_tree,
         "quotient": _quotient,
-        "formula": lambda _, spec: FAMILIES[spec.family].closed_form(*spec.params),
+        "formula": _closed_form,
         "spectrum": lambda _, spec: kappa_from_spectrum(spectrum(family_expr(spec))),
     },
-    "graph": {"quotient": _quotient},
-    "expr": {"spectrum": lambda expr, _: kappa_from_spectrum(spectrum(expr))},
-    "zn": {"quotient": _quotient, "formula": lambda _, spec: F.kappa_cyclic(*spec.params)},
+    "graph": {"matrix-tree": _matrix_tree, "quotient": _quotient},
+    "expr": {"matrix-tree": _matrix_tree, "spectrum": lambda e, _: kappa_from_spectrum(spectrum(e))},
+    "zn": {"matrix-tree": _matrix_tree, "quotient": _quotient, "formula": _closed_form},
     "replaced": {
+        "matrix-tree": _matrix_tree,
         "quotient": _quotient,
         "formula": lambda spec, _: F.kappa_clique_replaced_formula(spec),
     },
@@ -190,35 +204,21 @@ AUTO = ("formula", "quotient", "spectrum")  # auto: the first of these a target 
 
 def compute_kappa(req: Request) -> ResultRecord:
     start = time.perf_counter()
-    bound = req.factor_bound
-    if bound is not None and bound < 2:
-        raise UsageError(f"--factor-bound must be >= 2, got {bound}")
-    group_spec = GroupSpec.parse(req.target) if req.kind == "group" else None
+    spec = _family_spec(req)
     routes = ROUTES[req.kind]
-    if group_spec:
-        family = FAMILIES[group_spec.family]
+    if spec:
+        family = FAMILIES[spec.family]
         absent = {"formula": not family.closed_form, "spectrum": not family.clique_expr}
         routes = {m: route for m, route in routes.items() if not absent.get(m)}
-    method = req.method
-    if method == "auto":
-        method = next(m for m in AUTO if m in routes)
-    elif method != "matrix-tree" and method not in routes:
-        valid = ", ".join(["auto", "matrix-tree", *routes])
+    method = next(m for m in AUTO if m in routes) if req.method == "auto" else req.method
+    if method not in routes:
+        valid = ", ".join(["auto", *routes])
         raise UsageError(f"method {method!r} not valid for this target; valid: {valid}")
-    if req.kind == "zn" and method == "formula":
-        group_spec = GroupSpec("cyclic", (_zn_order(req.target),))
-    # formula and spectrum read a family's counts; on a group the others need its graph
-    counts = method in ("formula", "spectrum") and group_spec and FAMILIES[group_spec.family].counts
-    target = None if counts else _load_target(req, group_spec)  # counts: nothing to build
-    if method == "matrix-tree":  # the oracle's whole kappa, trial-divided once
-        target = _expand(target)  # the counts below then come from the graph
-        bound = max(target.n, 1000) if bound is None else bound
-        kappa = FactoredNat.from_int(kappa_matrix_tree(target), bound)
-    else:
-        kappa = routes[method](target, group_spec)
-        if bound is not None:  # one rule on every route: refactor the whole kappa
-            kappa = FactoredNat.from_int(kappa.value(), bound)
-    vertex_count, universal = counts(*group_spec.params) if counts else _vertex_counts(target)
+    # formula and spectrum read a family's counts; the other routes load the target
+    counts = method in ("formula", "spectrum") and spec and FAMILIES[spec.family].counts
+    target = None if counts else _load_target(req, spec)
+    kappa = routes[method](target, spec)
+    vertex_count, universal = counts(*spec.params) if counts else _vertex_counts(target)
     elapsed = (time.perf_counter() - start) * 1000.0
     return ResultRecord(
         input=f"{req.kind} {req.target}" + (f" sizes={','.join(map(str, req.sizes))}" if req.sizes else ""),
@@ -268,7 +268,6 @@ def cmd_kappa(args) -> int:
         sizes=_parse_sizes(args.kind, args.sizes),
         method=args.method,
         output=args.output,
-        factor_bound=args.factor_bound,
     )
     record = compute_kappa(req)
     print(_emit_record(record, req.output))
@@ -312,11 +311,11 @@ def _graph_json(g: SimpleGraph) -> str:
 
 def cmd_export(args) -> int:
     sizes = _parse_sizes(args.kind, args.sizes)
-    req = Request(args.kind, args.target, sizes, "auto", "decimal", None)
+    req = Request(args.kind, args.target, sizes, "auto", "decimal")
     if args.format == "json" and args.kind == "zn":
         text = _zn_description(_zn_order(args.target))
     else:
-        graph = _expand(_load_target(req))
+        graph = _expand(_load_target(req, _family_spec(req)))
         if args.format == "dot":
             text = to_dot(graph)
         elif args.format == "edges":
@@ -347,23 +346,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_kappa.add_argument("target", help=TARGET_HELP)
     p_kappa.add_argument("--sizes", help="comma-separated block sizes for 'replaced'")
     p_kappa.add_argument("--method", choices=METHODS, default="auto",
-                         help="route: matrix-tree (oracle: peels universal vertices off "
-                              "the graph and off each remaining component, and takes one "
-                              "determinant per non-clique component with none; without a "
-                              "universal vertex, one per component of the graph without a "
-                              "max-degree vertex), quotient (one determinant per "
-                              "component of the clique spec's weighted base: a zn or "
-                              "replaced spec as given, a group or graph through its "
-                              "closed-twin blocks), formula or spectrum; auto takes the "
-                              "family's closed form when it has one, else quotient; "
-                              "spectrum for expr and formula for zn and replaced")
+                         help="route: matrix-tree (the determinant oracle on the "
+                              "explicit graph, peeled at its universal vertices), quotient "
+                              "(one determinant per component of the clique spec's weighted "
+                              "base: a zn or replaced spec as given, a group or graph "
+                              "through its closed-twin blocks), formula or spectrum; auto "
+                              "takes formula where the target has it, else quotient, else "
+                              "spectrum.  Every route certifies the primes of the small "
+                              "bases (sizes, degrees, eigenvalues, n) and trial-divides "
+                              "each determinant (the whole kappa on matrix-tree) up to "
+                              "max(n, 1000), n the vertex count")
     p_kappa.add_argument("--output", choices=("decimal", "factored", "json"), default="decimal")
-    p_kappa.add_argument("--factor-bound", type=int, default=None, metavar="N",
-                         help="trial-division bound (at least 2); it factors the whole "
-                              "result on every route.  Without it, every prime of the "
-                              "small bases (sizes, degrees, n) is certified and each "
-                              "determinant (the whole kappa on matrix-tree) is "
-                              "trial-divided up to max(n, 1000), n the vertex count")
     p_kappa.set_defaults(fn=cmd_kappa)
 
     p_verify = sub.add_parser("verify", help="run the formula-vs-oracle suites")

@@ -241,6 +241,7 @@ def expr_to_graph(expr: CliqueExpr) -> graphs.SimpleGraph:
 
 MAX_DEPTH = 100  # parentheses nested deeper than this are a usage error
 MAX_COPIES = 10**6  # union parts that the c#x in one text may expand to
+_TOKEN_NAMES = {"int": "a number", "hash": "'#'"}  # the kinds take() can find missing
 
 
 def parse_expr(text: str) -> CliqueExpr:
@@ -269,7 +270,7 @@ def parse_expr(text: str) -> CliqueExpr:
         nonlocal pos
         tok = peek()
         if tok[0] != kind:
-            raise ValueError(f"expected {kind} at position {offsets[pos]} in {text!r}")
+            raise ValueError(f"expected {_TOKEN_NAMES[kind]} at position {offsets[pos]} in {text!r}")
         pos += 1
         return tok[1]
 

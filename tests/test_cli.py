@@ -21,6 +21,7 @@ from powertrees.graphs import (
 from powertrees.groups import FAMILIES, GroupSpec, build_group, clique_spec, power_graph
 from powertrees.linalg import kappa_matrix_tree
 from powertrees.numth import FactoredNat, is_prime
+from powertrees.spectra import expr_to_graph, parse_expr
 
 
 def run(capsys, *argv):
@@ -134,6 +135,8 @@ def test_unknown_family_error_lists_the_families(capsys):
 
 @pytest.mark.parametrize("bound", ["-4", "0", "1"])
 def test_factor_bound_below_two_is_a_usage_error(capsys, tmp_path, bound):
+    # there is no --factor-bound: every bound, valid or not, is an
+    # unrecognized argument
     base = tmp_path / "edge.txt"
     base.write_text("2\n0 1\n")
     for argv in (
@@ -141,21 +144,31 @@ def test_factor_bound_below_two_is_a_usage_error(capsys, tmp_path, bound):
         ("kappa", "replaced", str(base), "--sizes", "2,3"),
         ("kappa", "replaced", str(base), "--sizes", "2,3", "--method", "quotient"),
     ):
-        code, out, err = run(capsys, *argv, "--factor-bound", bound)
-        assert code == 2 and out == ""
-        assert "--factor-bound" in err
+        for value in (bound, "5"):
+            with pytest.raises(SystemExit) as exc:
+                cli.main([*argv, "--factor-bound", value])
+            out, err = capsys.readouterr()
+            assert exc.value.code == 2 and out == ""
+            assert f"unrecognized arguments: --factor-bound {value}" in err
 
 
 def test_factor_bound_default_and_explicit(capsys, tmp_path):
     base = tmp_path / "edge.txt"
     base.write_text("2\n0 1\n")
-    for extra in ((), ("--factor-bound", "5")):
-        _, out, _ = run(capsys, "kappa", "replaced", str(base), "--sizes", "2,3",
-                        "--output", "factored", *extra)
-        assert out.strip() == "5^3"
+    _, out, _ = run(capsys, "kappa", "replaced", str(base), "--sizes", "2,3",
+                    "--output", "factored")
+    assert out.strip() == "5^3"
     _, out, _ = run(capsys, "kappa", "expr", "K(4)", "--method", "matrix-tree",
                     "--output", "factored")
     assert out.strip() == "2^4"
+
+
+def _factored_value(text):
+    value = 1
+    for part in text.split(" * "):
+        p, _, e = part.partition("^")
+        value *= int(p) ** int(e or 1)
+    return value
 
 
 @pytest.mark.parametrize("kind,target", [
@@ -163,8 +176,9 @@ def test_factor_bound_default_and_explicit(capsys, tmp_path):
     ("group", "heisenberg:3"),
 ])
 def test_factor_bound_applies_to_every_route(capsys, kind, target):
-    # the closed forms factor structurally; under a bound they must print
-    # what the determinant routes print
+    # one factoring rule on every route: the closed forms factor
+    # structurally, the oracle by trial division of its whole kappa, and all
+    # of them print one and the same factored kappa
     if kind == "group":
         methods = valid_methods(capsys, target)
     else:
@@ -172,11 +186,12 @@ def test_factor_bound_applies_to_every_route(capsys, kind, target):
     outputs = set()
     for method in methods:
         code, out, _ = run(capsys, "kappa", kind, target, "--method", method,
-                           "--output", "factored", "--factor-bound", "2")
+                           "--output", "factored")
         assert code == 0
         outputs.add(out.strip())
+    assert len(outputs) == 1
     _, decimal, _ = run(capsys, "kappa", kind, target)
-    assert outputs == {str(FactoredNat.from_int(int(decimal), 2))}
+    assert _factored_value(outputs.pop()) == int(decimal)
 
 
 def test_matrix_tree_factors_its_kappa_once_under_a_bound(capsys, monkeypatch):
@@ -185,17 +200,13 @@ def test_matrix_tree_factors_its_kappa_once_under_a_bound(capsys, monkeypatch):
     monkeypatch.setattr(FactoredNat, "from_int",
                         classmethod(lambda cls, *a: calls.append(a[1:]) or from_int(cls, *a)))
     code, out, _ = run(capsys, "kappa", "group", "psl2:2:2", "--method", "matrix-tree",
-                       "--factor-bound", "50", "--output", "factored")
+                       "--output", "factored")
     assert code == 0 and out.strip() == "3^10 * 5^18"
-    assert calls == [(50,)]
-
-
-def test_factor_bound_controls_residual(capsys):
-    code, out, _ = run(capsys, "kappa", "zn", "6", "--factor-bound", "2", "--output", "json")
-    assert code == 0
-    record = json.loads(out)
-    assert record["kappa_decimal"] == "540"
-    assert record["kappa_factored"] == {"factors": [[2, 2]], "residual": 135}
+    assert calls == [(1000,)]  # max(n, 1000), n = 60
+    calls.clear()
+    code, out, _ = run(capsys, "kappa", "expr", "K(1)*1100#K(1)", "--method", "matrix-tree")
+    assert code == 0 and out.strip() == "1"
+    assert calls == [(1101,)]
 
 
 @pytest.mark.parametrize("command,extra", [
@@ -278,6 +289,14 @@ def test_verify_quick_passes_and_prints_only_its_case_lines(capsys, monkeypatch)
     assert total == f"{len(cases)}/{len(cases)} cases passed"
 
 
+def test_verify_pooled_prints_the_serial_report():
+    from powertrees import verify
+
+    serial = verify.run_suite("quick", seed=0, jobs=1)
+    assert serial[1] == 0
+    assert verify.run_suite("quick", seed=0, jobs=2) == serial
+
+
 def test_cyclic_sweep_reports_its_first_failure(monkeypatch):
     from powertrees import verify
 
@@ -307,10 +326,9 @@ def test_only_graph_routes_expand_group_and_expr_targets(capsys, monkeypatch):
                  for text in ("K(4)", "K(2)*(K(6)+4#K(2))", "K(1)*K(2)+K(3)")
                  for method in ("auto", "spectrum")]
     for kind, target, _ in requests:
-        _, out, _ = run(capsys, "kappa", kind, target, "--method", "matrix-tree",
-                        "--output", "json")
-        record = json.loads(out)
-        expected[kind, target] = (record["vertex_count"], record["universal_count"])
+        graph = (power_graph(build_group(GroupSpec.parse(target))) if kind == "group"
+                 else expr_to_graph(parse_expr(target)))
+        expected[kind, target] = (graph.n, len(universal_vertices(graph)))
     for name in ("power_graph", "expr_to_graph", "clique_replaced"):
         monkeypatch.setattr(cli, name, _no_expansion)
     for kind, target, method in requests:
@@ -354,7 +372,9 @@ def test_smatrix_is_no_method(capsys, kind, target):
 def test_every_route_is_a_method_and_every_method_a_route():
     assert cli.METHODS == ("auto", "matrix-tree", "quotient", "formula", "spectrum")
     routes = {method for row in cli.ROUTES.values() for method in row}
-    assert routes == set(cli.METHODS) - {"auto", "matrix-tree"}
+    assert routes == set(cli.METHODS) - {"auto"}
+    # the oracle leads every row, so a usage error lists it after auto
+    assert all(next(iter(row)) == "matrix-tree" for row in cli.ROUTES.values())
 
 
 def test_vertex_counts_read_the_order_of_a_clique_spec_once(monkeypatch):
@@ -412,7 +432,7 @@ def test_closed_form_and_spectrum_routes_build_no_group(monkeypatch):
         ("group", "heisenberg:31", "spectrum", (29791, 1), F.kappa_heisenberg(31)),
         ("zn", "360", "auto", (360, 97), F.kappa_cyclic(360)),
     ]:
-        record = cli.compute_kappa(cli.Request(kind, target, None, method, "factored", None))
+        record = cli.compute_kappa(cli.Request(kind, target, None, method, "factored"))
         assert (record.vertex_count, record.universal_count) == counts, target
         assert record.kappa == kappa, target
 

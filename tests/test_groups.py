@@ -244,6 +244,18 @@ def test_dihedral_kappa_equals_cyclic_kappa():
 
 def _check_clique_spec(g):
     spec, pg = clique_spec(g), power_graph(g)
+    # the power graph is the blow-up of the spec under the element -> cyclic
+    # subgroup block map (blocks numbered by first element): each block holds
+    # its subgroup's generators, and u ~ v iff their blocks are one or adjacent
+    block = {}
+    member = [block.setdefault(c, len(block)) for c in g.cyclic_subgroups]
+    generators = [[] for _ in block]
+    for u, b in enumerate(member):
+        generators[b].append(u)
+    assert list(spec.sizes) == [len(gens) for gens in generators]
+    for u, b in enumerate(member):
+        closed = {v for c in (b, *spec.base.adj[b]) for v in generators[c]}
+        assert pg.adj[u] | {u} == closed, u
     expanded = clique_replaced(spec)
     assert (expanded.n, expanded.edge_count) == (pg.n, pg.edge_count)
     assert len(universal_vertices(expanded)) == len(universal_vertices(pg))

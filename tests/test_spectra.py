@@ -246,10 +246,10 @@ def test_parse_error_position_of_a_zero_count():
 
 
 def test_parse_error_position_of_an_expected_token():
-    assert parse_error("K( )") == "expected int at position 3 in 'K( )'"
-    assert parse_error("K(1)*2 K(1)") == "expected hash at position 7 in 'K(1)*2 K(1)'"
+    assert parse_error("K( )") == "expected a number at position 3 in 'K( )'"
+    assert parse_error("K(1)*2 K(1)") == "expected '#' at position 7 in 'K(1)*2 K(1)'"
     # past the last token, the position is the length of the text
-    assert parse_error("K(1)*2 ") == "expected hash at position 7 in 'K(1)*2 '"
+    assert parse_error("K(1)*2 ") == "expected '#' at position 7 in 'K(1)*2 '"
 
 
 def test_parse_error_position_of_too_deep_nesting():
