@@ -7,15 +7,15 @@
 Methods, each a row of `ROUTES`: `matrix-tree` is the determinant oracle on
 the explicit graph (linalg.kappa_matrix_tree peels its universal vertices off
 level by level and takes one determinant per non-clique component left).
-`quotient` counts a clique spec by one determinant per component of its
-weighted base (formulas.kappa_quotient): a zn or replaced spec as loaded, a
-group or graph through its graph's closed-twin quotient.  `formula` is a
-group family's closed form (cyclic:n for zn n), or the one-determinant
-clique-replaced formula for replaced; `spectrum` evaluates a clique
-expression's Laplacian spectrum.  `auto` takes `formula` where the target has
-it, else `quotient`, else `spectrum` (expr); matrix-tree is a route like the
-others that auto never picks.  The contraction matrix (formulas.smatrix) is
-no route, only an audited claim.
+`quotient` takes a clique spec's base apart by components and co-components,
+one determinant per distinct prime part (formulas.kappa_quotient): a zn or
+replaced spec as loaded, a group or graph through its graph's closed-twin
+quotient.  `formula` is a group family's closed form (cyclic:n for zn n), or
+the one-determinant clique-replaced formula for replaced; `spectrum`
+evaluates a clique expression's Laplacian spectrum.  `auto` takes `formula`
+where the target has it, else `quotient`, else `spectrum` (expr);
+matrix-tree is a route like the others that auto never picks.  The
+contraction matrix (formulas.smatrix) is no route, only an audited claim.
 
 Factoring follows one rule on every route: every prime of the small bases of
 kappa (block sizes, m_i, eigenvalues, n) is certified, and each determinant is
@@ -170,8 +170,8 @@ def _matrix_tree(target, _) -> FactoredNat:
 def _quotient(target: SimpleGraph | CliqueReplacedSpec, _) -> FactoredNat:
     if isinstance(target, CliqueReplacedSpec):
         return F.kappa_quotient(target)
-    connected = target.is_connected()  # a disconnected graph has no clique spec
-    return F.kappa_quotient(twin_quotient(target)) if connected else FactoredNat.zero()
+    spec = twin_quotient(target)  # None for a disconnected graph
+    return F.kappa_quotient(spec) if spec else FactoredNat.zero()
 
 
 def _closed_form(_, spec: GroupSpec) -> FactoredNat:
@@ -348,14 +348,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_kappa.add_argument("--method", choices=METHODS, default="auto",
                          help="route: matrix-tree (the determinant oracle on the "
                               "explicit graph, peeled at its universal vertices), quotient "
-                              "(one determinant per component of the clique spec's weighted "
-                              "base: a zn or replaced spec as given, a group or graph "
-                              "through its closed-twin blocks), formula or spectrum; auto "
-                              "takes formula where the target has it, else quotient, else "
-                              "spectrum.  Every route certifies the primes of the small "
-                              "bases (sizes, degrees, eigenvalues, n) and trial-divides "
-                              "each determinant (the whole kappa on matrix-tree) up to "
-                              "max(n, 1000), n the vertex count")
+                              "(the clique spec's base split by components and co-components, "
+                              "one determinant per distinct prime part: a zn or replaced spec "
+                              "as given, a group or graph through its closed-twin blocks), "
+                              "formula or spectrum; auto takes formula where the target has "
+                              "it, else quotient, else spectrum.  Every route certifies the "
+                              "primes of the small bases (sizes, degrees, eigenvalues, n) and "
+                              "trial-divides each determinant (the whole kappa on matrix-tree) "
+                              "up to max(n, 1000), n the vertex count")
     p_kappa.add_argument("--output", choices=("decimal", "factored", "json"), default="decimal")
     p_kappa.set_defaults(fn=cmd_kappa)
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import Counter
 from math import gcd
 
-from .graphs import CliqueReplacedSpec, components, divisor_graph
+from .graphs import CliqueReplacedSpec, co_components, components, divisor_graph
 from .linalg import IntMatrix, InternalConsistencyError, det_bareiss
 from .numth import (
     FactoredNat,
@@ -94,42 +94,56 @@ def kappa_clique_replaced_formula(spec: CliqueReplacedSpec) -> FactoredNat:
 
 
 def kappa_quotient(spec: CliqueReplacedSpec) -> FactoredNat:
-    """Exact spanning-tree count of the clique-replaced graph through its
-    blocks: each block j adds x_j - 1 Laplacian eigenvalues m_j, and the rest
-    come from the base Laplacian with edge weights x_i * x_j, so
-
-        kappa = prod m_j**(x_j - 1) * tau_W / prod x_j,
-
-    tau_W a cofactor of that weighted Laplacian.  It is taken at a universal
-    base vertex when there is one (else at vertex 0), and the reduced matrix
-    is block-diagonal over the components of the base without that vertex:
-    tau_W is one determinant per component.  A component's vertices are
-    sorted by (x_i, m_i), a simultaneous row and column permutation that
-    keeps its determinant, so that equal components (the reflections of a
-    dihedral group, the conjugate subgroups of a simple group) give equal
-    rows, and each distinct matrix is taken once.  Factored by
-    factored_ratio: each distinct component determinant is trial-divided up
-    to max(n, 1000) on its own, every prime of m_j and x_j is certified, and
-    the division is checked exact in exponent space.
+    """Exact spanning-tree count of the clique-replaced graph, its base taken
+    apart by components and co-components.  For a connected set T of blocks
+    (h vertices, each with s neighbours outside T), f(T, s) = det L[T] / s,
+    L the Laplacian, is
+    - (x + s)**(x - 1) for one block of x vertices;
+    - (h + s)**(r - 1) * prod t_i**(c_i - 1) * prod f(C, t_i) for r >= 2
+      co-components T_i (n_i vertices, c_i components C, t_i = h - n_i + s);
+    - prod m_j**(x_j - 1) * det Q[T] / s for T prime, Q the base Laplacian
+      with weight x_j on the arc i -> j (block j adds x_j - 1 eigenvalues m_j).
+    kappa = f(V, 0)/n; for a prime V, det(Q + sI)/s at s = 0 is n det Q[V - 0]
+    / x_0, one determinant per component of V - 0.  A cograph base takes
+    none.  Equal components (the reflections of a dihedral group, the
+    conjugate subgroups of a simple group) give equal rows once their blocks
+    are sorted by (x_i, m_i), and are taken apart once.  Factored by
+    factored_ratio, each determinant on its own.
     """
     adj, sizes = spec.base.adj, spec.sizes
     m = [spec.block_degree_plus_one(i) for i in range(spec.k)]
-    root = next((i for i in range(spec.k) if len(adj[i]) == spec.k - 1), 0)
-    taken: dict[tuple, int] = {}
-    dets = []
-    for comp in components(adj, set(range(spec.k)) - {root}):
-        comp.sort(key=lambda i: (sizes[i], m[i]))
-        rows = [[-sizes[i] * sizes[j] * (j in adj[i]) for j in comp] for i in comp]
-        for t, i in enumerate(comp):
-            rows[t][t] = sizes[i] * (m[i] - sizes[i])
-        key = tuple(map(tuple, rows))
-        if key not in taken:
-            taken[key] = _det_int(rows)
-        dets.append(taken[key])
+
+    def rows(c):  # Q[c]
+        return [[m[i] - sizes[i] if i == j else -sizes[j] * (j in adj[i]) for j in c] for i in c]
+
+    def distinct(comps):  # [component, count] per distinct Q[component]
+        found, lengths = {}, Counter(map(len, comps))
+        for comp in comps:
+            comp.sort(key=lambda i: (sizes[i], m[i]))
+            # only components of one length can have equal rows
+            key = tuple(map(tuple, rows(comp))) if lengths[len(comp)] > 1 else len(comp)
+            found.setdefault(key, [comp, 0])[1] += 1
+        return found.values()
+
     powers = Counter()
     for j, x in enumerate(sizes):
         powers[m[j]] += x - 1
-        powers[x] -= 1
+    dets, work = [], [(list(range(spec.k)), 0, 1)]  # (node, s, count)
+    while work:
+        node, s, mult = work.pop()
+        parts = co_components(adj, set(node))
+        if len(parts) == 1:  # prime or one block; at the root, the cofactor over x_0
+            for comp, count in distinct(components(adj, set(node[1:])) if s == 0 else [node]):
+                dets += [_det_int(rows(comp))] * (count * mult)
+            powers[s or sizes[node[0]]] -= mult
+            continue
+        h = s + sum(sizes[i] for i in node)
+        powers[h] += (len(parts) - 1) * mult - (s == 0)  # at the root h = n, and kappa = f/n
+        for part in parts:
+            t = h - sum(sizes[i] for i in part)
+            comps = components(adj, set(part))
+            powers[t] += (len(comps) - 1) * mult
+            work.extend((c, t, mult * count) for c, count in distinct([c for c in comps if len(c) > 1]))
     return factored_ratio(powers, dets, spec.n)
 
 

@@ -8,9 +8,9 @@ is checked edge by edge.  The large builders (clique_replaced, the group
 power graph, a clique expression's graph) know that a whole block of twins
 shares one closed neighbourhood: they form it once per block and pass each
 vertex that set less itself as SimpleGraph's adjacency, with no per-edge
-tuple or check.  `components` is the package's one connected-components
-search: connectivity checks, the matrix-tree peel, the twin quotient's
-cofactor and verify's join-of-cliques signature all split a vertex set by it.
+tuple or check.  `components` and its complement twin `co_components` are
+the package's searches: connectivity checks, the matrix-tree peel and verify's
+join-of-cliques signature split a vertex set by the first, the quotient by both.
 """
 
 from __future__ import annotations
@@ -101,6 +101,20 @@ def components(adj, rest: set) -> list[list[int]]:
     return comps
 
 
+def co_components(adj, rest: set) -> list[list[int]]:
+    """`components` of the complement of the subgraph induced on `rest`.  The
+    unvisited set is rebuilt as it shrinks: a set keeps its table size, and
+    iterating a shrunken one would cost its old size."""
+    comps = []
+    while rest:
+        comp = [rest.pop()]
+        for u in comp:
+            comp.extend(rest - adj[u])
+            rest = rest & adj[u]
+        comps.append(comp)
+    return comps
+
+
 def complete_graph(n: int) -> SimpleGraph:
     return SimpleGraph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
 
@@ -166,18 +180,19 @@ class CliqueReplacedSpec:
         return self.sizes[i] + sum(self.sizes[j] for j in self.base.adj[i])
 
 
-def twin_quotient(g: SimpleGraph) -> CliqueReplacedSpec:
+def twin_quotient(g: SimpleGraph) -> CliqueReplacedSpec | None:
     """The graph as a clique-replaced graph: vertices with the same closed
     neighbourhood form one block (a clique), numbered by first vertex, and
-    two blocks are adjacent iff their vertices are.  g must be connected."""
+    two blocks are adjacent iff their vertices are.  None if g is disconnected."""
     block: dict[frozenset, int] = {}
     member = [block.setdefault(g.adj[v] | {v}, len(block)) for v in range(g.n)]
     sizes = [0] * len(block)
     for b in member:
         sizes[b] += 1
-    # one vertex per block gives all of the block's edges
-    edges = {(b, member[w]) for nb, b in block.items() for w in nb if member[w] != b}
-    return CliqueReplacedSpec(SimpleGraph(len(block), edges), tuple(sizes))
+    # one vertex per block gives all of the block's neighbours
+    adjacency = [frozenset(member[w] for w in nb) - {b} for nb, b in block.items()]
+    base = SimpleGraph(len(block), adjacency=adjacency)
+    return CliqueReplacedSpec(base, tuple(sizes)) if base.is_connected() else None
 
 
 def clique_replaced(spec: CliqueReplacedSpec) -> SimpleGraph:

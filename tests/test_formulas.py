@@ -10,12 +10,20 @@ from powertrees.graphs import (
     CliqueReplacedSpec,
     SimpleGraph,
     clique_replaced,
+    co_components,
     complete_graph,
     path_graph,
     twin_quotient,
     universal_vertices,
 )
-from powertrees.groups import GroupSpec, build_group, epo_class_counts, family_expr, power_graph
+from powertrees.groups import (
+    GroupSpec,
+    build_group,
+    clique_spec,
+    epo_class_counts,
+    family_expr,
+    power_graph,
+)
 from powertrees.linalg import IntMatrix, InternalConsistencyError, det_bareiss, kappa_matrix_tree
 from powertrees.numth import FactoredNat, product
 from powertrees.verify import connected_labeled_graphs
@@ -231,12 +239,14 @@ def test_quotient_matches_the_oracle_on_random_graphs():
         n = rng.randint(1, 10)
         prob = rng.random()
         g = SimpleGraph(n, [(i, j) for i, j in combinations(range(n), 2) if rng.random() < prob])
+        spec = twin_quotient(g)
         connected = g.is_connected()
+        assert (spec is not None) == connected
         seen["n=1"] += n == 1
         seen["disconnected"] += not connected
         seen["no universal vertex"] += connected and not universal_vertices(g)
-        # the route answers 0 for a disconnected graph without building a spec
-        value = F.kappa_quotient(twin_quotient(g)).value() if connected else 0
+        # the route answers 0 for a disconnected graph, which has no spec
+        value = F.kappa_quotient(spec).value() if spec else 0
         assert value == kappa_matrix_tree(g), list(g.edges())
     assert min(seen.values()) >= 100, seen
 
@@ -262,13 +272,22 @@ def test_quotient_value_takes_one_determinant_per_component(monkeypatch):
     monkeypatch.setattr(F, "det_bareiss", counting)
     # dihedral(6): the identity is the universal block; without it, the
     # rotation classes of orders 6, 3 and 2 form one component and each of
-    # the 6 reflections is its own.  The 6 reflection components have the
-    # same 1 x 1 matrix, whose determinant is taken once
+    # the 6 reflections is its own.  Every node of that base is one block or
+    # a join, so no determinant is taken
     g = power_graph(build_group(GroupSpec.parse("dihedral:6")))
     spec = twin_quotient(g)
     assert spec.k == 10
     assert F.kappa_quotient(spec).value() == kappa_matrix_tree(g) == 540
-    assert sorted(calls) == [1, 3]
+    assert calls == []
+    # a universal block joined to three paths on four blocks (P_4, the
+    # smallest prime graph), two of them with equal sizes: one 4 x 4
+    # determinant per distinct component
+    edges = [(0, v) for v in range(1, 13)]
+    edges += [(a + i, a + i + 1) for a in (1, 5, 9) for i in range(3)]
+    sizes = (2, 1, 2, 3, 1, 1, 2, 3, 1, 2, 2, 2, 2)
+    spec = CliqueReplacedSpec(SimpleGraph(13, edges), sizes)
+    assert F.kappa_quotient(spec).value() == kappa_matrix_tree(clique_replaced(spec))
+    assert calls == [4, 4]
 
 
 @pytest.mark.parametrize(
@@ -292,6 +311,62 @@ def test_quotient_tells_apart_components_with_the_same_sizes_and_degrees():
     for sizes in ((1,) * 13, (3,) + (2,) * 12):
         spec = CliqueReplacedSpec(base, sizes)
         assert F.kappa_quotient(spec).value() == kappa_matrix_tree(clique_replaced(spec))
+
+
+def counting_determinants(monkeypatch):
+    sizes, det = [], F._det_int
+    monkeypatch.setattr(F, "_det_int", lambda rows: sizes.append(len(rows)) or det(rows))
+    return sizes
+
+
+def test_quotient_matches_the_oracle_on_random_specs(monkeypatch):
+    # bases of every density, with up to three universal blocks; a cograph
+    # base takes no determinant, any other one at its prime nodes
+    dets = counting_determinants(monkeypatch)
+    rng = random.Random(1806)
+    seen = {"two or more universal": 0, "prime base": 0, "no determinant": 0, "determinants": 0}
+    for _ in range(1000):
+        k, u, prob = rng.randint(1, 10), rng.choice((0, 0, 0, 1, 2, 3)), rng.random()
+        edges = {(rng.randrange(i), i) for i in range(1, k)}
+        edges |= {(i, j) for i, j in combinations(range(k), 2) if i < u or rng.random() < prob}
+        base = SimpleGraph(k, edges)
+        spec = CliqueReplacedSpec(base, tuple(rng.randint(1, 5) for _ in range(k)))
+        dets.clear()
+        value = F.kappa_quotient(spec).value()
+        assert value == kappa_matrix_tree(clique_replaced(spec)), (sorted(edges), spec.sizes)
+        seen["two or more universal"] += len(universal_vertices(base)) >= 2
+        seen["prime base"] += k > 1 and len(co_components(base.adj, set(range(k)))) == 1
+        seen["no determinant"] += not dets
+        seen["determinants"] += bool(dets)
+    assert min(seen.values()) >= 50, seen
+
+
+def test_quotient_takes_no_determinant_on_the_quaternion_specs(monkeypatch):
+    # the identity and the central involution are two universal blocks; the
+    # rest is a chain of cyclic subgroups and 2^(n-2) blocks of order 4, a
+    # cograph, so no determinant is taken (one of 1035 rows at n = 12 when
+    # the base was split at one universal block only)
+    dets = counting_determinants(monkeypatch)
+    for n in range(3, 13):
+        spec = clique_spec(build_group(GroupSpec.parse(f"quaternion:{n}")))
+        assert F.kappa_quotient(spec) == F.kappa_quaternion(n), n
+    assert dets == []
+
+
+@pytest.mark.parametrize("text, searches, sizes", [("psl2:7:1", 2, []), ("psl2:5:2", 3, [4])])
+def test_quotient_takes_a_repeated_component_apart_once(monkeypatch, text, searches, sizes):
+    # without the identity, PSL(2, 7) has 21 equal two-block components (a
+    # cyclic subgroup of order 4 over its involution) and PSL(2, 25) has 325
+    # copies of Z_12 without its identity, whose base is Z_12's generator
+    # joined to a path on four blocks: each kind is searched once, and the
+    # path's 4 x 4 determinant is taken once
+    calls, search = [], F.co_components
+    monkeypatch.setattr(F, "co_components", lambda adj, rest: calls.append(len(rest)) or search(adj, rest))
+    dets = counting_determinants(monkeypatch)
+    spec = clique_spec(build_group(GroupSpec.parse(text)))
+    kappa = F.kappa_quotient(spec)
+    assert (len(calls), dets) == (searches, sizes)
+    assert kappa == F.kappa_psl2(*GroupSpec.parse(text).params)
 
 
 def test_path_closed_form_audited_values():
@@ -474,10 +549,11 @@ def test_factored_from_parts_checks_the_division(monkeypatch):
 
 @pytest.mark.parametrize("route", [F.kappa_quotient, F.kappa_clique_replaced_smatrix])
 def test_structured_routes_check_their_division(monkeypatch, route):
-    # the path of blocks 2, 1, 2 is two triangles sharing a vertex: 9 trees,
-    # 3^2 * 2 * 2 / 2^2 on the quotient route and 3^2 * 5 / 5 on the
-    # contraction-matrix route; a determinant of 1 leaves 2^-2 or 5^-1
-    spec = CliqueReplacedSpec(path_graph(3), (2, 1, 2))
+    # the path of blocks 2, 1, 1, 2 is two triangles joined by an edge: 9
+    # trees, 3^2 * 2 / 2 on the quotient route and 3^2 * 6 / 6 on the
+    # contraction-matrix route; a determinant of 1 leaves 2^-1 or 6^-1.  The
+    # quotient route takes a determinant only at a prime node, and P_4 is one
+    spec = CliqueReplacedSpec(path_graph(4), (2, 1, 1, 2))
     assert route(spec) == FactoredNat.prime_power(3, 2)
     for det, error in ((1, "negative exponents"), (0, "non-positive"), (-9, "non-positive")):
         monkeypatch.setattr(F, "_det_int", lambda rows, det=det: det)

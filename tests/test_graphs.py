@@ -6,6 +6,7 @@ from powertrees.graphs import (
     CliqueReplacedSpec,
     SimpleGraph,
     clique_replaced,
+    co_components,
     complete_graph,
     components,
     divisor_graph,
@@ -67,6 +68,21 @@ def test_components_match_a_bfs_on_random_subsets():
             seen["singleton"] += len(subset) == 1
             seen["disconnected"] += len(comps) >= 2
     assert all(seen.values()), seen
+
+
+def test_co_components_are_the_components_of_the_complement():
+    rng = random.Random(21)
+    seen = {"one part": 0, "several parts": 0}
+    for _ in range(300):
+        n = rng.randint(1, 12)
+        p = rng.random()
+        g = SimpleGraph(n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p])
+        complement = [frozenset(range(n)) - g.adj[v] - {v} for v in range(n)]
+        subset = set(rng.sample(range(n), rng.randint(1, n)))
+        parts = co_components(g.adj, set(subset))
+        assert sorted(map(sorted, parts)) == sorted(map(sorted, components(complement, set(subset))))
+        seen["one part" if len(parts) == 1 else "several parts"] += 1
+    assert min(seen.values()) >= 50, seen
 
 
 def test_simple_graph_validation():
