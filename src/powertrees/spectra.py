@@ -1,7 +1,9 @@
 """Integer Laplacian spectra for graphs built from cliques by unions and joins.
 
-All power graphs with known closed forms decompose this way, so their spectra
-(and hence spanning-tree counts) stay in exact integer arithmetic.  An
+Power graphs with a cataloged clique expression (`groups.family_expr`)
+decompose this way, so their spectra (and hence spanning-tree counts) stay in
+exact integer arithmetic; not all with a closed form do (Z_12's power graph
+has the induced P4 3-6-2-4, though `kappa_cyclic` counts it).  An
 expression is a tree with one node per run of unions or of joins: a `Union`
 or `Join` holds its parts in order and flattens in a part of its own kind, so
 `c#x` is one union of c parts and every walker loops over a node's parts.

@@ -638,7 +638,8 @@ def run_suite(suite: str, seed: int | None = None, jobs: int = 1) -> tuple[str, 
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor  # not loaded by a serial run
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # a pool starts all its workers at once; a suite has only len(groups)
+        with ProcessPoolExecutor(max_workers=min(jobs, len(groups))) as pool:
             for batch in pool.map(_run_group, groups, [seed] * len(groups)):
                 results.extend(batch)
     else:

@@ -297,6 +297,33 @@ def test_verify_pooled_prints_the_serial_report():
     assert verify.run_suite("quick", seed=0, jobs=2) == serial
 
 
+def test_verify_pool_has_at_most_one_worker_per_group(monkeypatch):
+    import concurrent.futures
+
+    from powertrees import verify
+
+    workers = []
+
+    class SerialPool:
+        # records the pool size and maps in this process; starts nothing
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    pooled = verify.run_suite("quick", seed=0, jobs=100000)
+    assert workers == [len(verify.QUICK_GROUPS)]
+    assert pooled == verify.run_suite("quick", seed=0, jobs=1)
+
+
 def test_cyclic_sweep_reports_its_first_failure(monkeypatch):
     from powertrees import verify
 

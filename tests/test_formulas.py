@@ -12,6 +12,7 @@ from powertrees.graphs import (
     clique_replaced,
     co_components,
     complete_graph,
+    components,
     path_graph,
     twin_quotient,
     universal_vertices,
@@ -249,6 +250,23 @@ def test_quotient_matches_the_oracle_on_random_graphs():
         value = F.kappa_quotient(spec).value() if spec else 0
         assert value == kappa_matrix_tree(g), list(g.edges())
     assert min(seen.values()) >= 100, seen
+
+
+def test_twin_quotient_searches_the_base_components_once(monkeypatch):
+    from powertrees import graphs
+
+    calls = []
+
+    def counting(adj, rest):
+        calls.append(len(rest))
+        return components(adj, rest)
+
+    monkeypatch.setattr(graphs, "components", counting)
+    assert twin_quotient(path_graph(5)).sizes == (1, 1, 1, 1, 1)
+    assert calls == [5]
+    # two disjoint edges: two twin blocks, no edge between them
+    assert twin_quotient(SimpleGraph(4, [(0, 1), (2, 3)])) is None
+    assert twin_quotient(SimpleGraph(0, [])) is None
 
 
 def test_twin_quotient_blocks_are_closed_twins():

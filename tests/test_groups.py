@@ -38,13 +38,28 @@ def test_gf_smallest_irreducible():
     assert Gf(2, 2).modulus == (1, 1, 1)  # x^2 + x + 1
     assert Gf(3, 2).modulus == (1, 0, 1)  # x^2 + 1
     assert Gf(5, 1).modulus == (0, 1)
+    # reducible tails come first in several of these: x^3 + 1 over GF(2),
+    # x^3 + 1 and x^3 + x^2 + 1 over GF(3), x^2 + 1 over GF(5)
+    assert Gf(2, 3).modulus == (1, 0, 1, 1)
+    assert Gf(2, 4).modulus == (1, 0, 0, 1, 1)
+    assert Gf(2, 5).modulus == (1, 0, 0, 1, 0, 1)
+    assert Gf(3, 3).modulus == (1, 0, 2, 1)
+    assert Gf(3, 4).modulus == (1, 0, 1, 1, 1)
+    assert Gf(5, 2).modulus == (1, 1, 1)
+    assert Gf(5, 3).modulus == (1, 0, 1, 1)
+    assert Gf(7, 2).modulus == (1, 0, 1)
+    assert Gf(13, 2).modulus == (1, 3, 1)
 
 
-@pytest.mark.parametrize("p,n", [(2, 2), (3, 2), (2, 3), (5, 1)])
+@pytest.mark.parametrize("p,n", [(2, 2), (3, 2), (2, 3), (5, 1), (2, 4), (3, 3), (7, 2)])
 def test_gf_field_axioms_sampled(p, n):
     f = Gf(p, n)
     q = f.q
     add, mul, neg = f.add_table, f.mul_table, f.neg_table
+    # x^n reduces to -tail: x (encoded p, or 0 when n = 1 and the modulus is
+    # x) times x^(n-1) (encoded q // p)
+    minus_tail = sum((-c) % p * p**i for i, c in enumerate(f.modulus[:-1]))
+    assert mul[p % q][q // p] == minus_tail
     rng = random.Random(q)
     for _ in range(200):
         a, b, c = (rng.randrange(q) for _ in range(3))

@@ -545,3 +545,13 @@ def test_spectrum_proof_catches_a_merge_by_the_square_trace(monkeypatch):
     left = "the 2 eigenvalues left sum to 4 and their squares to 10"
     assert why == f"nullity of L - 2I is not 2: {left}"
     assert shifts == []
+
+
+def test_cyclic_12_power_graph_is_no_clique_expression():
+    # Z_12 has a closed form (kappa_cyclic) but its power graph has the
+    # induced path 3-6-2-4, so it is no union or join of cliques
+    g = power_graph(build_group(GroupSpec.parse("cyclic:12")))
+    path = (3, 6, 2, 4)
+    for i, u in enumerate(path):
+        for j, v in enumerate(path[i + 1 :], start=i + 1):
+            assert (v in g.adj[u]) == (j == i + 1), (u, v)
