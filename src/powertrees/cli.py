@@ -34,7 +34,6 @@ import functools
 import json
 import sys
 import time
-from dataclasses import dataclass
 
 from . import formulas as F
 from .graphs import (
@@ -56,7 +55,7 @@ from .groups import (
     power_graph,
 )
 from .linalg import InternalConsistencyError, kappa_matrix_tree
-from .numth import FactoredNat, PrimalityRangeError, divisors_desc
+from .numth import FactoredNat, PrimalityRangeError, Value, divisors_desc
 from .spectra import expr_to_graph, kappa_from_spectrum, parse_expr, spectrum, universal_count
 
 
@@ -69,23 +68,12 @@ KINDS = ("group", "graph", "expr", "zn", "replaced")
 TARGET_HELP = f"group spec ({FAMILY_USAGE}), edge-list file, expression string, or n"
 
 
-@dataclass(frozen=True)
-class Request:
-    kind: str
-    target: str
-    sizes: tuple[int, ...] | None
-    method: str
-    output: str
+class Request(Value):
+    __slots__ = ("kind", "target", "sizes", "method", "output")
 
 
-@dataclass(frozen=True)
-class ResultRecord:
-    input: str
-    method: str
-    kappa: FactoredNat
-    vertex_count: int
-    universal_count: int
-    elapsed_ms: float
+class ResultRecord(Value):
+    __slots__ = ("input", "method", "kappa", "vertex_count", "universal_count", "elapsed_ms")
 
     def to_json(self) -> str:
         return json.dumps(
@@ -220,14 +208,9 @@ def compute_kappa(req: Request) -> ResultRecord:
     kappa = routes[method](target, spec)
     vertex_count, universal = counts(*spec.params) if counts else _vertex_counts(target)
     elapsed = (time.perf_counter() - start) * 1000.0
-    return ResultRecord(
-        input=f"{req.kind} {req.target}" + (f" sizes={','.join(map(str, req.sizes))}" if req.sizes else ""),
-        method=method,
-        kappa=kappa,
-        vertex_count=vertex_count,
-        universal_count=universal,
-        elapsed_ms=round(elapsed, 3),
-    )
+    sizes = f" sizes={','.join(map(str, req.sizes))}" if req.sizes else ""
+    return ResultRecord(f"{req.kind} {req.target}{sizes}", method, kappa, vertex_count, universal,
+                        round(elapsed, 3))
 
 
 def _emit_record(record: ResultRecord, output: str) -> str:
@@ -262,13 +245,8 @@ def _parse_sizes(kind: str, text: str | None) -> tuple[int, ...] | None:
 
 
 def cmd_kappa(args) -> int:
-    req = Request(
-        kind=args.kind,
-        target=args.target,
-        sizes=_parse_sizes(args.kind, args.sizes),
-        method=args.method,
-        output=args.output,
-    )
+    req = Request(args.kind, args.target, _parse_sizes(args.kind, args.sizes), args.method,
+                  args.output)
     record = compute_kappa(req)
     print(_emit_record(record, req.output))
     return 0

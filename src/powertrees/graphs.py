@@ -15,9 +15,7 @@ join-of-cliques signature split a vertex set by the first, the quotient by both.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .numth import divisors_desc
+from .numth import Value, divisors_desc
 
 
 class SimpleGraph:
@@ -152,19 +150,19 @@ def divisor_graph(n: int) -> SimpleGraph:
     return SimpleGraph(len(divs), edges, [str(d) for d in divs])
 
 
-@dataclass(frozen=True)
-class CliqueReplacedSpec:
+class CliqueReplacedSpec(Value):
     """A connected base graph plus one positive clique size per base vertex."""
 
-    base: SimpleGraph
-    sizes: tuple[int, ...]
+    __slots__ = ("base", "sizes")
 
-    def __post_init__(self):
-        if len(self.sizes) != self.base.n:
+    def __init__(self, base: SimpleGraph, sizes: tuple[int, ...]):
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "sizes", sizes)
+        if len(sizes) != base.n:
             raise ValueError("one size per base vertex required")
-        if any(x < 1 for x in self.sizes):
+        if any(x < 1 for x in sizes):
             raise ValueError("all clique sizes must be >= 1")
-        if not self.base.is_connected():
+        if not base.is_connected():
             raise ValueError("base graph must be connected")
 
     @property
@@ -237,7 +235,7 @@ def from_edge_list_text(text: str) -> SimpleGraph:
     n = int(lines[0])
     if n < 1:
         raise ValueError(f"a graph needs at least one vertex, got {n}")
-    edges = []
+    edges = {}  # kept in file order; a repeated line would describe a multigraph
     for ln in lines[1:]:
         parts = ln.split()
         if len(parts) != 2:
@@ -245,7 +243,9 @@ def from_edge_list_text(text: str) -> SimpleGraph:
         u, v = int(parts[0]), int(parts[1])
         if not 0 <= u < v < n:
             raise ValueError(f"edge ({u},{v}) violates 0 <= u < v < n")
-        edges.append((u, v))
+        if (u, v) in edges:
+            raise ValueError(f"edge ({u},{v}) is listed twice")
+        edges[u, v] = None
     return SimpleGraph(n, edges)
 
 

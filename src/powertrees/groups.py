@@ -13,15 +13,14 @@ repeated multiplication, and a power graph is built only when asked for.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections.abc import Callable
 from itertools import product
 from math import gcd
-from typing import Callable
 
 from . import formulas as F
 from .gf import Gf
 from .graphs import CliqueReplacedSpec, SimpleGraph
-from .numth import FactoredNat, euler_phi, is_prime, is_prime_power
+from .numth import FactoredNat, Value, euler_phi, is_prime, is_prime_power
 from .spectra import Clique, CliqueExpr, Join, copies, epo_expr, union_of
 
 
@@ -29,25 +28,22 @@ class GroupConstructionError(ValueError):
     """Invalid family parameters or an input table that is not a group."""
 
 
-@dataclass(frozen=True)
-class GroupSpec:
+class GroupSpec(Value):
     """A named group family plus parameters, e.g. cyclic(12) or psl2(3, 2)."""
 
-    family: str
-    params: tuple = ()
+    __slots__ = ("family", "params")
 
-    def __post_init__(self):
-        family = FAMILIES.get(self.family)
-        if family is None:
+    def __init__(self, family: str, params: tuple = ()):
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "params", params)
+        known = FAMILIES.get(family)
+        if known is None:
+            raise GroupConstructionError(f"unknown family {family!r}; known: {FAMILY_USAGE}")
+        if len(params) != len(known.params):
             raise GroupConstructionError(
-                f"unknown family {self.family!r}; known: {FAMILY_USAGE}"
+                f"{known.usage} takes {len(known.params)} parameter(s), got {len(params)}"
             )
-        if len(self.params) != len(family.params):
-            raise GroupConstructionError(
-                f"{family.usage} takes {len(family.params)} parameter(s), "
-                f"got {len(self.params)}"
-            )
-        family.validate(*self.params)
+        known.validate(*params)
 
     @classmethod
     def parse(cls, text: str) -> "GroupSpec":
@@ -375,8 +371,7 @@ def _build_cayley_table(path: str) -> FiniteGroup:
     return FiniteGroup(f"cayley_table:{path}", range(len(table)), lambda a, b: table[a][b])
 
 
-@dataclass(frozen=True)
-class Family:
+class Family(Value):
     """Everything the program knows about one named group family.
 
     closed_form and clique_expr take the family's parameters and return the
@@ -390,14 +385,14 @@ class Family:
     built power graph.  cayley_table, which every route builds, has none.
     """
 
-    name: str
-    params: tuple[str, ...]
-    validate: Callable[..., None]
-    build: Callable[..., FiniteGroup]
-    closed_form: Callable[..., FactoredNat] | None = None
-    clique_expr: Callable[..., CliqueExpr] | None = None
-    counts: Callable[..., tuple[int, int]] | None = None
-    alias: str | None = None
+    __slots__ = ("name", "params", "validate", "build", "closed_form", "clique_expr", "counts", "alias")
+
+    def __init__(self, name: str, params: tuple[str, ...], validate: Callable[..., None],
+                 build: Callable[..., FiniteGroup],
+                 closed_form: Callable[..., FactoredNat] | None = None,
+                 clique_expr: Callable[..., CliqueExpr] | None = None,
+                 counts: Callable[..., tuple[int, int]] | None = None, alias: str | None = None):
+        super().__init__(name, params, validate, build, closed_form, clique_expr, counts, alias)
 
     @property
     def usage(self) -> str:

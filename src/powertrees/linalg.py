@@ -32,10 +32,9 @@ Python ints are used.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 
 from .graphs import components
-from .numth import InternalConsistencyError  # re-exported: raised here and by callers
+from .numth import InternalConsistencyError, Value  # the error is raised here and re-exported
 
 try:
     from gmpy2 import mpz as _mk
@@ -47,21 +46,19 @@ class DimensionError(ValueError):
     """Matrix shape unsuitable for the requested operation."""
 
 
-@dataclass(frozen=True)
-class IntMatrix:
+class IntMatrix(Value):
     """Dense integer matrix, entries in row-major order."""
 
-    rows: int
-    cols: int
-    data: tuple[int, ...]
+    __slots__ = ("rows", "cols", "data")
 
-    def __post_init__(self):
-        if self.rows < 0 or self.cols < 0:
+    def __init__(self, rows: int, cols: int, data: tuple[int, ...]):
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "data", data)
+        if rows < 0 or cols < 0:
             raise DimensionError("negative dimensions")
-        if len(self.data) != self.rows * self.cols:
-            raise DimensionError(
-                f"entry count {len(self.data)} != {self.rows} x {self.cols}"
-            )
+        if len(data) != rows * cols:
+            raise DimensionError(f"entry count {len(data)} != {rows} x {cols}")
 
     @classmethod
     def from_rows(cls, rows: list[list[int]]) -> "IntMatrix":

@@ -1,19 +1,66 @@
-"""Elementary number theory: primality, trial-division factoring, FactoredNat.
+"""Elementary number theory (primality, trial division, FactoredNat) and Value.
 
 Everything here is exact integer arithmetic.  Primality is certified
 deterministically (Miller-Rabin with a witness set proven complete below
 3.3e24); values outside that range are never claimed prime.
+
+Value is the base of every record type: its fields are its class's
+__slots__, and it is immutable, equal only to an instance of its own class
+with equal fields, hashed by them, printed as Name(field=value, ...) and
+pickled through its constructor, which checks the fields again.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from operator import attrgetter
 
 # Deterministic Miller-Rabin witnesses, complete for n < 3317044064679887385961981.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_LIMIT = 3317044064679887385961981
+
+
+class Value:
+    """Immutable record (see the module docstring); a slot named _x is no field."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if cls.__slots__:
+            cls._fields = tuple(name for name in cls.__slots__ if name[0] != "_")
+            cls._key = attrgetter(*cls._fields)  # one field alone, or a tuple of them
+
+    def __init__(self, *values, **named):
+        """Every field, in order or by name; a class with checks sets its own."""
+        if named:
+            values += tuple(named.pop(f) for f in self._fields[len(values):] if f in named)
+        if named or len(values) != len(self._fields):
+            raise TypeError(f"{type(self).__name__} takes the fields {', '.join(self._fields)}")
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        return self._key(self) == self._key(other) if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def _values(self) -> tuple:
+        return self._key(self) if len(self._fields) > 1 else (self._key(self),)
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({fields})"
 
 
 class PrimalityRangeError(ValueError):
@@ -140,8 +187,7 @@ def divisors_desc(n: int) -> list[int]:
     return sorted(divs, reverse=True)
 
 
-@dataclass(frozen=True)
-class FactoredNat:
+class FactoredNat(Value):
     """Exact natural number as a product of certified prime powers times a residual.
 
     value == residual * prod(p**e); primes strictly increasing, each certified by
@@ -150,16 +196,17 @@ class FactoredNat:
     represented by residual == 0 with no prime factors.
     """
 
-    factors: tuple[tuple[int, int], ...] = ()
-    residual: int = 1
+    __slots__ = ("factors", "residual")
 
-    def __post_init__(self):
-        if self.residual < 0:
+    def __init__(self, factors: tuple[tuple[int, int], ...] = (), residual: int = 1):
+        object.__setattr__(self, "factors", factors)
+        object.__setattr__(self, "residual", residual)
+        if residual < 0:
             raise ValueError("residual must be >= 0")
-        if self.residual == 0 and self.factors:
+        if residual == 0 and factors:
             raise ValueError("zero must carry no prime factors")
         last = 1
-        for p, e in self.factors:
+        for p, e in factors:
             if p <= last:
                 raise ValueError(f"primes must be strictly increasing, got {p} after {last}")
             if e < 1:

@@ -15,21 +15,20 @@ interesting examples have a few distinct eigenvalues with huge multiplicities.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 
 from . import graphs
-from .numth import FactoredNat, factored_ratio
+from .numth import FactoredNat, Value, factored_ratio
 
 
 # --- expression trees ---
 
 
-@dataclass(frozen=True)
-class Clique:
-    size: int
+class Clique(Value):
+    __slots__ = ("size",)
 
-    def __post_init__(self):
-        if self.size < 1:
+    def __init__(self, size: int):
+        object.__setattr__(self, "size", size)
+        if size < 1:
             raise ValueError("clique size must be >= 1")
 
     @property
@@ -41,14 +40,13 @@ class Clique:
         return f"K({self.size})"
 
 
-@dataclass(frozen=True, init=False)
-class _Run:
+class _Run(Value):
     """Two or more parts under one operator, in order.  A part of the same
     kind is flattened in, so equality holds up to associativity.  n and the
-    hash are stored at construction, so hashing a node reads no subtree."""
+    hash are stored at construction, so hashing a node reads no subtree;
+    equality, the hash and pickling read the parts alone."""
 
-    parts: tuple["CliqueExpr", ...]
-    n: int = field(compare=False)
+    __slots__ = ("parts", "n", "_hash")
 
     def __init__(self, *parts: "CliqueExpr"):
         flat = []
@@ -60,12 +58,20 @@ class _Run:
         object.__setattr__(self, "n", sum(part.n for part in flat))
         object.__setattr__(self, "_hash", hash(self.parts))
 
+    def __eq__(self, other):
+        return self.parts == other.parts if type(other) is type(self) else NotImplemented
+
     def __hash__(self):
         return self._hash
+
+    def __reduce__(self):
+        return type(self), self.parts
 
 
 class Union(_Run):
     """Vertex-disjoint union of its parts."""
+
+    __slots__ = ()
 
     def __str__(self):
         """Text that parse_expr reads back to this tree; no part is a union."""
@@ -74,6 +80,8 @@ class Union(_Run):
 
 class Join(_Run):
     """Union of its parts plus every edge between two different parts."""
+
+    __slots__ = ()
 
     def __str__(self):
         """Text that parse_expr reads back to this tree; no part is a join."""
@@ -106,16 +114,16 @@ def epo_expr(counts: dict[int, int]) -> CliqueExpr:
 # --- spectra ---
 
 
-@dataclass(frozen=True)
-class IntSpectrum:
+class IntSpectrum(Value):
     """Multiset of integer Laplacian eigenvalues as (value, multiplicity) pairs,
     sorted by decreasing eigenvalue."""
 
-    pairs: tuple[tuple[int, int], ...]
+    __slots__ = ("pairs",)
 
-    def __post_init__(self):
+    def __init__(self, pairs: tuple[tuple[int, int], ...]):
+        object.__setattr__(self, "pairs", pairs)
         last = None
-        for value, mult in self.pairs:
+        for value, mult in pairs:
             if value < 0 or mult < 1:
                 raise ValueError("eigenvalues must be >= 0 with multiplicity >= 1")
             if last is not None and value >= last:

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import os
 import random
-from dataclasses import dataclass
 from functools import cache, partial
 
 from . import formulas as F
@@ -36,7 +35,7 @@ from .graphs import (
 from .groups import FAMILIES, GroupSpec, build_group, epo_class_counts, family_expr, power_graph
 from .linalg import kappa_matrix_tree, kappa_via_jl, laplacian_char_poly, laplacian_nullity
 from .linalg import shifted_product_integer_check
-from .numth import FactoredNat, product
+from .numth import FactoredNat, Value, product
 from .spectra import (
     Clique,
     Join,
@@ -48,11 +47,8 @@ from .spectra import (
 )
 
 
-@dataclass(frozen=True)
-class CaseResult:
-    name: str
-    ok: bool
-    detail: str
+class CaseResult(Value):
+    __slots__ = ("name", "ok", "detail")
 
 
 @cache

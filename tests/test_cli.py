@@ -568,6 +568,28 @@ def test_kappa_loads_no_process_pool():
     assert proc.stdout.splitlines() == ["7823278080", "[]"]
 
 
+def test_startup_loads_no_dataclasses():
+    # -S: no site hook preloads a module before the check
+    src = Path(cli.__file__).resolve().parents[1]
+    code = ("import powertrees.cli, sys; "
+            "print([m for m in ('dataclasses', 'inspect') if m in sys.modules])")
+    proc = subprocess.run([sys.executable, "-S", "-c", code],
+                          env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, check=True, timeout=60)
+    assert proc.stdout.splitlines() == ["[]"]
+
+
+@pytest.mark.parametrize("extra", [[], ["--sizes", "1,2,1"]], ids=["graph", "replaced"])
+def test_a_repeated_edge_line_is_a_usage_error(capsys, tmp_path, extra):
+    # the file would describe a doubled edge 0-1 (kappa 2), not the path (kappa 1)
+    path = tmp_path / "doubled.txt"
+    path.write_text("3\n0 1\n0 1\n1 2\n")
+    kind = "replaced" if extra else "graph"
+    code, out, err = run(capsys, "kappa", kind, str(path), *extra)
+    assert code == 2 and out == ""
+    assert err == "error: edge (0,1) is listed twice\n"
+
+
 def test_factored_output_multiplies_nothing_out(capsys, monkeypatch):
     def refuse(self):
         raise AssertionError("kappa was multiplied out")

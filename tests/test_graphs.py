@@ -227,6 +227,12 @@ def test_edge_list_roundtrip():
         from_edge_list_text("")
 
 
+def test_edge_list_rejects_a_repeated_edge():
+    # the text would describe a doubled edge, which has kappa 2 here, not 1
+    with pytest.raises(ValueError, match=r"edge \(0,1\) is listed twice"):
+        from_edge_list_text("3\n0 1\n1 2\n0 1\n")
+
+
 def test_dot_export_carries_labels():
     d6 = divisor_graph(6)
     dot = to_dot(d6)

@@ -1,11 +1,18 @@
+import copy
 import math
+import pickle
 import random
 
 import pytest
 
+from powertrees.cli import Request, ResultRecord
+from powertrees.graphs import CliqueReplacedSpec, path_graph
+from powertrees.groups import FAMILIES, Family, GroupSpec
+from powertrees.linalg import IntMatrix
 from powertrees.numth import (
     FactoredNat,
     InternalConsistencyError,
+    Value,
     divisors_desc,
     euler_phi,
     factor_completely,
@@ -15,6 +22,8 @@ from powertrees.numth import (
     product,
     trial_division,
 )
+from powertrees.spectra import Clique, IntSpectrum, Join, Union, parse_expr
+from powertrees.verify import CaseResult
 
 
 def test_is_prime_small():
@@ -151,3 +160,92 @@ def test_factored_ratio_with_repeated_determinants():
     assert factored_ratio({}, [2018] * 3, 10) == FactoredNat(((2, 3), (1009, 3)))
     with pytest.raises(InternalConsistencyError):
         factored_ratio({}, [4, 0, 4], 10)
+
+
+# --- Value, the base of every record type ---
+
+RECORDS = [
+    Request("zn", "12", None, "auto", "decimal"),
+    ResultRecord("zn 12", "formula", FactoredNat(((2, 3),), 5), 12, 5, 0.25),
+    CliqueReplacedSpec(path_graph(3), (1, 2, 1)),
+    GroupSpec("psl2", (2, 2)),
+    FAMILIES["psl2"],
+    IntMatrix(2, 2, (1, 2, 3, 4)),
+    FactoredNat(((2, 3),), 1),
+    Clique(3),
+    Union(Clique(1), Clique(2)),
+    Join(Clique(1), Union(Clique(2), Clique(3))),
+    IntSpectrum(((3, 1), (0, 1))),
+    CaseResult("case", True, "1/1 ok"),
+]
+
+
+def test_every_record_type_is_a_value():
+    types = {type(r) for r in RECORDS}
+    assert len(types) == 12 and all(issubclass(t, Value) for t in types)
+    assert {Family, Union, Join} <= types
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
+def test_equal_fields_give_equal_values_and_hashes(record):
+    twin = copy.copy(record)  # rebuilt through the constructor
+    assert twin is not record and type(twin) is type(record)
+    assert twin == record and not twin != record and hash(twin) == hash(record)
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
+def test_assigning_or_deleting_any_field_raises(record):
+    assert type(record)._fields
+    for name in type(record)._fields:
+        with pytest.raises(AttributeError):
+            setattr(record, name, getattr(record, name))
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+    with pytest.raises(AttributeError):
+        record.extra = 1
+    assert copy.copy(record) == record
+
+
+def test_equal_fields_under_another_class_are_unequal():
+    a, b = Clique(1), Clique(2)
+    assert Union(a, b).parts == Join(a, b).parts and Union(a, b).n == Join(a, b).n
+    assert Union(a, b) != Join(a, b) and not Union(a, b) == Join(a, b)
+    assert FactoredNat(((2, 3),), 1) != (((2, 3),), 1)
+    assert Clique(3) != 3 and IntSpectrum(((3, 1),)) != ((3, 1),)
+
+
+def test_pickle_round_trips_to_equal_values():
+    expr = parse_expr("K(1)*(K(2)+K(1)*(K(3)+K(4))+K(2))")
+    assert isinstance(expr, Join) and any(isinstance(p, Union) for p in expr.parts)
+    for value in (CaseResult("case", False, "expected 1, got 2"), FactoredNat(((2, 3),), 35),
+                  GroupSpec("psl2", (2, 2)), expr):
+        back = pickle.loads(pickle.dumps(value))
+        assert back == value and type(back) is type(value) and repr(back) == repr(value)
+        assert hash(back) == hash(value)
+
+
+def test_repr_is_the_dataclass_form():
+    assert repr(FactoredNat(((2, 3),), 1)) == "FactoredNat(factors=((2, 3),), residual=1)"
+    assert repr(Clique(3)) == "Clique(size=3)"
+    assert repr(Join(Clique(1), Union(Clique(2), Clique(3)))) == (
+        "Join(parts=(Clique(size=1), Union(parts=(Clique(size=2), Clique(size=3)), n=5)), n=6)"
+    )
+    assert repr(CaseResult("case", True, "ok")) == "CaseResult(name='case', ok=True, detail='ok')"
+
+
+def test_constructors_take_fields_in_order_or_by_name():
+    req = Request("zn", "12", None, "auto", "json")
+    assert Request(kind="zn", target="12", sizes=None, method="auto", output="json") == req
+    assert Request("zn", "12", None, output="json", method="auto") == req
+    assert CaseResult("case", detail="ok", ok=True) == CaseResult("case", True, "ok")
+    assert FactoredNat(residual=5) == FactoredNat((), 5) and FactoredNat() == FactoredNat.one()
+    assert GroupSpec(params=(12,), family="cyclic") == GroupSpec.parse("cyclic:12")
+    for bad in ((("case", True), {}), (("case", True, "ok", "extra"), {}),
+                (("case", True), {"details": "ok"}), (("case", True, "ok"), {"ok": False})):
+        with pytest.raises(TypeError):
+            CaseResult(*bad[0], **bad[1])
+    # the checks still run after the fields are set
+    with pytest.raises(ValueError, match="4 is not prime"):
+        FactoredNat(((4, 1),))
+    with pytest.raises(ValueError, match="clique size must be >= 1"):
+        Clique(0)
