@@ -9,8 +9,8 @@ power graph, a clique expression's graph) know that a whole block of twins
 shares one closed neighbourhood: they form it once per block and pass each
 vertex that set less itself as SimpleGraph's adjacency, with no per-edge
 tuple or check.  `components` and its complement twin `co_components` are
-the package's searches: connectivity checks, the matrix-tree peel and verify's
-join-of-cliques signature split a vertex set by the first, the quotient by both.
+the package's searches: connectivity checks and the matrix-tree peel split a
+vertex set by the first, the quotient and `spectra.graph_expr` by both.
 """
 
 from __future__ import annotations

@@ -1,6 +1,6 @@
 """Finite groups: the registry of named families (construction, closed forms
-and clique forms), Cayley-table ingestion, element orders, cyclic subgroups,
-power graphs and their clique specs.
+and clique forms), Cayley-table ingestion, cyclic subgroups, power graphs and
+their clique specs.
 
 Every group is its list of elements in a concrete representation (residues,
 vectors over GF(p), normal forms, matrices over GF(q), affine maps) plus the
@@ -122,7 +122,7 @@ def _v_cayley(path):
 
 class FiniteGroup:
     """A finite group given by its concrete elements and their multiply, with
-    per-element orders and cyclic subgroups cached.
+    each element's cyclic subgroup cached; its size is the element's order.
 
     Elements are addressed by their index; element 0 is the identity.
     """
@@ -136,7 +136,7 @@ class FiniteGroup:
         self.op = op
         self._index = {e: i for i, e in enumerate(self.elements)}
         self.element_names = tuple(names) if names is not None else tuple(map(str, range(n)))
-        orders, subgroups = [0] * n, [None] * n
+        subgroups = [None] * n
         for g in range(n):
             if subgroups[g] is not None:
                 continue
@@ -149,8 +149,7 @@ class FiniteGroup:
             members = frozenset(powers)
             for j, h in enumerate(powers):
                 if gcd(j, len(powers)) == 1:
-                    orders[h], subgroups[h] = len(powers), members
-        self.element_orders = tuple(orders)
+                    subgroups[h] = members
         self.cyclic_subgroups = tuple(subgroups)
 
     def mul(self, a: int, b: int) -> int:
@@ -511,33 +510,10 @@ def clique_spec(group: FiniteGroup) -> CliqueReplacedSpec:
     vertex: dict[frozenset, int] = {}
     for c in group.cyclic_subgroups:
         vertex.setdefault(c, len(vertex))
-    orders, cyclic = group.element_orders, group.cyclic_subgroups
+    cyclic = group.cyclic_subgroups
     edges = []
     for c, i in vertex.items():
-        below = {orders[x]: x for x in c if orders[x] < len(c)}
+        below = {len(cyclic[x]): x for x in c if len(cyclic[x]) < len(c)}
         edges.extend((i, vertex[cyclic[x]]) for x in below.values())
     sizes = tuple(euler_phi(len(c)) for c in vertex)
     return CliqueReplacedSpec(SimpleGraph(len(vertex), edges), sizes)
-
-
-def epo_class_counts(group: FiniteGroup) -> dict[int, int]:
-    """For a group in which every non-identity element has prime order, the
-    number of cyclic subgroups of each occurring prime order.
-
-    Raises on a non-EPO group, naming a witness element of composite order.
-    """
-    counts: dict[int, set] = {}
-    for g in range(group.order):
-        if g == group.identity:
-            continue
-        o = group.element_orders[g]
-        if not is_prime(o):
-            raise ValueError(
-                f"not an EPO group: element {group.element_names[g]!r} has composite order {o}"
-            )
-        counts.setdefault(o, set()).add(group.cyclic_subgroups[g])
-    result = {p: len(subs) for p, subs in sorted(counts.items())}
-    total = sum(c * (p - 1) for p, c in result.items())
-    if total != group.order - 1:
-        raise RuntimeError("cyclic subgroup count mismatch")  # pragma: no cover
-    return result

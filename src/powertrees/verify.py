@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import os
 import random
+from collections import Counter
 from functools import cache, partial
 
 from . import formulas as F
@@ -32,15 +33,17 @@ from .graphs import (
     twin_quotient,
     universal_vertices,
 )
-from .groups import FAMILIES, GroupSpec, build_group, epo_class_counts, family_expr, power_graph
+from .groups import FAMILIES, GroupSpec, build_group, family_expr, power_graph
 from .linalg import kappa_matrix_tree, kappa_via_jl, laplacian_char_poly, laplacian_nullity
 from .linalg import shifted_product_integer_check
 from .numth import FactoredNat, Value, product
 from .spectra import (
     Clique,
+    CliqueExpr,
     Join,
     Union,
     expr_to_graph,
+    graph_expr,
     kappa_from_spectrum,
     parse_expr,
     spectrum,
@@ -175,10 +178,13 @@ _EPO_CATALOG = (
 
 
 def cases_epo_catalog() -> list[CaseResult]:
+    """kappa_epo of the counts of cyclic subgroups by order, the identity's
+    left out, against the oracle; kappa_epo rejects a composite order."""
     out = []
     for text in _EPO_CATALOG:
         group = build_group(GroupSpec.parse(text))
-        formula = F.kappa_epo(epo_class_counts(group)).value()
+        counts = Counter(len(c) for c in set(group.cyclic_subgroups) if len(c) > 1)
+        formula = F.kappa_epo(counts).value()
         det = kappa_det_of_group(text)
         out.append(
             CaseResult(
@@ -471,45 +477,26 @@ def cases_spectrum_charpoly(seed: int) -> list[CaseResult]:
     return [_aggregate("spectrum-vs-charpoly-suite", failures, len(exprs))]
 
 
+def clique_form_mismatch(expr: CliqueExpr, group: str) -> str:
+    """'' when the expression's graph is isomorphic to the named group's power
+    graph, else both canonical clique forms (`graph_expr`), which are equal
+    iff the two graphs are isomorphic cographs, at any depth."""
+    claimed = graph_expr(expr_to_graph(expr))
+    built = graph_expr(power_graph(build_group(GroupSpec.parse(group))))
+    return "" if claimed == built else f"clique form {claimed}, power graph {built}"
+
+
 def cases_family_expr_realization() -> list[CaseResult]:
     """For the cataloged clique decompositions (except the flagged
     exponent-p^2 family), the realized expression is isomorphic to the
-    constructed power graph: same universal set size and the same clique
-    components after removing the universal vertices."""
+    constructed power graph: both have the same canonical clique form."""
     failures = []
     specs = [t for t in _CATALOG_EXPR_SPECS if not t.startswith("extraspecial")]
     for text in specs:
-        spec = GroupSpec.parse(text)
-        expr_graph = expr_to_graph(family_expr(spec))
-        group_graph = power_graph(build_group(spec))
-        ok, why = _join_of_cliques_isomorphic(expr_graph, group_graph)
-        if not ok:
+        why = clique_form_mismatch(family_expr(GroupSpec.parse(text)), text)
+        if why:
             failures.append(f"{text}: {why}")
     return [_aggregate("family-clique-forms", failures, len(specs))]
-
-
-def _join_of_cliques_signature(g: SimpleGraph):
-    """(universal count, sorted clique-component sizes) when the graph minus
-    its universal vertices is a disjoint union of cliques, else None."""
-    univ = set(universal_vertices(g))
-    comp_sizes = []
-    for comp in components(g.adj, set(range(g.n)) - univ):
-        members = set(comp)
-        if any(len(g.adj[u] & members) != len(comp) - 1 for u in comp):
-            return None
-        comp_sizes.append(len(comp))
-    return (len(univ), tuple(sorted(comp_sizes)))
-
-
-def _join_of_cliques_isomorphic(g1: SimpleGraph, g2: SimpleGraph):
-    if (g1.n, g1.edge_count) != (g2.n, g2.edge_count):
-        return False, f"size mismatch: {g1.n}/{g1.edge_count} vs {g2.n}/{g2.edge_count}"
-    s1, s2 = _join_of_cliques_signature(g1), _join_of_cliques_signature(g2)
-    if s1 is None or s2 is None:
-        return False, "not a universal-join of cliques"
-    if s1 != s2:
-        return False, f"signatures differ: {s1} vs {s2}"
-    return True, ""
 
 
 def cases_path_audit(seed: int) -> list[CaseResult]:
@@ -616,7 +603,11 @@ def _run_group(name: str, seed: int) -> list[CaseResult]:
 
 
 def default_seed() -> int:
-    return int(os.environ.get("KAPPA_SEED", "0"))
+    text = os.environ.get("KAPPA_SEED", "0")
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"KAPPA_SEED must be an integer, got {text!r}") from None
 
 
 def run_suite(suite: str, seed: int | None = None, jobs: int = 1) -> tuple[str, int]:

@@ -278,6 +278,13 @@ def test_verify_jobs_below_one_is_a_usage_error(capsys, jobs):
     assert "--jobs" in err
 
 
+def test_verify_seed_that_is_no_integer_is_a_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("KAPPA_SEED", "abc")
+    code, out, err = run(capsys, "verify", "quick")
+    assert code == 2 and out == ""
+    assert err == "error: KAPPA_SEED must be an integer, got 'abc'\n"
+
+
 def test_verify_quick_passes_and_prints_only_its_case_lines(capsys, monkeypatch):
     monkeypatch.setenv("KAPPA_SEED", "7")
     code, out, _ = run(capsys, "verify", "quick")

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -19,7 +20,6 @@ from powertrees.groups import (
     GroupSpec,
     build_group,
     clique_spec,
-    epo_class_counts,
     power_graph,
     validate_cayley_table,
 )
@@ -29,6 +29,10 @@ from powertrees.numth import FactoredNat, euler_phi, is_prime
 
 def build(text):
     return build_group(GroupSpec.parse(text))
+
+
+def order(g, x):
+    return len(g.cyclic_subgroups[x])
 
 
 # --- finite field sanity ---
@@ -127,12 +131,13 @@ def test_group_axioms_spot_checks():
         for x in range(n):
             assert g.mul(e, x) == x and g.mul(x, e) == x
             assert any(g.mul(x, y) == e for y in range(n))  # an inverse exists
-            assert n % g.element_orders[x] == 0  # Lagrange
-            assert len(g.cyclic_subgroups[x]) == g.element_orders[x]
-            power = e
+            assert n % order(g, x) == 0  # Lagrange
+            power, powers = e, set()
             for _ in range(n):
                 power = g.mul(power, x)
+                powers.add(power)
             assert power == e
+            assert powers == g.cyclic_subgroups[x]
         for _ in range(200):
             a, b, c = (rng.randrange(n) for _ in range(3))
             assert g.mul(g.mul(a, b), c) == g.mul(a, g.mul(b, c))
@@ -141,19 +146,19 @@ def test_group_axioms_spot_checks():
 def test_quaternion_has_unique_involution():
     for n in (3, 4, 5):
         g = build(f"quaternion:{n}")
-        assert sum(1 for x in range(g.order) if g.element_orders[x] == 2) == 1
+        assert sum(1 for x in range(g.order) if order(g, x) == 2) == 1
 
 
 def test_heisenberg_has_exponent_p():
     g = build("heisenberg:3")
-    orders = [g.element_orders[x] for x in range(g.order)]
+    orders = [order(g, x) for x in range(g.order)]
     assert orders.count(3) == 26 and orders.count(1) == 1
 
 
 def test_extraspecial_exp_p2_order_profile():
     # p^2 - 1 elements of order p, the rest of order p^2
     g = build("extraspecial:3")
-    orders = [g.element_orders[x] for x in range(g.order)]
+    orders = [order(g, x) for x in range(g.order)]
     assert orders.count(1) == 1
     assert orders.count(3) == 8
     assert orders.count(9) == 18
@@ -162,7 +167,7 @@ def test_extraspecial_exp_p2_order_profile():
 def test_frobenius_is_epo_and_nonabelian():
     for p, q in ((2, 3), (3, 7), (5, 11), (2, 5)):
         g = build(f"frobenius:{p}:{q}")
-        assert all(is_prime(g.element_orders[x]) for x in range(1, g.order))
+        assert all(is_prime(order(g, x)) for x in range(1, g.order))
         assert any(
             g.mul(a, b) != g.mul(b, a) for a in range(g.order) for b in range(g.order)
         )
@@ -226,7 +231,7 @@ def test_power_graph_subset_of_frobenius_complement():
     # the power graph restricted to it is the complete graph on its elements
     g = build("frobenius:3:7")
     stab = sorted(g.cyclic_subgroups[next(
-        x for x in range(g.order) if g.element_orders[x] == 3
+        x for x in range(g.order) if order(g, x) == 3
     )])
     pg = power_graph(g)
     assert len(stab) == 3
@@ -239,7 +244,7 @@ def test_adjacency_is_order_monotone():
         g = build(text)
         pg = power_graph(g)
         for u, v in pg.edges():
-            if g.element_orders[u] == g.element_orders[v]:
+            if order(g, u) == order(g, v):
                 assert g.cyclic_subgroups[u] == g.cyclic_subgroups[v]
 
 
@@ -340,8 +345,14 @@ def test_power_graph_of_a_table_group_equals_the_edge_list_construction(tmp_path
 # --- EPO classification ---
 
 
+def subgroup_counts(g):
+    """Cyclic subgroups by order, the identity's left out: in a group whose
+    non-identity elements all have prime order, kappa_epo's c_p."""
+    return Counter(len(c) for c in set(g.cyclic_subgroups) if len(c) > 1)
+
+
 def test_epo_counts_elementary():
-    assert epo_class_counts(build("elementary:3:2")) == {3: 4}
+    assert subgroup_counts(build("elementary:3:2")) == {3: 4}
 
 
 def test_epo_counts_a5_against_enumeration():
@@ -357,16 +368,11 @@ def test_epo_counts_a5_against_enumeration():
         by_order[k] = by_order.get(k, 0) + 1
     expected = {p: cnt // (p - 1) for p, cnt in by_order.items()}
     assert expected == {2: 15, 3: 10, 5: 6}
-    assert epo_class_counts(g) == expected
+    assert subgroup_counts(g) == expected
 
 
 def test_epo_counts_s3():
-    assert epo_class_counts(build("frobenius:2:3")) == {2: 3, 3: 1}
-
-
-def test_epo_rejects_composite_order_with_witness():
-    with pytest.raises(ValueError, match="composite order 4"):
-        epo_class_counts(build("cyclic:4"))
+    assert subgroup_counts(build("frobenius:2:3")) == {2: 3, 3: 1}
 
 
 # --- Cayley table ingestion ---
@@ -389,7 +395,7 @@ def test_cayley_table_roundtrip(tmp_path):
     g = build_group(GroupSpec.parse(f"table:{path}"))
     assert g.order == 6
     assert cayley_table(g) == cayley_table(src)
-    assert sorted(g.element_orders) == sorted(src.element_orders)
+    assert sorted(map(len, g.cyclic_subgroups)) == sorted(map(len, src.cyclic_subgroups))
     assert kappa_matrix_tree(power_graph(g)) == 3
 
 

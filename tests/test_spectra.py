@@ -1,9 +1,11 @@
 import functools
+import itertools
 import random
 
 import pytest
 
 from powertrees import linalg
+from powertrees.formulas import kappa_psl2
 from powertrees import verify as V
 from powertrees.graphs import SimpleGraph, complete_graph, components, universal_vertices
 from powertrees.groups import GroupSpec, build_group, family_expr, power_graph
@@ -18,13 +20,14 @@ from powertrees.spectra import (
     Union,
     copies,
     expr_to_graph,
+    graph_expr,
     kappa_from_spectrum,
     parse_expr,
     spectrum,
     union_of,
     universal_count,
 )
-from powertrees.verify import _join_of_cliques_isomorphic, _random_expr
+from powertrees.verify import _random_expr, _random_graph, clique_form_mismatch
 
 
 def integer_roots(coeffs, candidates):
@@ -52,16 +55,6 @@ def spectrum_oracle(expr):
     roots, rest = integer_roots(laplacian_char_poly(g), range(g.n + 1))
     assert rest == [1]
     return tuple(sorted(roots.items(), reverse=True))
-
-
-def canon(expr):
-    """Canonical form that sorts the parts of every union and join, so it
-    compares expressions up to the order of their parts; runs of one kind
-    are already flattened into one node."""
-    if isinstance(expr, Clique):
-        return ("K", expr.size)
-    kind = "U" if isinstance(expr, Union) else "J"
-    return (kind, tuple(sorted(map(canon, expr.parts))))
 
 
 def test_spectrum_single_clique():
@@ -160,10 +153,8 @@ def test_kappa_from_spectrum_matches_matrix_tree():
 def test_family_expr_quaternion():
     expr = family_expr(GroupSpec.parse("quaternion:4"))
     assert str(expr) == "K(2)*(K(6)+K(2)+K(2)+K(2)+K(2))"
-    ok, why = _join_of_cliques_isomorphic(
-        expr_to_graph(expr), power_graph(build_group(GroupSpec.parse("quaternion:4")))
-    )
-    assert ok, why
+    pg = power_graph(build_group(GroupSpec.parse("quaternion:4")))
+    assert graph_expr(pg) == graph_expr(expr_to_graph(expr)) == parse_expr("K(2)*(4#K(2)+K(6))")
 
 
 def test_family_expr_elementary():
@@ -188,10 +179,8 @@ def test_family_expr_realizations_match_power_graphs():
     for text in ("quaternion:3", "quaternion:5", "elementary:2:2", "elementary:3:2",
                  "heisenberg:3", "frobenius:2:3", "frobenius:3:7"):
         spec = GroupSpec.parse(text)
-        ok, why = _join_of_cliques_isomorphic(
-            expr_to_graph(family_expr(spec)), power_graph(build_group(spec))
-        )
-        assert ok, f"{text}: {why}"
+        form = graph_expr(power_graph(build_group(spec)))
+        assert form is not None and form == graph_expr(expr_to_graph(family_expr(spec))), text
 
 
 def test_family_expr_unsupported():
@@ -206,7 +195,8 @@ def test_family_expr_unsupported():
 
 def test_parse_expr_examples():
     expr = parse_expr("K(2)*(K(6)+4#K(2))")
-    assert canon(expr) == canon(family_expr(GroupSpec.parse("quaternion:4")))
+    quaternion = family_expr(GroupSpec.parse("quaternion:4"))
+    assert graph_expr(expr_to_graph(expr)) == graph_expr(expr_to_graph(quaternion))
     assert parse_expr("K(5)") == Clique(5)
     assert parse_expr("2#K(3)") == Union(Clique(3), Clique(3))
     assert parse_expr(" K(1) * ( K(2) + K(2) ) ") == Join(
@@ -300,7 +290,6 @@ def test_expr_str_reparses():
     rng = random.Random(23)
     for _ in range(40):
         expr = _random_expr(rng, rng.randint(1, 20))
-        assert canon(parse_expr(str(expr))) == canon(expr)
         assert parse_expr(str(expr)) == expr
 
 
@@ -555,3 +544,73 @@ def test_cyclic_12_power_graph_is_no_clique_expression():
     for i, u in enumerate(path):
         for j, v in enumerate(path[i + 1 :], start=i + 1):
             assert (v in g.adj[u]) == (j == i + 1), (u, v)
+    assert graph_expr(g) is None
+
+
+# --- canonical clique forms read off graphs ---
+
+
+def relabelled(g, rng):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return SimpleGraph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def test_graph_expr_gives_one_form_under_relabelling():
+    rng = random.Random(29)
+    for _ in range(300):
+        expr = _random_expr(rng, rng.randint(1, 30))
+        g = expr_to_graph(expr)
+        form = graph_expr(g)
+        assert graph_expr(relabelled(g, rng)) == form, str(expr)
+        assert graph_expr(expr_to_graph(form)) == form  # idempotent
+        assert parse_expr(str(form)) == form
+        assert spectrum(form) == spectrum(expr)
+
+
+def has_induced_p4(g):
+    adj = g.adj
+    return any(
+        b in adj[a] and c in adj[b] and d in adj[c]
+        and c not in adj[a] and d not in adj[b] and d not in adj[a]
+        for a, b, c, d in itertools.permutations(range(g.n), 4)
+    )
+
+
+def test_graph_expr_is_none_iff_the_graph_has_an_induced_p4():
+    rng = random.Random(31)
+    kinds = set()
+    for _ in range(400):
+        g = _random_graph(rng, rng.randint(1, 7))
+        form = graph_expr(g)
+        assert (form is None) == has_induced_p4(g), list(g.edges())
+        if form is not None:
+            realized = expr_to_graph(form)
+            assert sorted(map(len, realized.adj)) == sorted(map(len, g.adj))
+            assert laplacian_char_poly(realized) == laplacian_char_poly(g)
+        kinds.add(form is None)
+    assert kinds == {True, False}
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_clique_form_check_passes_the_corrected_extraspecial_form_only(p):
+    # the published K(p)*(p+1)#K(p^2-p) against the form the power graph has:
+    # the identity joined to p subgroups of order p and to the centre's
+    # p - 1 generators, which are joined to p cyclic subgroups of order p^2
+    group = f"extraspecial:{p}"
+    corrected = parse_expr(f"K(1)*((K({p - 1})*{p}#K({p * p - p})) + {p}#K({p - 1}))")
+    published = family_expr(GroupSpec.parse(group))
+    assert clique_form_mismatch(corrected, group) == ""
+    claimed, built = (graph_expr(expr_to_graph(e)) for e in (published, corrected))
+    assert clique_form_mismatch(published, group) == f"clique form {claimed}, power graph {built}"
+
+
+def test_graph_expr_reads_power_graphs_with_no_cataloged_form():
+    for text, form in (
+        ("cyclic:6", "(K(1)+K(2))*K(3)"),
+        ("dihedral:6", "K(1)*(6#K(1)+K(2)*(K(1)+K(2)))"),
+    ):
+        g = power_graph(build_group(GroupSpec.parse(text)))
+        assert graph_expr(g) == parse_expr(form), text
+    g = power_graph(build_group(GroupSpec.parse("psl2:11:1")))
+    assert kappa_from_spectrum(spectrum(graph_expr(g))) == kappa_psl2(11, 1)
