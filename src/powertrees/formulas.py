@@ -1,6 +1,7 @@
 """Closed-form spanning-tree counts for clique-replaced graphs and for the
 power graphs of the cataloged group families, each cross-checkable against
-the exact matrix-tree determinant.
+the exact matrix-tree determinant.  A family's closed form assumes the
+parameter range that its `groups.FAMILIES` row validates.
 
 All arithmetic is in exact integers; every division is asserted exact,
 never rounded.
@@ -33,8 +34,6 @@ def kappa_cayley(n: int) -> FactoredNat:
 
 def kappa_quaternion(n: int) -> FactoredNat:
     """Generalized quaternion group of order 2**n: 2**((2**(n-2)-1)*(2n+1)+4)."""
-    if n < 3:
-        raise ValueError("quaternion needs n >= 3")
     return FactoredNat.prime_power(2, (2 ** (n - 2) - 1) * (2 * n + 1) + 4)
 
 
@@ -247,8 +246,6 @@ def kappa_cyclic(n: int) -> FactoredNat:
     without a divisor graph.  Otherwise the clique-replaced formula on
     divisor_clique_spec(n) takes the divisors other than 1 and n (universal).
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
     if n == 1 or is_prime_power(n):
         return kappa_cayley(n)
     return kappa_clique_replaced_formula(divisor_clique_spec(n))
@@ -260,15 +257,9 @@ def kappa_psl2(p: int, n: int) -> FactoredNat:
         p**((q^2-1)(p-2)/(p-1)) * kappa_cyclic((q-1)/k)**(q(q+1)/2)
                                 * kappa_cyclic((q+1)/k)**(q(q-1)/2)
 
-    with k = gcd(q-1, 2).  The excluded parameters (2,1) and (3,1) give q < 4.
+    with k = gcd(q-1, 2).
     """
-    if not is_prime(p):
-        raise ValueError(f"p = {p} must be prime")
     q = p**n
-    if q < 4:
-        raise ValueError(
-            f"psl2 count needs q = p^n >= 4; (p, n) = ({p}, {n}) is excluded"
-        )
     k = gcd(q - 1, 2)
     num = (q * q - 1) * (p - 2)
     exp, rem = divmod(num, p - 1)
@@ -285,8 +276,6 @@ def kappa_psl2(p: int, n: int) -> FactoredNat:
 
 def kappa_heisenberg(p: int) -> FactoredNat:
     """Order-p^3 extraspecial group of exponent p: p**((p-2)(p^2+p+1))."""
-    if p == 2 or not is_prime(p):
-        raise ValueError(f"p = {p} must be an odd prime")
     return FactoredNat.prime_power(p, (p - 2) * (p * p + p + 1))
 
 
@@ -300,7 +289,5 @@ def kappa_frobenius(kappa_kernel: FactoredNat, kappa_complement: FactoredNat, ke
 def kappa_frobenius_pq(p: int, q: int) -> FactoredNat:
     """Nonabelian group of order p*q (p < q primes, p | q-1): the Frobenius
     rule with kernel Z_q and complement Z_p, q**(q-2) * p**((p-2)*q)."""
-    if not (is_prime(p) and is_prime(q) and p < q and (q - 1) % p == 0):
-        raise ValueError(f"need primes p < q with p | q-1, got p={p}, q={q}")
     return kappa_frobenius(kappa_cyclic(q), kappa_cyclic(p), q)
 

@@ -382,16 +382,24 @@ class Family(Value):
     counts takes the parameters and returns (order, universal count) of the
     power graph without building the group; `verify` audits it against the
     built power graph.  cayley_table, which every route builds, has none.
+
+    examples are small parameter tuples (orders up to 168), the groups on
+    which `verify` checks the family: its counts, its clique form where it
+    also has a closed form, and the twin-quotient route.  validate is the
+    one statement of the parameter range; the closed forms assume it.
     """
 
-    __slots__ = ("name", "params", "validate", "build", "closed_form", "clique_expr", "counts", "alias")
+    __slots__ = ("name", "params", "validate", "build", "closed_form", "clique_expr", "counts",
+                 "examples", "alias")
 
     def __init__(self, name: str, params: tuple[str, ...], validate: Callable[..., None],
                  build: Callable[..., FiniteGroup],
                  closed_form: Callable[..., FactoredNat] | None = None,
                  clique_expr: Callable[..., CliqueExpr] | None = None,
-                 counts: Callable[..., tuple[int, int]] | None = None, alias: str | None = None):
-        super().__init__(name, params, validate, build, closed_form, clique_expr, counts, alias)
+                 counts: Callable[..., tuple[int, int]] | None = None,
+                 examples: tuple[tuple, ...] = (), alias: str | None = None):
+        super().__init__(name, params, validate, build, closed_form, clique_expr, counts,
+                         examples, alias)
 
     @property
     def usage(self) -> str:
@@ -414,23 +422,24 @@ FAMILIES = {
     for f in (
         Family("cyclic", ("n",), _v_cyclic, _build_cyclic,
                closed_form=lambda n: F.kappa_cyclic(n),
-               counts=_cyclic_counts),
+               counts=_cyclic_counts, examples=tuple((n,) for n in (*range(3, 10), 12, 25, 30))),
         Family("elementary", ("p", "n"), _v_elementary, _build_elementary,
                closed_form=lambda p, n: F.kappa_epo(_elementary_counts(p, n)),
                clique_expr=lambda p, n: epo_expr(_elementary_counts(p, n)),
-               counts=lambda p, n: (p**n, p if n == 1 else 1)),
+               counts=lambda p, n: (p**n, p if n == 1 else 1),
+               examples=((2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (5, 1))),
         Family("dihedral", ("n",), _v_dihedral, _build_dihedral,
-               counts=lambda n: (2 * n, 1)),
+               counts=lambda n: (2 * n, 1), examples=tuple((n,) for n in range(3, 9))),
         Family("quaternion", ("n",), _v_quaternion, _build_quaternion,
                closed_form=lambda n: F.kappa_quaternion(n),
                clique_expr=lambda n: Join(
                    Clique(2), union_of([Clique(2 ** (n - 1) - 2)] + [Clique(2)] * 2 ** (n - 2))
                ),
-               counts=lambda n: (2**n, 2)),
+               counts=lambda n: (2**n, 2), examples=((3,), (4,), (5,))),
         Family("heisenberg", ("p",), _need_odd_prime, _build_heisenberg,
                closed_form=lambda p: F.kappa_heisenberg(p),
                clique_expr=lambda p: epo_expr({p: p * p + p + 1}),
-               counts=lambda p: (p**3, 1)),
+               counts=lambda p: (p**3, 1), examples=((3,),)),
         # no closed form.  The clique form is the published K(p)*(p+1)#K(p^2-p),
         # whose count p^(2p^3-5) matches neither published exponent, 2p^3-p-5
         # nor 2p^3-p-4; verify's audit row refutes all three at p = 3 with
@@ -438,15 +447,15 @@ FAMILIES = {
         Family("extraspecial_exp_p2", ("p",), _need_odd_prime, _build_extraspecial_exp_p2,
                clique_expr=lambda p: Join(Clique(p), copies(p + 1, Clique(p * p - p))),
                counts=lambda p: (p**3, 1),
-               alias="extraspecial"),
+               examples=((3,),), alias="extraspecial"),
         Family("psl2", ("p", "n"), _v_psl2, _build_psl2,
                closed_form=lambda p, n: F.kappa_psl2(p, n),
-               counts=lambda p, n: (_psl2_order(p**n), 1)),
+               counts=lambda p, n: (_psl2_order(p**n), 1), examples=((2, 2), (5, 1), (7, 1))),
         Family("frobenius_pq", ("p", "q"), _v_frobenius, _build_frobenius_pq,
                closed_form=lambda p, q: F.kappa_frobenius_pq(p, q),
                clique_expr=lambda p, q: epo_expr({p: q, q: 1}),
                counts=lambda p, q: (p * q, 1),
-               alias="frobenius"),
+               examples=((2, 3), (2, 5), (2, 7), (3, 7), (5, 11)), alias="frobenius"),
         Family("cayley_table", ("PATH",), _v_cayley, _build_cayley_table, alias="table"),
     )
 }

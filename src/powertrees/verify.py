@@ -5,7 +5,8 @@ Every case compares a closed form against an independent exact computation
 det(J+L)/n^2 where the oracle's reduction at the universal vertices makes a
 claim hold by construction).  The group families' closed forms are read
 through the registry (`groups.FAMILIES`) into one audit table, `_AUDITS`,
-whose rows may also pin a value.  A claimed integer Laplacian spectrum is
+whose rows may also pin a value; the family sweeps take their groups from
+each row's `examples` too.  A claimed integer Laplacian spectrum is
 proved exactly: L is symmetric, so each eigenvalue's multiplicity is
 n - rank(L - mu*I).  That of 0 is the component count, and tr L and tr L^2
 stand in for the costliest rank.  Reports are deterministic for a fixed
@@ -62,6 +63,13 @@ def kappa_det_of_group(spec_text: str) -> int:
 
 def _vs(expected: int, actual: int) -> str:
     return f"expected {expected}, got {actual}"
+
+
+def _examples(*claims: str) -> list[str]:
+    """The example groups (`Family.examples`), in the CLI grammar, of every
+    registry family that has each named claim, e.g. 'counts'."""
+    return [":".join([f.alias or f.name, *map(str, params)]) for f in FAMILIES.values()
+            if all(getattr(f, claim) for claim in claims) for params in f.examples]
 
 
 # --- named constant regressions ---
@@ -213,14 +221,13 @@ def cases_dihedral_vs_cyclic() -> list[CaseResult]:
 
 def cases_quotient_vs_oracle(seed: int) -> list[CaseResult]:
     """The twin-quotient route, which `auto` takes for groups without a
-    closed form and for graphs, against the determinant oracle: one
-    small group of every family built in (the oracle values are memoized by
-    the cases above), and seeded random graphs with n <= 9, disconnected ones
+    closed form and for graphs, against the determinant oracle: every example
+    group of every family in the registry (the oracle values are memoized
+    across cases), and seeded random graphs with n <= 9, disconnected ones
     included."""
     rng = random.Random(seed + 5)
     failures = []
-    specs = [f"{family}:{n}" for family in ("dihedral", "cyclic") for n in range(3, 9)]
-    specs += ["quaternion:3", "extraspecial:3", *_EPO_CATALOG]
+    specs = _examples()
     for text in specs:
         spec = twin_quotient(power_graph(build_group(GroupSpec.parse(text))))
         quotient = F.kappa_quotient(spec).value()
@@ -349,45 +356,20 @@ def cases_universal_divisibility_suite(seed: int) -> list[CaseResult]:
     return [_aggregate("universal-count-divisibility-suite", failures, total)]
 
 
-_UNIVERSAL_CATALOG = (
-    "cyclic:4", "cyclic:8", "cyclic:9", "cyclic:25", "cyclic:6", "cyclic:12", "cyclic:30",
-    "quaternion:3", "quaternion:4", "quaternion:5", "dihedral:3", "dihedral:4", "dihedral:6",
-    "elementary:2:2", "elementary:3:2", "elementary:2:3", "heisenberg:3", "extraspecial:3",
-    "frobenius:2:3", "frobenius:3:7", "frobenius:5:11", "psl2:2:2", "psl2:5:1", "psl2:7:1",
-)
-
-
 def cases_universal_classification() -> list[CaseResult]:
     """Each family's counts (order, universal count), which the CLI reports
-    without building the group, against the built power graph."""
+    without building the group, against the built power graph of each of
+    its examples."""
     failures = []
-    for text in _UNIVERSAL_CATALOG:
+    specs = _examples("counts")
+    for text in specs:
         spec = GroupSpec.parse(text)
         group = build_group(spec)
         actual = (group.order, len(universal_vertices(power_graph(group))))
         expected = FAMILIES[spec.family].counts(*spec.params)
         if actual != expected:
             failures.append(f"{text}: counts say {expected}, the power graph has {actual}")
-    return [_aggregate("universal-set-classification", failures, len(_UNIVERSAL_CATALOG))]
-
-
-_CATALOG_EXPR_SPECS = (
-    "quaternion:3",
-    "quaternion:4",
-    "quaternion:5",
-    "elementary:2:2",
-    "elementary:2:3",
-    "elementary:2:4",
-    "elementary:3:2",
-    "elementary:3:3",
-    "elementary:5:1",
-    "frobenius:2:3",
-    "frobenius:2:5",
-    "frobenius:2:7",
-    "frobenius:3:7",
-    "heisenberg:3",
-    "extraspecial:3",
-)
+    return [_aggregate("universal-set-classification", failures, len(specs))]
 
 
 def _random_expr(rng: random.Random, budget: int):
@@ -399,9 +381,10 @@ def _random_expr(rng: random.Random, budget: int):
 
 
 def _spectrum_exprs(seed: int) -> list:
-    """The catalog expressions plus seeded random ones, 200 in all."""
+    """The clique forms of the families' examples plus seeded random ones,
+    200 in all."""
     rng = random.Random(seed + 3)
-    exprs = [family_expr(GroupSpec.parse(t)) for t in _CATALOG_EXPR_SPECS]
+    exprs = [family_expr(GroupSpec.parse(t)) for t in _examples("clique_expr")]
     while len(exprs) < 200:
         exprs.append(_random_expr(rng, rng.randint(1, 40)))
     return exprs
@@ -455,7 +438,7 @@ def cases_spectrum_charpoly(seed: int) -> list[CaseResult]:
     the component count for 0, tr L and tr L^2 for the nonzero value of least
     multiplicity and one exact rank for each other value (see
     `spectrum_mismatch`), and it gives the same spanning-tree count as the
-    determinant; catalog expressions plus seeded random ones."""
+    determinant; the families' clique forms plus seeded random ones."""
     exprs = _spectrum_exprs(seed)
     failures = []
     for i, expr in enumerate(exprs):
@@ -487,11 +470,12 @@ def clique_form_mismatch(expr: CliqueExpr, group: str) -> str:
 
 
 def cases_family_expr_realization() -> list[CaseResult]:
-    """For the cataloged clique decompositions (except the flagged
-    exponent-p^2 family), the realized expression is isomorphic to the
-    constructed power graph: both have the same canonical clique form."""
+    """For the examples of every family with a clique form and a closed
+    form, the realized expression is isomorphic to the constructed power
+    graph: both have the same canonical clique form.  Where the clique form
+    is a family's only claim, its `_AUDITS` row audits it."""
     failures = []
-    specs = [t for t in _CATALOG_EXPR_SPECS if not t.startswith("extraspecial")]
+    specs = _examples("clique_expr", "closed_form")
     for text in specs:
         why = clique_form_mismatch(family_expr(GroupSpec.parse(text)), text)
         if why:

@@ -134,7 +134,7 @@ def test_unknown_family_error_lists_the_families(capsys):
 
 
 @pytest.mark.parametrize("bound", ["-4", "0", "1"])
-def test_factor_bound_below_two_is_a_usage_error(capsys, tmp_path, bound):
+def test_factor_bound_is_an_unrecognized_argument(capsys, tmp_path, bound):
     # there is no --factor-bound: every bound, valid or not, is an
     # unrecognized argument
     base = tmp_path / "edge.txt"
@@ -152,7 +152,7 @@ def test_factor_bound_below_two_is_a_usage_error(capsys, tmp_path, bound):
             assert f"unrecognized arguments: --factor-bound {value}" in err
 
 
-def test_factor_bound_default_and_explicit(capsys, tmp_path):
+def test_replaced_and_expr_targets_print_their_factored_kappa(capsys, tmp_path):
     base = tmp_path / "edge.txt"
     base.write_text("2\n0 1\n")
     _, out, _ = run(capsys, "kappa", "replaced", str(base), "--sizes", "2,3",

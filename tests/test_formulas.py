@@ -19,6 +19,7 @@ from powertrees.graphs import (
     universal_vertices,
 )
 from powertrees.groups import (
+    GroupConstructionError,
     GroupSpec,
     build_group,
     clique_spec,
@@ -48,8 +49,6 @@ def test_kappa_quaternion():
     assert F.kappa_quaternion(3) == FactoredNat.prime_power(2, 11)
     assert F.kappa_quaternion(4) == FactoredNat.prime_power(2, 31)
     assert F.kappa_quaternion(5) == FactoredNat.prime_power(2, 81)
-    with pytest.raises(ValueError):
-        F.kappa_quaternion(2)
 
 
 def test_kappa_quaternion_matches_determinant():
@@ -203,7 +202,7 @@ def test_one_determinant_equals_the_literal_subset_sum():
             assert value == literal_clique_replaced_value(spec)
 
 
-def test_clique_replaced_value_is_one_determinant(monkeypatch):
+def test_clique_replaced_formula_is_one_determinant(monkeypatch):
     calls = []
 
     def counting(m):
@@ -437,20 +436,18 @@ def test_kappa_psl2_paper_constants():
 
 
 def test_kappa_psl2_excluded_parameters():
+    # the registry row is the one statement of the range the closed form assumes
     for p, n in ((2, 1), (3, 1)):
-        with pytest.raises(ValueError, match="excluded"):
-            F.kappa_psl2(p, n)
-    with pytest.raises(ValueError):
-        F.kappa_psl2(4, 1)
+        with pytest.raises(GroupConstructionError, match="q = p\\^n >= 4"):
+            GroupSpec("psl2", (p, n))
+    with pytest.raises(GroupConstructionError, match="must be prime"):
+        GroupSpec("psl2", (4, 1))
 
 
 def test_kappa_heisenberg():
     assert F.kappa_heisenberg(3) == FactoredNat.prime_power(3, 13)
     assert F.kappa_heisenberg(5) == FactoredNat.prime_power(5, 93)
     assert F.kappa_heisenberg(3).value() == det_kappa("heisenberg:3")
-    for bad in (2, 9):
-        with pytest.raises(ValueError):
-            F.kappa_heisenberg(bad)
 
 
 def test_extraspecial_verdict_p3():
@@ -506,8 +503,6 @@ def test_kappa_frobenius_pq_values():
     assert F.kappa_frobenius_pq(2, 3).value() == 3
     assert F.kappa_frobenius_pq(3, 7) == FactoredNat(((3, 7), (7, 5)))
     assert F.kappa_frobenius_pq(5, 11) == FactoredNat(((5, 33), (11, 9)))
-    with pytest.raises(ValueError):
-        F.kappa_frobenius_pq(3, 5)
 
 
 def test_kappa_frobenius_pq_matches_determinant():

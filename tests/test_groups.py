@@ -16,6 +16,7 @@ from powertrees.graphs import (
 )
 from powertrees.groups import (
     FAMILIES,
+    Family,
     GroupConstructionError,
     GroupSpec,
     build_group,
@@ -179,9 +180,11 @@ def test_spec_validation_errors():
         "elementary:4:2",
         "quaternion:2",
         "heisenberg:2",
+        "heisenberg:9",
         "extraspecial:2",
         "psl2:2:1",
         "psl2:3:1",
+        "psl2:4:1",
         "frobenius:3:5",  # 3 does not divide 4
         "frobenius:5:3",  # p > q
         "nosuch:1",
@@ -480,3 +483,64 @@ def test_audit_reads_the_closed_form_through_the_registry(monkeypatch):
     assert not status["quaternion-order-008"]
     assert not status["extraspecial-2-quaternion8"]
     assert status["extraspecial-2-dihedral8"]
+
+
+# --- family examples: the groups verify sweeps, read from the registry ---
+
+# the hand-written verify lists that the registry's examples replaced
+UNIVERSAL_LIST = (
+    "cyclic:4", "cyclic:8", "cyclic:9", "cyclic:25", "cyclic:6", "cyclic:12", "cyclic:30",
+    "quaternion:3", "quaternion:4", "quaternion:5", "dihedral:3", "dihedral:4", "dihedral:6",
+    "elementary:2:2", "elementary:3:2", "elementary:2:3", "heisenberg:3", "extraspecial:3",
+    "frobenius:2:3", "frobenius:3:7", "frobenius:5:11", "psl2:2:2", "psl2:5:1", "psl2:7:1",
+)
+CLIQUE_FORM_LIST = (
+    "quaternion:3", "quaternion:4", "quaternion:5", "elementary:2:2", "elementary:2:3",
+    "elementary:2:4", "elementary:3:2", "elementary:3:3", "elementary:5:1", "frobenius:2:3",
+    "frobenius:2:5", "frobenius:2:7", "frobenius:3:7", "heisenberg:3", "extraspecial:3",
+)
+QUOTIENT_LIST = (
+    *(f"{family}:{n}" for family in ("dihedral", "cyclic") for n in range(3, 9)),
+    "quaternion:3", "extraspecial:3", "elementary:2:2", "elementary:2:3", "elementary:3:2",
+    "elementary:5:1", "heisenberg:3", "frobenius:2:3", "frobenius:3:7", "psl2:2:2",
+)
+
+
+def specs(texts):
+    return {GroupSpec.parse(t) for t in texts}
+
+
+def test_family_examples_cover_the_former_verify_lists():
+    assert specs(verify._examples("counts")) >= specs(UNIVERSAL_LIST)
+    assert specs(verify._examples("clique_expr")) >= specs(CLIQUE_FORM_LIST)
+    closed = [t for t in CLIQUE_FORM_LIST if not t.startswith("extraspecial")]
+    assert specs(verify._examples("clique_expr", "closed_form")) >= specs(closed)
+    assert specs(verify._examples()) >= specs(QUOTIENT_LIST)
+
+
+def test_every_family_example_is_a_valid_small_group():
+    for family in FAMILIES.values():
+        assert family.examples or family.name == "cayley_table", family.name
+        for params in family.examples:
+            spec = GroupSpec(family.name, params)
+            group = build_group(spec)
+            assert group.order <= 200, spec
+            if family.counts:
+                assert family.counts(*params)[0] == group.order, spec
+
+
+def _totals():
+    cases = (verify.cases_quotient_vs_oracle(0) + verify.cases_universal_classification()
+             + verify.cases_family_expr_realization())
+    assert all(case.ok for case in cases)
+    return {case.name: int(case.detail.split("/")[0]) for case in cases}
+
+
+def test_a_new_family_row_is_swept_by_every_aggregate_case(monkeypatch):
+    before = _totals()
+    q = FAMILIES["quaternion"]
+    copy = Family("quaternion_copy", q.params, q.validate, q.build, closed_form=q.closed_form,
+                  clique_expr=q.clique_expr, counts=q.counts, examples=((3,),))
+    monkeypatch.setitem(FAMILIES, copy.name, copy)
+    after = _totals()
+    assert after == {name: total + 1 for name, total in before.items()}

@@ -347,7 +347,7 @@ def edge_list_expr_graph(expr):
 
 def test_expr_to_graph_equals_the_edge_list_construction():
     rng = random.Random(29)
-    exprs = [family_expr(GroupSpec.parse(t)) for t in V._CATALOG_EXPR_SPECS]
+    exprs = [family_expr(GroupSpec.parse(t)) for t in V._examples("clique_expr")]
     exprs += [_random_expr(rng, rng.randint(1, 25)) for _ in range(2000)]
     exprs.append(parse_expr("4000#K(1)*K(1)"))
     for expr in exprs:
