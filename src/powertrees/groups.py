@@ -2,12 +2,14 @@
 and clique forms), Cayley-table ingestion, cyclic subgroups, power graphs and
 their clique specs.
 
-Every group is its list of elements in a concrete representation (residues,
-vectors over GF(p), normal forms, matrices over GF(q), affine maps) plus the
-multiply on that representation; a Cayley-table input multiplies by table
-lookup.  Downstream code sees element indices, and element 0 is always the
-identity.  No order x order table is built: the cyclic subgroups come from
-repeated multiplication, and a power graph is built only when asked for.
+Every group is its list of elements in a concrete representation plus the
+multiply on that representation: residues, vectors over GF(p), normal forms,
+matrices over GF(q) or, for the dihedral, Frobenius and exponent-p^2
+extraspecial groups, the affine maps t -> a^i*t + b of one Z_n x| Z_m
+constructor; a Cayley-table input multiplies by table lookup.  Downstream
+code sees element indices, and element 0 is always the identity.  No order x
+order table is built: the cyclic subgroups come from repeated
+multiplication, and a power graph is built only when asked for.
 """
 
 from __future__ import annotations
@@ -175,17 +177,26 @@ def _build_elementary(p: int, n: int) -> FiniteGroup:
     )
 
 
-def _build_dihedral(n: int) -> FiniteGroup:
-    # elements r^a s^b, index = b*n + a; s r = r^-1 s
-    def op(x, y):
-        a1, b1 = x
-        a2, b2 = y
-        a = (a1 + (a2 if b1 == 0 else -a2)) % n
-        return (a, (b1 + b2) % 2)
+def _build_semidirect(name: str, n: int, a: int, m: int, names=None) -> FiniteGroup:
+    # t -> a^i*t + b on Z_n as (b, i), i varying slowest, a^m = 1 mod n:
+    # (b1,i1)(b2,i2) = t -> a^i1*(a^i2*t + b2) + b1
+    powers = [pow(a, i, n) for i in range(m)]
 
-    elements = [(a, b) for b in (0, 1) for a in range(n)]
-    names = [f"r{a}" if b == 0 else f"sr{a}" for a, b in elements]
-    return FiniteGroup(f"dihedral:{n}", elements, op, names)
+    def op(u, v):
+        b1, i1 = u
+        b2, i2 = v
+        return ((powers[i1] * b2 + b1) % n, (i1 + i2) % m)
+
+    elements = [(b, i) for i in range(m) for b in range(n)]
+    if names is None:
+        names = [f"t->{powers[i]}t+{b}" for b, i in elements]
+    return FiniteGroup(name, elements, op, names)
+
+
+def _build_dihedral(n: int) -> FiniteGroup:
+    # r^b s^i is t -> (-1)^i*t + b
+    return _build_semidirect(f"dihedral:{n}", n, -1, 2,
+                             [f"{'s' * i}r{b}" for i in (0, 1) for b in range(n)])
 
 
 def _build_quaternion(n: int) -> FiniteGroup:
@@ -218,20 +229,8 @@ def _build_heisenberg(p: int) -> FiniteGroup:
 
 
 def _build_extraspecial_exp_p2(p: int) -> FiniteGroup:
-    # affine maps t -> (1+c*p)*t + b on Z_{p^2}; composition
-    # (a1,b1)(a2,b2) = t -> a1*(a2*t + b2) + b1
-    mod = p * p
-
-    def op(u, v):
-        c1, b1 = u
-        c2, b2 = v
-        a1 = 1 + c1 * p
-        a = (a1 * (1 + c2 * p)) % mod
-        return ((a - 1) // p, (a1 * b2 + b1) % mod)
-
-    elements = [(c, b) for c in range(p) for b in range(mod)]
-    names = [f"t->{1 + c * p}t+{b}" for c, b in elements]
-    return FiniteGroup(f"extraspecial_exp_p2:{p}", elements, op, names)
+    # t -> (1+p)^i*t + b on Z_(p^2), with (1+p)^i = 1 + i*p
+    return _build_semidirect(f"extraspecial_exp_p2:{p}", p * p, 1 + p, p)
 
 
 def _psl2_order(q: int) -> int:
@@ -292,20 +291,9 @@ def _build_psl2(p: int, n: int) -> FiniteGroup:
 
 
 def _build_frobenius_pq(p: int, q: int) -> FiniteGroup:
-    # Z_q semidirect Z_p, realized as maps t -> a^i * t + b on Z_q with a the
-    # smallest residue of multiplicative order p mod q: as p is prime, the
-    # smallest a > 1 with a^p = 1, which exists since p | q-1.
+    # a is the smallest c > 1 with c^p = 1 mod q, of order p as p is prime
     a = next(c for c in range(2, q) if pow(c, p, q) == 1)
-    powers = [pow(a, i, q) for i in range(p)]
-
-    def op(u, v):
-        b1, i1 = u
-        b2, i2 = v
-        return ((powers[i1] * b2 + b1) % q, (i1 + i2) % p)
-
-    elements = [(b, i) for i in range(p) for b in range(q)]
-    names = [f"t->{powers[i]}t+{b}" for b, i in elements]
-    return FiniteGroup(f"frobenius_pq:{p}:{q}", elements, op, names)
+    return _build_semidirect(f"frobenius_pq:{p}:{q}", q, a, p)
 
 
 def _parse_cayley_text(text: str) -> list[list[int]]:

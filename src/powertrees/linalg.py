@@ -23,10 +23,7 @@ trace recurrence in integer matrix products read off the adjacency sets, with
 every division checked exact; no determinant is taken for it, so it checks the
 Bareiss route independently.
 
-No floating point anywhere.  When gmpy2 is importable its mpz type is used
-inside the elimination loops (bit-identical results, much faster on the
-hundred-digit intermediates that large graphs produce); otherwise plain
-Python ints are used.
+No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -35,11 +32,6 @@ from collections import Counter
 
 from .graphs import components
 from .numth import InternalConsistencyError, Value  # the error is raised here and re-exported
-
-try:
-    from gmpy2 import mpz as _mk
-except ImportError:  # pragma: no cover - exercised only without gmpy2
-    _mk = int
 
 
 class DimensionError(ValueError):
@@ -82,7 +74,7 @@ def det_bareiss(m: IntMatrix) -> int:
     if not m.is_square():
         raise DimensionError(f"determinant needs a square matrix, got {m.rows}x{m.cols}")
     rank, sign, last = _bareiss(m)
-    return int(sign * last) if rank == m.rows else 0
+    return sign * last if rank == m.rows else 0
 
 
 def rank_bareiss(m: IntMatrix) -> int:
@@ -95,8 +87,8 @@ def _bareiss(m: IntMatrix) -> tuple[int, int, int]:
     entry of each column below the rows already pivoted on, and skips a
     column without one.  Returns (rank, sign of the row swaps, last pivot or
     1).  The entries stay minors of m, so every division is checked exact."""
-    a = [[_mk(x) for x in row] for row in m.to_rows()]
-    rank, sign, prev = 0, 1, _mk(1)
+    a = m.to_rows()
+    rank, sign, prev = 0, 1, 1
     for c in range(m.cols):
         for r in range(rank, m.rows):
             if a[r][c]:
@@ -139,8 +131,8 @@ def _det_psd_upper(upper: list[list[int]]) -> int:
     n = len(upper)
     if n == 0:
         return 1
-    a = [[_mk(x) for x in row] for row in upper]
-    prev = _mk(1)
+    a = list(upper)
+    prev = 1
     for k in range(n - 1):
         row_k = a[k]
         pivot = row_k[0]
@@ -162,7 +154,7 @@ def _det_psd_upper(upper: list[list[int]]) -> int:
     last = a[n - 1][0]
     if last < 0:
         raise InternalConsistencyError("symmetric block is not positive semidefinite")
-    return int(last)
+    return last
 
 
 def _laplacian_rows(g, shift: int = 0) -> list[list[int]]:

@@ -21,6 +21,7 @@ import os
 import random
 from collections import Counter
 from functools import cache, partial
+from itertools import chain, islice
 
 from . import formulas as F
 from .graphs import (
@@ -206,7 +207,7 @@ def cases_epo_catalog() -> list[CaseResult]:
 
 def cases_dihedral_vs_cyclic() -> list[CaseResult]:
     out = []
-    for n in range(3, 9):
+    for (n,) in FAMILIES["dihedral"].examples:
         kd = kappa_det_of_group(f"dihedral:{n}")
         kc = kappa_det_of_group(f"cyclic:{n}")
         out.append(
@@ -226,45 +227,44 @@ def cases_quotient_vs_oracle(seed: int) -> list[CaseResult]:
     across cases), and seeded random graphs with n <= 9, disconnected ones
     included."""
     rng = random.Random(seed + 5)
-    failures = []
-    specs = _examples()
-    for text in specs:
-        spec = twin_quotient(power_graph(build_group(GroupSpec.parse(text))))
-        quotient = F.kappa_quotient(spec).value()
-        det = kappa_det_of_group(text)
-        if quotient != det:
-            failures.append(f"{text}: quotient {quotient}, determinant {det}")
-    for i in range(300):
-        g = _random_graph(rng, rng.randint(1, 9))
+    groups = ((text, power_graph(build_group(GroupSpec.parse(text))), kappa_det_of_group(text))
+              for text in _examples())
+    drawn = (_random_graph(rng, rng.randint(1, 9)) for _ in range(300))
+    graphs = ((f"graph {i} edges={list(g.edges())}", g, kappa_matrix_tree(g))
+              for i, g in enumerate(drawn))
+
+    def why(item):
+        label, g, det = item
         spec = twin_quotient(g)  # None for a disconnected graph
         quotient = F.kappa_quotient(spec).value() if spec else 0
-        det = kappa_matrix_tree(g)
-        if quotient != det:
-            failures.append(
-                f"graph {i} edges={list(g.edges())}: quotient {quotient}, determinant {det}"
-            )
-    return [_aggregate("quotient-vs-oracle", failures, len(specs) + 300)]
+        return "" if quotient == det else f"{label}: quotient {quotient}, determinant {det}"
+
+    return _sweep("quotient-vs-oracle", chain(groups, graphs), why)
 
 
 # --- sweeps and randomized suites (aggregate reporting) ---
 
 
-def _aggregate(name: str, failures: list[str], total: int) -> CaseResult:
+def _sweep(name: str, items, why) -> list[CaseResult]:
+    """One aggregate line over items, which may be a generator: why(item)
+    is '' for a pass, else the failure, and the first failure is shown."""
+    texts = [why(item) for item in items]
+    failures = [text for text in texts if text]
+    total = len(texts)
     if failures:
         detail = f"{total - len(failures)}/{total} ok; first failure: {failures[0]}"
-        return CaseResult(name, False, detail)
-    return CaseResult(name, True, f"{total}/{total} ok")
+        return [CaseResult(name, False, detail)]
+    return [CaseResult(name, True, f"{total}/{total} ok")]
 
 
 def cases_cyclic_sweep() -> list[CaseResult]:
     """cyclic:1..120, closed form vs oracle."""
-    failures = []
-    for n in range(1, 121):
+    def why(n):
         formula = F.kappa_cyclic(n).value()
         det = kappa_det_of_group(f"cyclic:{n}")
-        if formula != det:
-            failures.append(f"n={n}: closed form {formula}, determinant {det}")
-    return [_aggregate("cyclic-sweep-001-120", failures, 120)]
+        return "" if formula == det else f"n={n}: closed form {formula}, determinant {det}"
+
+    return _sweep("cyclic-sweep-001-120", range(1, 121), why)
 
 
 def connected_labeled_graphs(k: int) -> list[SimpleGraph]:
@@ -282,23 +282,19 @@ def cases_triangle(seed: int) -> list[CaseResult]:
     """Three-way agreement on every labeled connected base with k <= 5 and
     seeded size vectors: formula == contraction matrix == determinant."""
     rng = random.Random(seed)
-    failures = []
-    total = 0
-    for k in range(1, 6):
-        for base in connected_labeled_graphs(k):
-            for _ in range(5):
-                sizes = tuple(rng.randint(1, 4) for _ in range(k))
-                spec = CliqueReplacedSpec(base, sizes)
-                v_formula = F.kappa_clique_replaced_formula(spec).value()
-                v_smatrix = F.kappa_clique_replaced_smatrix(spec).value()
-                v_det = kappa_matrix_tree(clique_replaced(spec))
-                total += 1
-                if not (v_formula == v_smatrix == v_det):
-                    failures.append(
-                        f"k={k} edges={list(base.edges())} sizes={sizes}: "
-                        f"formula {v_formula}, smatrix {v_smatrix}, determinant {v_det}"
-                    )
-    return [_aggregate("triangle-k1-5", failures, total)]
+    specs = (CliqueReplacedSpec(base, tuple(rng.randint(1, 4) for _ in range(k)))
+             for k in range(1, 6) for base in connected_labeled_graphs(k) for _ in range(5))
+
+    def why(spec):
+        v_formula = F.kappa_clique_replaced_formula(spec).value()
+        v_smatrix = F.kappa_clique_replaced_smatrix(spec).value()
+        v_det = kappa_matrix_tree(clique_replaced(spec))
+        if v_formula == v_smatrix == v_det:
+            return ""
+        return (f"k={spec.base.n} edges={list(spec.base.edges())} sizes={spec.sizes}: "
+                f"formula {v_formula}, smatrix {v_smatrix}, determinant {v_det}")
+
+    return _sweep("triangle-k1-5", specs, why)
 
 
 def _random_graph(rng: random.Random, n: int) -> SimpleGraph:
@@ -314,62 +310,63 @@ def cases_shifted_product_suite(seed: int) -> list[CaseResult]:
     checked both by the direct determinant route and by evaluating the
     characteristic polynomial."""
     rng = random.Random(seed + 1)
-    failures = []
-    for i in range(200):
-        n = rng.randint(1, 8)
-        g = _random_graph(rng, n)
-        m = rng.choice([x for x in range(-5, 6) if x != 0])
+    cases = ((_random_graph(rng, rng.randint(1, 8)), rng.choice([x for x in range(-5, 6) if x]))
+             for _ in range(200))
+
+    def why(case):
+        i, (g, m) = case
         try:
             direct = shifted_product_integer_check(g, m)
         except Exception as exc:  # exactness assertion must never fire
-            failures.append(f"case {i} (n={n}, m={m}): raised {exc}")
-            continue
+            return f"case {i} (n={g.n}, m={m}): raised {exc}"
         sigma = sum(c * (-m) ** k for k, c in enumerate(laplacian_char_poly(g)))
-        via_poly, rem = divmod((-1) ** n * sigma, m)
+        via_poly, rem = divmod((-1) ** g.n * sigma, m)
         if rem or via_poly != direct:
-            failures.append(f"case {i} (n={n}, m={m}): direct {direct}, char-poly {via_poly} rem {rem}")
-    return [_aggregate("shifted-eigenvalue-product-suite", failures, 200)]
+            return f"case {i} (n={g.n}, m={m}): direct {direct}, char-poly {via_poly} rem {rem}"
+        return ""
+
+    return _sweep("shifted-eigenvalue-product-suite", enumerate(cases), why)
 
 
 def cases_universal_divisibility_suite(seed: int) -> list[CaseResult]:
     """n**(m-1) divides the spanning-tree count of every connected graph with
     m < n universal vertices.  The oracle's reduction at the universal set
     makes this hold by construction, so the count is det(J+L)/n^2."""
+    def why(case):
+        g, m = case
+        kappa = kappa_via_jl(g)
+        divides = kappa % g.n ** (m - 1) == 0
+        return "" if divides else f"n={g.n} m={m} edges={list(g.edges())}: kappa={kappa}"
+
+    return _sweep("universal-count-divisibility-suite", islice(_universal_graphs(seed), 200), why)
+
+
+def _universal_graphs(seed: int):
+    """Seeded graphs (g, m) with 1 <= m < n universal vertices (so connected)."""
     rng = random.Random(seed + 2)
-    failures = []
-    total = 0
-    attempts = 0
-    while total < 200 and attempts < 20000:
-        attempts += 1
+    for _ in range(20000):
         core = _random_graph(rng, rng.randint(1, 6))
         extra = rng.randint(0, 2)
         g = join(complete_graph(extra), core) if extra else core
-        if not g.is_connected():
-            continue
         m = len(universal_vertices(g))
-        if not 1 <= m < g.n:
-            continue
-        total += 1
-        kappa = kappa_via_jl(g)
-        if kappa % g.n ** (m - 1):
-            failures.append(f"n={g.n} m={m} edges={list(g.edges())}: kappa={kappa}")
-    return [_aggregate("universal-count-divisibility-suite", failures, total)]
+        if 1 <= m < g.n:
+            yield g, m
 
 
 def cases_universal_classification() -> list[CaseResult]:
     """Each family's counts (order, universal count), which the CLI reports
     without building the group, against the built power graph of each of
     its examples."""
-    failures = []
-    specs = _examples("counts")
-    for text in specs:
+    def why(text):
         spec = GroupSpec.parse(text)
         group = build_group(spec)
         actual = (group.order, len(universal_vertices(power_graph(group))))
         expected = FAMILIES[spec.family].counts(*spec.params)
-        if actual != expected:
-            failures.append(f"{text}: counts say {expected}, the power graph has {actual}")
-    return [_aggregate("universal-set-classification", failures, len(specs))]
+        if actual == expected:
+            return ""
+        return f"{text}: counts say {expected}, the power graph has {actual}"
+
+    return _sweep("universal-set-classification", _examples("counts"), why)
 
 
 def _random_expr(rng: random.Random, budget: int):
@@ -380,14 +377,14 @@ def _random_expr(rng: random.Random, budget: int):
     return Union(left, right) if rng.random() < 0.5 else Join(left, right)
 
 
-def _spectrum_exprs(seed: int) -> list:
+def _spectrum_exprs(seed: int):
     """The clique forms of the families' examples plus seeded random ones,
     200 in all."""
     rng = random.Random(seed + 3)
-    exprs = [family_expr(GroupSpec.parse(t)) for t in _examples("clique_expr")]
-    while len(exprs) < 200:
-        exprs.append(_random_expr(rng, rng.randint(1, 40)))
-    return exprs
+    texts = _examples("clique_expr")
+    yield from (family_expr(GroupSpec.parse(t)) for t in texts)
+    for _ in range(200 - len(texts)):
+        yield _random_expr(rng, rng.randint(1, 40))
 
 
 def spectrum_mismatch(g: SimpleGraph, spec) -> str:
@@ -439,25 +436,22 @@ def cases_spectrum_charpoly(seed: int) -> list[CaseResult]:
     multiplicity and one exact rank for each other value (see
     `spectrum_mismatch`), and it gives the same spanning-tree count as the
     determinant; the families' clique forms plus seeded random ones."""
-    exprs = _spectrum_exprs(seed)
-    failures = []
-    for i, expr in enumerate(exprs):
+    def why(case):
+        i, expr = case
         g = expr_to_graph(expr)
         spec = spectrum(expr)
         if spec.n != g.n or spec.eigenvalue_sum() != 2 * g.edge_count:
-            failures.append(f"expr {i} ({expr}): spectrum totals wrong")
-            continue
-        why = spectrum_mismatch(g, spec)
-        if why:
-            failures.append(f"expr {i} ({expr}): {spec}: {why}")
-            continue
+            return f"expr {i} ({expr}): spectrum totals wrong"
+        mismatch = spectrum_mismatch(g, spec)
+        if mismatch:
+            return f"expr {i} ({expr}): {spec}: {mismatch}"
         kappa_spectral = kappa_from_spectrum(spec).value()
         kappa_det = kappa_matrix_tree(g)
         if kappa_spectral != kappa_det:
-            failures.append(
-                f"expr {i} ({expr}): spectral {kappa_spectral}, determinant {kappa_det}"
-            )
-    return [_aggregate("spectrum-vs-charpoly-suite", failures, len(exprs))]
+            return f"expr {i} ({expr}): spectral {kappa_spectral}, determinant {kappa_det}"
+        return ""
+
+    return _sweep("spectrum-vs-charpoly-suite", enumerate(_spectrum_exprs(seed)), why)
 
 
 def clique_form_mismatch(expr: CliqueExpr, group: str) -> str:
@@ -474,13 +468,11 @@ def cases_family_expr_realization() -> list[CaseResult]:
     form, the realized expression is isomorphic to the constructed power
     graph: both have the same canonical clique form.  Where the clique form
     is a family's only claim, its `_AUDITS` row audits it."""
-    failures = []
-    specs = _examples("clique_expr", "closed_form")
-    for text in specs:
-        why = clique_form_mismatch(family_expr(GroupSpec.parse(text)), text)
-        if why:
-            failures.append(f"{text}: {why}")
-    return [_aggregate("family-clique-forms", failures, len(specs))]
+    def why(text):
+        mismatch = clique_form_mismatch(family_expr(GroupSpec.parse(text)), text)
+        return f"{text}: {mismatch}" if mismatch else ""
+
+    return _sweep("family-clique-forms", _examples("clique_expr", "closed_form"), why)
 
 
 def cases_path_audit(seed: int) -> list[CaseResult]:
@@ -525,24 +517,22 @@ def cases_expr_syntax() -> list[CaseResult]:
         ("K(1)*(3#K(1)+K(2))", 3),
         ("K(4)", 16),
     )
-    failures = []
-    for text, expected in checks:
+    def why(check):
+        text, expected = check
         got = kappa_from_spectrum(spectrum(parse_expr(text))).value()
-        if got != expected:
-            failures.append(f"{text}: expected {expected}, got {got}")
-    return [_aggregate("expression-syntax", failures, len(checks))]
+        return "" if got == expected else f"{text}: {_vs(expected, got)}"
+
+    return _sweep("expression-syntax", checks, why)
 
 
 def cases_jl_route() -> list[CaseResult]:
     """det(J+L)/n^2 equals the reduced-Laplacian cofactor on small graphs."""
-    failures = []
-    total = 0
-    for k in range(1, 5):
-        for base in connected_labeled_graphs(k):
-            total += 1
-            if kappa_via_jl(base) != kappa_matrix_tree(base):
-                failures.append(f"k={k} edges={list(base.edges())}")
-    return [_aggregate("ones-plus-laplacian-route", failures, total)]
+    def why(base):
+        agree = kappa_via_jl(base) == kappa_matrix_tree(base)
+        return "" if agree else f"k={base.n} edges={list(base.edges())}"
+
+    bases = (base for k in range(1, 5) for base in connected_labeled_graphs(k))
+    return _sweep("ones-plus-laplacian-route", bases, why)
 
 
 # --- suite assembly ---

@@ -175,7 +175,7 @@ def _factored_value(text):
     ("zn", "9"), ("zn", "30"), ("group", "cyclic:30"), ("group", "psl2:2:2"),
     ("group", "heisenberg:3"),
 ])
-def test_factor_bound_applies_to_every_route(capsys, kind, target):
+def test_every_route_prints_the_same_factored_kappa(capsys, kind, target):
     # one factoring rule on every route: the closed forms factor
     # structurally, the oracle by trial division of its whole kappa, and all
     # of them print one and the same factored kappa
@@ -248,7 +248,7 @@ def test_clique_target_counts(capsys, tmp_path, kind, target, sizes, n, universa
 
 
 @pytest.mark.parametrize("n,universal", [(420, 97), (2310, 481)])
-def test_zn_beyond_the_subset_sum_reach(capsys, n, universal):
+def test_zn_with_many_divisors_answers_without_the_graph(capsys, n, universal):
     # 22 and 30 interior divisors: the formula route answers with one
     # determinant, without expanding the graph (1.8M edges for 2310)
     code, out, _ = run(capsys, "kappa", "zn", str(n), "--output", "json")

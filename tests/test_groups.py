@@ -174,6 +174,32 @@ def test_frobenius_is_epo_and_nonabelian():
         )
 
 
+@pytest.mark.parametrize("text,n,a,m,first", [
+    ("dihedral:2", 2, -1, 2, ("r0", "r1", "sr0", "sr1")),
+    ("dihedral:3", 3, -1, 2, ("r0", "r1", "sr0", "sr1")),
+    ("dihedral:6", 6, -1, 2, ("r0", "r1", "sr0", "sr1")),
+    ("frobenius:2:5", 5, 4, 2, ("t->1t+0", "t->1t+1", "t->4t+0", "t->4t+1")),
+    ("frobenius:3:7", 7, 2, 3, ("t->1t+0", "t->1t+1", "t->2t+0", "t->2t+1")),
+    ("extraspecial:3", 9, 4, 3, ("t->1t+0", "t->1t+1", "t->4t+0", "t->4t+1")),
+    ("extraspecial:5", 25, 6, 5, ("t->1t+0", "t->1t+1", "t->6t+0", "t->6t+1")),
+])
+def test_semidirect_products_compose_their_affine_maps(text, n, a, m, first):
+    # element (b, i) is t -> a^i*t + b on Z_n with i mod m; a product is the
+    # composition of the two maps, evaluated at every t in Z_n
+    g = build(text)
+    assert g.elements == tuple((b, i) for i in range(m) for b in range(n))
+    maps = [tuple((pow(a, i, n) * t + b) % n for t in range(n)) for b, i in g.elements]
+    for x, (_, ix) in enumerate(g.elements):
+        for y, (_, iy) in enumerate(g.elements):
+            xy = g.mul(x, y)
+            assert maps[xy] == tuple(maps[x][t] for t in maps[y])
+            assert g.elements[xy][1] == (ix + iy) % m
+    names = g.element_names
+    assert names[:2] + names[n:n + 2] == first
+    assert all(names[k] == (f"{'s' * i}r{b}" if a == -1 else f"t->{pow(a, i, n)}t+{b}")
+               for k, (b, i) in enumerate(g.elements))
+
+
 def test_spec_validation_errors():
     for bad in (
         "cyclic:0",
