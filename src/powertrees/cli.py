@@ -144,9 +144,7 @@ def _vertex_counts(target) -> tuple[int, int]:
         return target.n, len(universal_vertices(target))
     if isinstance(target, CliqueReplacedSpec):
         n = target.n
-        return n, sum(
-            x for j, x in enumerate(target.sizes) if target.block_degree_plus_one(j) == n
-        )
+        return n, sum(x for x, m in zip(target.sizes, target.m) if m == n)
     return target.n, universal_count(target)
 
 
@@ -302,11 +300,12 @@ def cmd_export(args) -> int:
             text = _graph_json(graph)
         else:
             raise UsageError(f"unknown export format {args.format!r}")
+    text = text if text.endswith("\n") else text + "\n"  # json ends in no newline
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+            fh.write(text)
     else:
-        print(text)
+        sys.stdout.write(text)
     return 0
 
 

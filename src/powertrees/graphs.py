@@ -173,9 +173,11 @@ class CliqueReplacedSpec(Value):
     def n(self) -> int:
         return sum(self.sizes)
 
-    def block_degree_plus_one(self, i: int) -> int:
-        """m_i: own block size plus the sizes of all neighboring blocks."""
-        return self.sizes[i] + sum(self.sizes[j] for j in self.base.adj[i])
+    @property
+    def m(self) -> tuple[int, ...]:
+        """m_i per block i: x_i plus its neighbours' sizes, one more than its degree."""
+        sizes = self.sizes
+        return tuple(x + sum(sizes[j] for j in nb) for x, nb in zip(sizes, self.base.adj))
 
 
 def twin_quotient(g: SimpleGraph) -> CliqueReplacedSpec | None:

@@ -143,18 +143,14 @@ def _certifiable_prime(n: int) -> bool:
         return False
 
 
-def factor_completely(n: int) -> list[tuple[int, int]]:
-    """Full factorization of n >= 1 (intended for small n, e.g. matrix sizes)."""
+@functools.lru_cache(maxsize=4096)
+def factor_completely(n: int) -> tuple[tuple[int, int], ...]:
+    """Full factorization of n >= 1, memoized: intended for small n (bases of
+    an exact ratio, group orders), which recur."""
     factors, residual = trial_division(n, max(2, math.isqrt(n)))
     if residual != 1:
         raise ValueError(f"failed to factor {n} completely")
-    return factors
-
-
-@functools.lru_cache(maxsize=4096)
-def _small_factors(n: int) -> tuple[tuple[int, int], ...]:
-    """factor_completely, memoized: the bases of an exact ratio recur."""
-    return tuple(factor_completely(n))
+    return tuple(factors)
 
 
 def is_prime_power(n: int) -> tuple[int, int] | None:
@@ -279,26 +275,23 @@ def product(values: list[FactoredNat] | tuple[FactoredNat, ...]) -> FactoredNat:
     return result
 
 
-def factored_ratio(powers: dict[int, int], dets, n: int) -> FactoredNat:
-    """prod base**k over powers times prod dets, factored without being
-    multiplied out: the shape of every structured spanning-tree count.
+def factored_ratio(powers: dict[int, int], dets: dict[int, int], n: int) -> FactoredNat:
+    """prod base**k over powers times prod det**count over dets, factored
+    without being multiplied out: the shape of every structured count.
 
     Each base (at most n) is factored completely and may carry a negative
-    exponent; each det is trial-divided up to max(n, 1000), so its residual
-    has no prime that a base has.  The division is therefore exact iff no
-    prime's exponent falls below 0, which is asserted, as is every det > 0.
-    With one det the result equals FactoredNat.from_int of the value under
-    that bound; with several, each det's cofactor is certified on its own.
-    A det that recurs is trial-divided once, and its count multiplies its
-    exponents and raises its cofactor.
+    exponent; each det is trial-divided once, up to max(n, 1000), so its
+    residual has no prime that a base has, and its count (>= 1) multiplies
+    its exponents and raises its residual.  The division is therefore exact
+    iff no prime's exponent falls below 0, which is asserted, as is every
+    det > 0.  With {det: 1} the result equals FactoredNat.from_int of det
+    times the bases under that bound; each det's cofactor is certified on
+    its own.
     """
     bound = max(n, 1000)
     exponents: dict[int, int] = {}
     residual = 1
-    counts: dict[int, int] = {}
-    for det in dets:
-        counts[det] = counts.get(det, 0) + 1
-    for det, count in counts.items():
+    for det, count in dets.items():
         if det <= 0:
             raise InternalConsistencyError(f"non-positive determinant {det}")
         factors, rest = trial_division(det, bound)
@@ -306,7 +299,7 @@ def factored_ratio(powers: dict[int, int], dets, n: int) -> FactoredNat:
             exponents[p] = exponents.get(p, 0) + e * count
         residual *= rest**count
     for base, k in powers.items():
-        for p, e in _small_factors(base):
+        for p, e in factor_completely(base):
             exponents[p] = exponents.get(p, 0) + e * k
     negative = {p: e for p, e in exponents.items() if e < 0}
     if negative:

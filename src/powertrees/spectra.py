@@ -199,7 +199,7 @@ def kappa_from_spectrum(spec: IntSpectrum) -> FactoredNat:
         return FactoredNat.zero()
     powers = Counter({value: mult for value, mult in spec.pairs if value})
     powers[spec.n] -= 1
-    return factored_ratio(powers, (), spec.n)
+    return factored_ratio(powers, {}, spec.n)
 
 
 def universal_count(expr: CliqueExpr) -> int:

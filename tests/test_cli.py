@@ -20,7 +20,7 @@ from powertrees.graphs import (
 )
 from powertrees.groups import FAMILIES, GroupSpec, build_group, clique_spec, power_graph
 from powertrees.linalg import kappa_matrix_tree
-from powertrees.numth import FactoredNat, is_prime
+from powertrees.numth import FactoredNat, InternalConsistencyError, is_prime
 from powertrees.spectra import expr_to_graph, parse_expr
 
 
@@ -119,6 +119,10 @@ def test_unknown_family_is_a_usage_error(capsys):
         (("kappa", "group", "psl2:3"), "psl2:p:n"),
         (("kappa", "group", "cyclic"), "cyclic:n"),
         (("export", "group", "elementary:2", "--format", "edges"), "elementary:p:n"),
+        (("kappa", "group", "cyclic:x"), "bad group spec 'cyclic:x'"),
+        (("kappa", "replaced", "base.txt"), "replaced targets need --sizes x1,x2,..."),
+        (("export", "replaced", "base.txt", "--format", "edges"), "replaced targets need --sizes"),
+        (("kappa", "replaced", "base.txt", "--sizes", "2,x"), "bad --sizes value '2,x'"),
     ],
 )
 def test_wrong_parameter_count_is_a_usage_error(capsys, argv, usage):
@@ -500,15 +504,21 @@ def test_expanding_routes_build_the_group(capsys, monkeypatch, method):
     assert (record["vertex_count"], record["universal_count"]) == (12, 5)
 
 
-@pytest.mark.parametrize("header", ["0", "-1"])
-def test_empty_cayley_table_is_a_usage_error(capsys, tmp_path, header):
+@pytest.mark.parametrize("text,message", [
+    pytest.param("0\n", "at least one element", id="0"),
+    pytest.param("-1\n", "at least one element", id="-1"),
+    pytest.param("\n", "error: empty Cayley-table input\n", id="blank"),
+    pytest.param("2\n0 1\n", "error: expected 2 table rows, got 1\n", id="one-row-of-two"),
+    pytest.param("2\n0 1\n1\n", "error: row has 1 entries, expected 2\n", id="short-row"),
+])
+def test_empty_cayley_table_is_a_usage_error(capsys, tmp_path, text, message):
     path = tmp_path / "empty.tbl"
-    path.write_text(header + "\n")
+    path.write_text(text)
     for argv in (("kappa", "group", f"table:{path}"),
                  ("export", "group", f"table:{path}", "--format", "edges")):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
-        assert "at least one element" in err
+        assert message in err
 
 
 def test_auto_counts_a_graph_file_through_its_quotient(capsys, tmp_path):
@@ -595,6 +605,11 @@ def test_a_repeated_edge_line_is_a_usage_error(capsys, tmp_path, extra):
     code, out, err = run(capsys, "kappa", kind, str(path), *extra)
     assert code == 2 and out == ""
     assert err == "error: edge (0,1) is listed twice\n"
+    # an edge line of three fields
+    path.write_text("3\n0 1 2\n1 2\n")
+    code, out, err = run(capsys, "kappa", kind, str(path), *extra)
+    assert code == 2 and out == ""
+    assert err == "error: bad edge line: '0 1 2'\n"
 
 
 def test_factored_output_multiplies_nothing_out(capsys, monkeypatch):
@@ -656,3 +671,45 @@ def test_a_prime_beyond_the_certified_range_exits_4(capsys):
         "error: beyond the certified range: cannot certify primality of "
         "3317044064679887385961987: out of deterministic range\n"
     )
+
+
+def test_an_internal_consistency_error_exits_3(capsys, monkeypatch):
+    def inexact(target, spec):
+        raise InternalConsistencyError("inexact division")
+
+    monkeypatch.setitem(cli.ROUTES["zn"], "formula", inexact)
+    code, out, err = run(capsys, "kappa", "zn", "12")
+    assert (code, out, err) == (3, "", "internal consistency error: inexact division\n")
+
+
+@pytest.mark.parametrize("kind,target,sizes", [
+    ("group", "dihedral:5", None),
+    ("expr", "K(1)*(K(2)+2#K(1))", None),
+    ("replaced", "path3", "2,3,1"),
+])
+def test_export_prints_the_bytes_it_writes(capsys, tmp_path, kind, target, sizes):
+    if kind == "group":
+        graph = power_graph(build_group(GroupSpec.parse(target)))
+    elif kind == "expr":
+        graph = expr_to_graph(parse_expr(target))
+    else:
+        base = tmp_path / "path3.txt"
+        base.write_text("3\n0 1\n1 2\n")
+        target = str(base)
+        graph = clique_replaced(CliqueReplacedSpec(path_graph(3), (2, 3, 1)))
+    argv = ("export", kind, target, *(("--sizes", sizes) if sizes else ()))
+    _, kappa, _ = run(capsys, "kappa", *argv[1:], "--output", "factored")
+    for fmt in ("dot", "edges", "json"):
+        code, printed, err = run(capsys, *argv, "--format", fmt)
+        assert code == 0 and err == ""
+        path = tmp_path / f"graph.{fmt}"
+        assert run(capsys, *argv, "--format", fmt, "--out", str(path)) == (0, "", "")
+        assert path.read_bytes() == printed.encode()
+        assert printed.endswith("\n") and not printed.endswith("\n\n")
+    # the edge list read back as a graph target has the target's kappa
+    assert run(capsys, "kappa", "graph", str(tmp_path / "graph.edges"), "--output", "factored") == (
+        0, kappa, "")
+    record = json.loads((tmp_path / "graph.json").read_text())
+    assert record["vertex_count"] == graph.n
+    assert record["edges"] == [list(e) for e in graph.edges()]
+    assert record["labels"] == [graph.label(v) for v in range(graph.n)]

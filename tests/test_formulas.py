@@ -95,13 +95,23 @@ def test_clique_replaced_formula_single_edge():
     assert F.kappa_clique_replaced_formula(spec).value() == 1
 
 
-def test_smatrix_entries_and_minors():
+def smatrix_minor_sum(monkeypatch, spec, convention):
+    """The one determinant kappa_clique_replaced_smatrix hands factored_ratio."""
+    handed = []
+    monkeypatch.setattr(F, "factored_ratio", lambda powers, dets, n: handed.append(dets))
+    F.kappa_clique_replaced_smatrix(spec, convention)
+    [(det, count)] = handed[0].items()
+    assert count == 1
+    return det
+
+
+def test_smatrix_entries_and_minors(monkeypatch):
     # two blocks of sizes (2, 3): the arc convention weighs the head block
     spec = CliqueReplacedSpec(complete_graph(2), (2, 3))
     assert F.smatrix(spec, "arcs") == [[3, -3], [-2, 2]]
     assert F.smatrix(spec, "table") == [[3, -3], [-3, 3]]
-    assert F.smatrix_minor_sum(spec, "arcs") == 5
-    assert F.smatrix_minor_sum(spec, "table") == 6
+    assert smatrix_minor_sum(monkeypatch, spec, "arcs") == 5
+    assert smatrix_minor_sum(monkeypatch, spec, "table") == 6
     with pytest.raises(ValueError):
         F.smatrix(spec, "nonsense")
 
@@ -126,13 +136,13 @@ def test_smatrix_table_convention_disagrees_on_asymmetric_sizes():
     assert kappa_matrix_tree(clique_replaced(spec)) == 125
 
 
-def test_smatrix_divisor_graph_of_6():
+def test_smatrix_divisor_graph_of_6(monkeypatch):
     spec = F.divisor_clique_spec(6)
-    assert F.smatrix_minor_sum(spec, "arcs") == 108
     assert F.kappa_clique_replaced_smatrix(spec).value() == 540
+    assert smatrix_minor_sum(monkeypatch, spec, "arcs") == 108
 
 
-def test_smatrix_minor_sum_equals_the_explicit_minor_sum():
+def test_smatrix_minor_sum_equals_the_explicit_minor_sum(monkeypatch):
     from types import SimpleNamespace
 
     rng = random.Random(1806)
@@ -143,6 +153,7 @@ def test_smatrix_minor_sum_equals_the_explicit_minor_sum():
         base = SimpleGraph(k, [(i, j) for i in range(k) for j in range(i + 1, k) if rng.random() < p])
         # a stand-in spec: CliqueReplacedSpec rejects a disconnected base
         spec = SimpleNamespace(base=base, sizes=tuple(rng.randint(1, 5) for _ in range(k)), k=k)
+        spec.n, spec.m = sum(spec.sizes), CliqueReplacedSpec.m.fget(spec)
         disconnected += not base.is_connected()
         for convention in ("arcs", "table"):
             rows = F.smatrix(spec, convention)
@@ -152,7 +163,7 @@ def test_smatrix_minor_sum_equals_the_explicit_minor_sum():
                 ))
                 for j in range(k)
             )
-            assert F.smatrix_minor_sum(spec, convention) == minors
+            assert smatrix_minor_sum(monkeypatch, spec, convention) == minors
     assert disconnected >= 30
 
 
@@ -177,8 +188,7 @@ def literal_clique_replaced_value(spec):
     """The paper's form evaluated as written, in fractions:
     prod m_i**x_i * (Psi + sum_S det(A_comp[S]) * prod_{i not in S} lambda_i)
     / (Psi * n^2), with S over the vertex subsets of size >= 2."""
-    k, sizes = spec.k, spec.sizes
-    m = [spec.block_degree_plus_one(i) for i in range(k)]
+    k, sizes, m = spec.k, spec.sizes, spec.m
     lam = [Fraction(m[i], sizes[i]) for i in range(k)]
     comp = complement(spec.base)
     psi = prod(lam)
@@ -357,6 +367,27 @@ def test_quotient_matches_the_oracle_on_random_specs(monkeypatch):
         seen["no determinant"] += not dets
         seen["determinants"] += bool(dets)
     assert min(seen.values()) >= 50, seen
+
+
+def test_quotient_hands_a_repeated_determinant_over_with_its_multiplicity(monkeypatch):
+    # a universal block joined to c = 3 equal paths on four blocks: one 4 x 4
+    # determinant, handed to factored_ratio once with multiplicity 3
+    dets = counting_determinants(monkeypatch)
+    handed, ratio = [], F.factored_ratio
+
+    def recorded(powers, found, n):
+        handed.append(dict(found))
+        return ratio(powers, found, n)
+
+    monkeypatch.setattr(F, "factored_ratio", recorded)
+    edges = [(0, v) for v in range(1, 13)]
+    edges += [(a + i, a + i + 1) for a in (1, 5, 9) for i in range(3)]
+    spec = CliqueReplacedSpec(SimpleGraph(13, edges), (2,) + (1, 2, 3, 1) * 3)
+    kappa = F.kappa_quotient(spec)
+    assert dets == [4]
+    [found] = handed
+    assert list(found.values()) == [3]
+    assert kappa.value() == kappa_matrix_tree(clique_replaced(spec))
 
 
 def test_quotient_takes_no_determinant_on_the_quaternion_specs(monkeypatch):

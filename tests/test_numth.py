@@ -2,6 +2,7 @@ import copy
 import math
 import pickle
 import random
+from collections import Counter
 
 import pytest
 
@@ -54,8 +55,8 @@ def test_trial_division_residual():
 
 
 def test_factor_completely():
-    assert factor_completely(540) == [(2, 2), (3, 3), (5, 1)]
-    assert factor_completely(1) == []
+    assert factor_completely(540) == ((2, 2), (3, 3), (5, 1))
+    assert factor_completely(1) == ()
     with pytest.raises(ValueError):
         factor_completely(0)
 
@@ -113,14 +114,14 @@ def test_factored_nat_arithmetic():
 
 def test_factored_ratio_checks_the_division():
     # 2^3 * 3 * det / 6 with det = 5
-    assert factored_ratio({2: 3, 3: 1, 6: -1}, [5], 6).value() == 20
+    assert factored_ratio({2: 3, 3: 1, 6: -1}, {5: 1}, 6).value() == 20
     with pytest.raises(InternalConsistencyError, match="negative exponents"):
-        factored_ratio({2: 1, 6: -1}, [5], 6)
+        factored_ratio({2: 1, 6: -1}, {5: 1}, 6)
     with pytest.raises(InternalConsistencyError, match="negative exponents"):
-        factored_ratio({4: -1}, [], 4)
+        factored_ratio({4: -1}, {}, 4)
     for det in (0, -9):
         with pytest.raises(InternalConsistencyError, match="non-positive"):
-            factored_ratio({3: -2}, [det], 3)
+            factored_ratio({3: -2}, {det: 1}, 3)
 
 
 def test_factored_ratio_of_one_det_equals_trial_division_of_the_value():
@@ -140,26 +141,26 @@ def test_factored_ratio_of_one_det_equals_trial_division_of_the_value():
                 num *= base**k
         det = den * rng.randint(1, 10**6) * rng.choice(big)
         value = num * det // den
-        assert factored_ratio(powers, [det], n) == FactoredNat.from_int(value, max(n, 1000))
+        assert factored_ratio(powers, {det: 1}, n) == FactoredNat.from_int(value, max(n, 1000))
 
 
 def test_factored_ratio_with_repeated_determinants():
     # fully factored below the bound: the same as factoring the product
     dets = [12, 35, 12, 2**10 * 997, 35, 12]
-    assert factored_ratio({}, dets, 10) == FactoredNat.from_int(math.prod(dets))
+    assert factored_ratio({}, Counter(dets), 10) == FactoredNat.from_int(math.prod(dets))
     powers = {6: 3, 35: -2, 4: -1}
-    assert factored_ratio(powers, dets, 10) == FactoredNat.from_int(
+    assert factored_ratio(powers, Counter(dets), 10) == FactoredNat.from_int(
         math.prod(dets) * 6**3 // (35**2 * 4)
     )
     # a composite cofactor beyond the bound is raised to its count, and each
     # det's cofactor is certified on its own, as if the dets were distinct
     big = 1009 * 1013 * 4
-    got = factored_ratio({}, [big, 3, big, big], 10)
+    got = factored_ratio({}, {big: 3, 3: 1}, 10)
     assert got == FactoredNat(((2, 6), (3, 1)), (1009 * 1013) ** 3)
     assert got == product([FactoredNat.from_int(d) for d in (big, 3, big, big)])
-    assert factored_ratio({}, [2018] * 3, 10) == FactoredNat(((2, 3), (1009, 3)))
+    assert factored_ratio({}, {2018: 3}, 10) == FactoredNat(((2, 3), (1009, 3)))
     with pytest.raises(InternalConsistencyError):
-        factored_ratio({}, [4, 0, 4], 10)
+        factored_ratio({}, {4: 2, 0: 1}, 10)
 
 
 # --- Value, the base of every record type ---
