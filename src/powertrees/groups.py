@@ -14,7 +14,6 @@ multiplication, and a power graph is built only when asked for.
 
 from __future__ import annotations
 
-import random
 from collections.abc import Callable
 from itertools import product
 from math import gcd
@@ -339,6 +338,7 @@ def validate_cayley_table(table: list[list[int]]) -> None:
             (a, b, c) for a in range(n) for b in range(n) for c in range(n)
         )
     else:
+        import random  # only here: keeps it off the CLI's start-up
         rng = random.Random(0)
         triples = (
             (rng.randrange(n), rng.randrange(n), rng.randrange(n))

@@ -1,9 +1,5 @@
-"""Exact integer linear algebra: Bareiss determinants and ranks,
-spanning-tree counts, and Laplacian characteristic polynomials.
-
-`det_bareiss` and `rank_bareiss` share one fraction-free elimination,
-`_bareiss`, that skips a column without a pivot: the rank is its number of
-pivots, and the determinant its signed last pivot when every column has one.
+"""Exact integer linear algebra: Bareiss determinants, spanning-tree counts,
+and Laplacian characteristic polynomials.
 
 `kappa_matrix_tree` counts spanning trees by peeling universal vertices:
 G = K_u v H, and each component of H is again such a join at a larger
@@ -13,10 +9,6 @@ search, splits each level.  Only a leaf takes a determinant, of its symmetric
 positive semidefinite Laplacian block, and only its upper half is eliminated,
 without pivoting; the generic pivoting `det_bareiss` stays behind
 `kappa_via_jl`, the route that cross-checks it.
-
-A Laplacian L is symmetric, hence diagonalizable, so the multiplicity of an
-eigenvalue mu is the nullity n - rank(L - mu*I); `laplacian_nullity` gives it
-from one fraction-free elimination.
 
 The characteristic polynomial det(mu*I - L) comes from the Faddeev-LeVerrier
 trace recurrence in integer matrix products read off the adjacency sets, with
@@ -69,38 +61,26 @@ class IntMatrix(Value):
 
 
 def det_bareiss(m: IntMatrix) -> int:
-    """Exact determinant: the signed last pivot of `_bareiss` when every
-    column has a pivot, else 0."""
+    """Exact determinant by fraction-free (Bareiss) elimination that pivots
+    on the first nonzero entry of each column on or below the diagonal; 0 at
+    the first column without one.  The entries stay minors of m, so every
+    division is checked exact."""
     if not m.is_square():
         raise DimensionError(f"determinant needs a square matrix, got {m.rows}x{m.cols}")
-    rank, sign, last = _bareiss(m)
-    return sign * last if rank == m.rows else 0
-
-
-def rank_bareiss(m: IntMatrix) -> int:
-    """Exact rank: the number of pivots `_bareiss` finds."""
-    return _bareiss(m)[0]
-
-
-def _bareiss(m: IntMatrix) -> tuple[int, int, int]:
-    """Fraction-free (Bareiss) elimination that pivots on the first nonzero
-    entry of each column below the rows already pivoted on, and skips a
-    column without one.  Returns (rank, sign of the row swaps, last pivot or
-    1).  The entries stay minors of m, so every division is checked exact."""
     a = m.to_rows()
-    rank, sign, prev = 0, 1, 1
-    for c in range(m.cols):
-        for r in range(rank, m.rows):
+    sign, prev = 1, 1
+    for c in range(m.rows):
+        for r in range(c, m.rows):
             if a[r][c]:
                 break
         else:
-            continue
-        if r != rank:
-            a[rank], a[r] = a[r], a[rank]
+            return 0
+        if r != c:
+            a[c], a[r] = a[r], a[c]
             sign = -sign
-        top = a[rank]
+        top = a[c]
         pivot = top[c]
-        for row_i in a[rank + 1 :]:
+        for row_i in a[c + 1 :]:
             f = row_i[c]
             new_tail = []
             push = new_tail.append
@@ -112,8 +92,7 @@ def _bareiss(m: IntMatrix) -> tuple[int, int, int]:
             row_i[c + 1 :] = new_tail
             row_i[c] = 0
         prev = pivot
-        rank += 1
-    return rank, sign, prev
+    return sign * prev
 
 
 def _det_psd_upper(upper: list[list[int]]) -> int:
@@ -166,11 +145,6 @@ def _laplacian_rows(g, shift: int = 0) -> list[list[int]]:
         for w in g.adj[v]:
             rows[v][w] = -1
     return rows
-
-
-def laplacian_nullity(g, mu: int) -> int:
-    """Multiplicity of mu as a Laplacian eigenvalue: n - rank(L - mu*I)."""
-    return g.n - rank_bareiss(IntMatrix.from_rows(_laplacian_rows(g, -mu)))
 
 
 def _block_det(adj, comp: list[int]) -> int:

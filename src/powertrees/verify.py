@@ -7,19 +7,18 @@ claim hold by construction).  The group families' closed forms are read
 through the registry (`groups.FAMILIES`) into one audit table, `_AUDITS`,
 whose rows may also pin a value; the family sweeps take their groups from
 each row's `examples` too.  A claimed integer Laplacian spectrum is
-proved exactly: L is symmetric, so each eigenvalue's multiplicity is
-n - rank(L - mu*I).  That of 0 is the component count, and tr L and tr L^2
-stand in for the costliest rank.  Reports are deterministic for a fixed
-seed: no timings, case lines sorted by name.  Large randomized sweeps
-aggregate into a single line; the named constant regressions print both
-values.
+proved exactly by a certificate: n integer eigenvectors read off the
+cotree, each checked against L and for independence.  Reports are
+deterministic for a fixed seed: no timings, case lines sorted by name.
+Large randomized sweeps aggregate into a single line; the named constant
+regressions print both values.
 """
 
 from __future__ import annotations
 
 import os
 import random
-from collections import Counter
+from collections import Counter, defaultdict
 from functools import cache, partial
 from itertools import chain, islice
 
@@ -28,6 +27,7 @@ from .graphs import (
     CliqueReplacedSpec,
     SimpleGraph,
     clique_replaced,
+    co_components,
     complete_graph,
     components,
     join,
@@ -36,7 +36,7 @@ from .graphs import (
     universal_vertices,
 )
 from .groups import FAMILIES, GroupSpec, build_group, family_expr, power_graph
-from .linalg import kappa_matrix_tree, kappa_via_jl, laplacian_char_poly, laplacian_nullity
+from .linalg import kappa_matrix_tree, kappa_via_jl, laplacian_char_poly
 from .linalg import shifted_product_integer_check
 from .numth import FactoredNat, Value, product
 from .spectra import (
@@ -387,53 +387,88 @@ def _spectrum_exprs(seed: int):
         yield _random_expr(rng, rng.randint(1, 40))
 
 
+def _cotree_vectors(g: SimpleGraph):
+    """Integer Laplacian eigenvectors read off g's cotree, as (lam, vector,
+    pivot), a vector a {vertex: coefficient} dict (Merris 1998).
+
+    Each component C gives its indicator, lam = 0.  A node splits into parts
+    P_1..P_c, by components at a union and co-components at a join, and
+    gives |P_j|*1_(P_(j-1)) - |P_(j-1)|*1_(P_j) for j >= 2, pivot in P_j.  A
+    node's vertices all have the same `shift` neighbours outside it, so
+    these have lam = shift at a union and shift + h at a join of h vertices,
+    which passes shift + h - |P| down to each part P.  That is n vectors on
+    a cograph; a set that splits neither way has an induced P4, a
+    ValueError."""
+    adj = g.adj
+    work = []
+    for comp in components(adj, set(range(g.n))):
+        yield 0, dict.fromkeys(comp, 1), comp[0]
+        work.append((comp, False, 0))
+    while work:
+        vertices, union, shift = work.pop()
+        if len(vertices) == 1:
+            continue
+        parts = (components if union else co_components)(adj, set(vertices))
+        if len(parts) == 1:
+            raise ValueError(f"{len(vertices)} vertices at {vertices[0]} have an induced P4")
+        lam = shift if union else shift + len(vertices)
+        for prev, part in zip(parts, parts[1:]):
+            vec = dict.fromkeys(prev, len(part)) | dict.fromkeys(part, -len(prev))
+            yield lam, vec, part[0]
+        work.extend((part, not union, lam - (0 if union else len(part))) for part in parts)
+
+
+def _certified_counts(adj, vectors) -> Counter:
+    """How many of `vectors` ((lam, vector, pivot) as `_cotree_vectors`
+    gives them) are proved independent eigenvectors, per lam.  L v = lam v
+    is checked exactly by scattering v's entries over adj.  Each vector must
+    be nonzero at its pivot, and no earlier vector of its lam nonzero there,
+    so each lam's vectors are triangular, hence independent.  The first
+    vector that fails is a ValueError."""
+    counts, touched = Counter(), {}
+    for lam, vec, pivot in vectors:
+        residual = defaultdict(int)  # (L - lam*I) v
+        for x, c in vec.items():
+            residual[x] += (len(adj[x]) - lam) * c
+            for y in adj[x]:
+                residual[y] -= c
+        if any(residual.values()):
+            raise ValueError(f"a vector claimed for {lam} is no eigenvector")
+        seen = touched.setdefault(lam, set())
+        if not vec.get(pivot) or pivot in seen:
+            raise ValueError(f"a vector claimed for {lam} is not independent of the earlier ones")
+        seen.update(vec)
+        counts[lam] += 1
+    return counts
+
+
 def spectrum_mismatch(g: SimpleGraph, spec) -> str:
     """Why spec is not the Laplacian spectrum of g, or '' when it is proved.
 
-    The claimed values are distinct and their multiplicities sum to n.  L is
-    symmetric, so an eigenvalue's multiplicity is its nullity n - rank(L -
-    mu*I).  The nullity of L itself is the number of components, so 0 takes
-    no rank.  Let mu* be the nonzero claimed value of least multiplicity r
-    (L - mu*I has the largest rank); every other nonzero value is proved by
-    its exact rank.  The r eigenvalues left are then real, none of them a
-    proved value, and they sum to s1 = tr L less the proved ones and their
-    squares to s2 = tr L^2 less theirs, where tr L = sum deg and tr L^2 =
-    sum deg*(deg+1).  Both must equal r*mu* and r*mu*^2, and then the sum
-    of (nu - mu*)^2 over them, s2 - 2*mu*s1 + r*mu*^2, is 0: each one is
-    mu*.  So d distinct claimed values take d - 2 ranks, none for two.
-    """
+    The proof is a certificate (McConnell et al. 2011): the n eigenvectors
+    of `_cotree_vectors`, each checked by `_certified_counts`.  Eigenvectors
+    of distinct eigenvalues are independent, so n of them make each
+    certified count the nullity of L - mu*I; the counts are compared with
+    spec in ascending mu.  The checker takes nothing on trust from the
+    cotree walk, so a fault there can only fail a true claim."""
     if spec.n != g.n:
         return f"spectrum claims {spec.n} eigenvalues for {g.n} vertices"
-    zeros = len(components(g.adj, set(range(g.n))))
-    if spec.multiplicity(0) != zeros:
-        return f"nullity of L - 0I is {zeros}, spectrum claims {spec.multiplicity(0)}"
-    nonzero = [pair for pair in spec.pairs if pair[0]]
-    if not nonzero:
-        return ""
-    mu_star, r = min(nonzero, key=lambda pair: pair[1])
-    degrees = list(map(len, g.adj))
-    s1 = sum(degrees)
-    s2 = sum(d * (d + 1) for d in degrees)
-    for mu, mult in nonzero:
-        if mu == mu_star:
-            continue
-        nullity = laplacian_nullity(g, mu)
-        if nullity != mult:
-            return f"nullity of L - {mu}I is {nullity}, spectrum claims {mult}"
-        s1 -= mu * mult
-        s2 -= mu * mu * mult
-    if s1 != r * mu_star or s2 != r * mu_star * mu_star:
-        return (
-            f"nullity of L - {mu_star}I is not {r}: the {r} eigenvalues left "
-            f"sum to {s1} and their squares to {s2}"
-        )
+    try:
+        certified = _certified_counts(g.adj, _cotree_vectors(g))
+    except ValueError as why:
+        return f"no eigenvector certificate: {why}"
+    if certified.total() != g.n:
+        return f"the certificate proves {certified.total()} eigenvectors, not {g.n}"
+    claimed = dict(spec.pairs)
+    for mu in sorted(certified.keys() | claimed.keys()):
+        if certified[mu] != claimed.get(mu, 0):
+            return f"nullity of L - {mu}I is {certified[mu]}, spectrum claims {claimed.get(mu, 0)}"
     return ""
 
 
 def cases_spectrum_charpoly(seed: int) -> list[CaseResult]:
     """spectrum(e) is the Laplacian spectrum of the realized graph, proved by
-    the component count for 0, tr L and tr L^2 for the nonzero value of least
-    multiplicity and one exact rank for each other value (see
+    a certificate of n checked integer eigenvectors read off its cotree (see
     `spectrum_mismatch`), and it gives the same spanning-tree count as the
     determinant; the families' clique forms plus seeded random ones."""
     def why(case):

@@ -596,6 +596,16 @@ def test_startup_loads_no_dataclasses():
     assert proc.stdout.splitlines() == ["[]"]
 
 
+def test_startup_loads_no_random():
+    # only the sampled associativity check of a large Cayley table needs it
+    src = Path(cli.__file__).resolve().parents[1]
+    code = "import powertrees.cli, sys; print('random' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-S", "-c", code],
+                          env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, check=True, timeout=60)
+    assert proc.stdout.splitlines() == ["False"]
+
+
 @pytest.mark.parametrize("extra", [[], ["--sizes", "1,2,1"]], ids=["graph", "replaced"])
 def test_a_repeated_edge_line_is_a_usage_error(capsys, tmp_path, extra):
     # the file would describe a doubled edge 0-1 (kappa 2), not the path (kappa 1)

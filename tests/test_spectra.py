@@ -1,4 +1,3 @@
-import functools
 import itertools
 import random
 
@@ -7,7 +6,7 @@ import pytest
 from powertrees import linalg
 from powertrees.formulas import kappa_psl2
 from powertrees import verify as V
-from powertrees.graphs import SimpleGraph, complete_graph, components, universal_vertices
+from powertrees.graphs import SimpleGraph, components, path_graph, universal_vertices
 from powertrees.groups import GroupSpec, build_group, family_expr, power_graph
 from powertrees.linalg import InternalConsistencyError, kappa_matrix_tree, laplacian_char_poly
 from powertrees.numth import FactoredNat
@@ -401,7 +400,7 @@ def test_union_of_empty_rejected():
         copies(0, Clique(2))
 
 
-# --- the rank proof behind verify's spectrum suite ---
+# --- the eigenvector certificate behind verify's spectrum suite ---
 
 
 def moved_unit(spec, src, dst):
@@ -412,10 +411,7 @@ def moved_unit(spec, src, dst):
     return IntSpectrum(tuple(sorted(((v, m) for v, m in counts.items() if m), reverse=True)))
 
 
-def test_every_moved_multiplicity_is_rejected(monkeypatch):
-    # each rank is computed once per matrix; the check itself runs on every
-    # perturbed spectrum
-    monkeypatch.setattr(linalg, "rank_bareiss", functools.cache(linalg.rank_bareiss))
+def test_every_moved_multiplicity_is_rejected():
     rejected = 0
     for expr in V._spectrum_exprs(7):
         g = expr_to_graph(expr)
@@ -453,59 +449,77 @@ def test_spectrum_suite_fails_on_a_moved_multiplicity(monkeypatch):
         assert not result.ok and why in result.detail
 
 
-def count_ranks(monkeypatch):
-    """A list that gets the mu of every exact rank spectrum_mismatch takes."""
-    shifts = []
-    real = linalg.laplacian_nullity
-
-    def recorded(g, mu):
-        shifts.append(mu)
-        return real(g, mu)
-
-    monkeypatch.setattr(V, "laplacian_nullity", recorded)
-    return shifts
-
-
-def test_spectrum_proof_takes_at_most_d_minus_2_ranks(monkeypatch):
+def test_spectrum_proof_takes_no_determinant(monkeypatch):
     calls = []
-    real = linalg.rank_bareiss
-
-    def counted(m):
-        calls.append(m.rows)
-        return real(m)
-
-    monkeypatch.setattr(linalg, "rank_bareiss", counted)
+    for name in ("det_bareiss", "_det_psd_upper"):
+        real = getattr(linalg, name)
+        monkeypatch.setattr(linalg, name, lambda m, real=real: calls.append(m) or real(m))
     for expr in V._spectrum_exprs(1):
-        calls.clear()
-        spec = spectrum(expr)
-        assert V.spectrum_mismatch(expr_to_graph(expr), spec) == ""
-        assert len(calls) <= max(len(spec.pairs) - 2, 0)
-    # two distinct eigenvalues take no rank at all
-    calls.clear()
-    assert V.spectrum_mismatch(complete_graph(5), spectrum(Clique(5))) == ""
+        assert V.spectrum_mismatch(expr_to_graph(expr), spectrum(expr)) == ""
     assert calls == []
+    linalg.kappa_via_jl(path_graph(4))  # the recorder does see a determinant
+    assert calls
 
 
-def test_spectrum_proof_reads_zero_from_the_components(monkeypatch):
-    shifts = count_ranks(monkeypatch)
+def test_certified_multiplicities_equal_exact_rank_nullities(laplacian_nullity):
+    rng = random.Random(41)
+    for _ in range(60):
+        g = expr_to_graph(_random_expr(rng, rng.randint(1, 14)))
+        vectors = list(V._cotree_vectors(g))
+        assert len(vectors) == g.n
+        certified = V._certified_counts(g.adj, vectors)
+        for mu in range(g.n + 2):
+            assert certified[mu] == laplacian_nullity(g, mu), (list(g.edges()), mu)
+
+
+def test_certificate_rejects_a_perturbed_coefficient():
+    g = expr_to_graph(parse_expr("K(1)*(K(2)+3#K(3))"))
+    vectors = list(V._cotree_vectors(g))
+    assert sum(V._certified_counts(g.adj, vectors).values()) == g.n
+    for i, (lam, vec, pivot) in enumerate(vectors):
+        for v in vec:
+            bad = vectors[:i] + [(lam, {**vec, v: vec[v] + 1}, pivot)] + vectors[i + 1 :]
+            with pytest.raises(ValueError, match=f"claimed for {lam} is no eigenvector"):
+                V._certified_counts(g.adj, bad)
+
+
+def test_certificate_rejects_a_repeated_vector():
+    g = expr_to_graph(parse_expr("K(1)*(K(2)+3#K(3))"))
+    vectors = list(V._cotree_vectors(g))
+    for i, (lam, _, _) in enumerate(vectors):
+        with pytest.raises(ValueError, match=f"claimed for {lam} is not independent"):
+            V._certified_counts(g.adj, vectors[: i + 1] + vectors[i:])
+    # nor may a vector vanish at its pivot
+    lam, vec, pivot = vectors[-1]
+    with pytest.raises(ValueError, match="not independent"):
+        V._certified_counts(g.adj, [(lam, {v: 0 for v in vec}, pivot)])
+
+
+def test_spectrum_proof_of_a_p4_is_a_message():
+    why = V.spectrum_mismatch(path_graph(4), IntSpectrum(((4, 1), (2, 2), (0, 1))))
+    assert why == "no eigenvector certificate: 4 vertices at 0 have an induced P4"
+    g = power_graph(build_group(GroupSpec.parse("cyclic:12")))
+    assert "induced P4" in V.spectrum_mismatch(g, IntSpectrum(((12, 12),)))
+
+
+def test_spectrum_proof_reads_zero_from_the_components():
     g = expr_to_graph(parse_expr("K(3)+K(2)+K(1)"))
     spec = spectrum(parse_expr("K(3)+K(2)+K(1)"))
     assert spec == IntSpectrum(((3, 2), (2, 1), (0, 3)))
     assert V.spectrum_mismatch(g, spec) == ""
-    # 2 has the least multiplicity, so only L - 3I is ranked
-    assert shifts == [3]
-    shifts.clear()
+    # 0 is certified by one indicator vector per component
+    zero = [vec for lam, vec, _ in V._cotree_vectors(g) if lam == 0]
+    assert sorted(map(sorted, zero)) == sorted(map(sorted, components(g.adj, set(range(6)))))
+    assert all(set(vec.values()) == {1} for vec in zero)
     one_zero = IntSpectrum(((3, 2), (2, 3), (0, 1)))
     assert V.spectrum_mismatch(g, one_zero) == "nullity of L - 0I is 3, spectrum claims 1"
-    assert shifts == []
     # a claim without 0 fails too
     no_zero = IntSpectrum(((3, 2), (2, 3), (1, 1)))
     assert V.spectrum_mismatch(g, no_zero) == "nullity of L - 0I is 3, spectrum claims 0"
 
 
-def test_spectrum_proof_rejects_a_trace_preserving_split(monkeypatch):
+def test_spectrum_proof_rejects_a_trace_preserving_split():
     # one unit of mu* each to mu*-1 and mu*+1 keeps n and tr L
-    monkeypatch.setattr(linalg, "rank_bareiss", functools.cache(linalg.rank_bareiss))
     split = 0
     for expr in V._spectrum_exprs(1):
         g = expr_to_graph(expr)
@@ -523,17 +537,13 @@ def test_spectrum_proof_rejects_a_trace_preserving_split(monkeypatch):
     assert split > 50
 
 
-def test_spectrum_proof_catches_a_merge_by_the_square_trace(monkeypatch):
+def test_spectrum_proof_catches_a_trace_preserving_merge():
     # the path 0-1-2 has spectrum {3, 1, 0}; {2^2, 0} has its n, its
-    # component count and its trace, and takes no rank, so only tr L^2
-    # (10, not 2 * 2^2) rejects it
-    shifts = count_ranks(monkeypatch)
+    # component count and its trace, and the certified 1 rejects it
     g = expr_to_graph(parse_expr("K(1)*(K(1)+K(1))"))
     assert spectrum(parse_expr("K(1)*(K(1)+K(1))")) == IntSpectrum(((3, 1), (1, 1), (0, 1)))
     why = V.spectrum_mismatch(g, IntSpectrum(((2, 2), (0, 1))))
-    left = "the 2 eigenvalues left sum to 4 and their squares to 10"
-    assert why == f"nullity of L - 2I is not 2: {left}"
-    assert shifts == []
+    assert why == "nullity of L - 1I is 1, spectrum claims 0"
 
 
 def test_cyclic_12_power_graph_is_no_clique_expression():
