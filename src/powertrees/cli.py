@@ -105,8 +105,8 @@ def _load_target(req: Request, spec: GroupSpec | None):
     """Resolve the request target: a group target is its power graph, since
     every route that loads a group needs it; a graph target is its graph, an
     expr target its expression and a zn or replaced target its clique spec,
-    which quotient counts as it is and only matrix-tree and export expand
-    (_expand), at up to n^2 edges.  spec is the target's family spec."""
+    which quotient counts as it is; only matrix-tree and export expand it
+    (_expand), to one set per distinct neighbourhood.  spec is its family spec."""
     kind = req.kind
     if kind == "group":
         return power_graph(build_group(spec))

@@ -79,9 +79,9 @@ def kappa_clique_replaced_formula(spec: CliqueReplacedSpec) -> FactoredNat:
     certified, det(M[V]) is trial-divided up to max(n, 1000), and the division
     is checked exact in exponent space.
     """
-    adj, sizes, m = spec.base.adj, spec.sizes, spec.m
-    kept = [i for i in range(spec.k) if len(adj[i]) != spec.k - 1]
-    rows = [[m[i] if i == j else sizes[i] * (j not in adj[i]) for j in kept] for i in kept]
+    closed, sizes, m = spec.base.closed, spec.sizes, spec.m
+    kept = [i for i in range(spec.k) if len(closed[i]) != spec.k]
+    rows = [[m[i] if i == j else sizes[i] * (j not in closed[i]) for j in kept] for i in kept]
     powers = Counter()
     for i, x in enumerate(sizes):
         powers[m[i]] += x
@@ -108,10 +108,10 @@ def kappa_quotient(spec: CliqueReplacedSpec) -> FactoredNat:
     are sorted by (x_i, m_i), and are taken apart once.  Factored by
     factored_ratio, each distinct determinant once, with its multiplicity.
     """
-    adj, sizes, m = spec.base.adj, spec.sizes, spec.m
+    closed, sizes, m = spec.base.closed, spec.sizes, spec.m
 
     def rows(c):  # Q[c]
-        return [[m[i] - sizes[i] if i == j else -sizes[j] * (j in adj[i]) for j in c] for i in c]
+        return [[m[i] - sizes[i] if i == j else -sizes[j] * (j in closed[i]) for j in c] for i in c]
 
     def distinct(comps):  # [component, count] per distinct Q[component]
         found, lengths = {}, Counter(map(len, comps))
@@ -128,9 +128,9 @@ def kappa_quotient(spec: CliqueReplacedSpec) -> FactoredNat:
     dets, work = Counter(), [(list(range(spec.k)), 0, 1)]  # (node, s, count)
     while work:
         node, s, mult = work.pop()
-        parts = co_components(adj, set(node))
+        parts = co_components(closed, set(node))
         if len(parts) == 1:  # prime or one block; at the root, the cofactor over x_0
-            for comp, count in distinct(components(adj, set(node[1:])) if s == 0 else [node]):
+            for comp, count in distinct(components(closed, set(node[1:])) if s == 0 else [node]):
                 dets[_det_int(rows(comp))] += count * mult
             powers[s or sizes[node[0]]] -= mult
             continue
@@ -138,7 +138,7 @@ def kappa_quotient(spec: CliqueReplacedSpec) -> FactoredNat:
         powers[h] += (len(parts) - 1) * mult - (s == 0)  # at the root h = n, and kappa = f/n
         for part in parts:
             t = h - sum(sizes[i] for i in part)
-            comps = components(adj, set(part))
+            comps = components(closed, set(part))
             powers[t] += (len(comps) - 1) * mult
             work.extend((c, t, mult * count) for c, count in distinct([c for c in comps if len(c) > 1]))
     return factored_ratio(powers, dets, spec.n)
@@ -165,10 +165,9 @@ def smatrix(spec: CliqueReplacedSpec, convention: str = "arcs") -> list[list[int
     k, sizes = spec.k, spec.sizes
     rows = [[0] * k for _ in range(k)]
     for p in range(k):
-        for q in spec.base.adj[p]:
+        for q in spec.base.closed[p]:
             rows[p][q] = -sizes[q] if convention == "arcs" else -sizes[max(p, q)]
-    for p in range(k):
-        rows[p][p] = -sum(rows[p])
+        rows[p][p] -= sum(rows[p])  # the row sum becomes 0
     return rows
 
 

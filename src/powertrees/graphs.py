@@ -1,15 +1,15 @@
 """Simple graphs and the constructions used throughout: joins, divisor
 graphs, clique-replaced graphs and closed-twin quotients.
 
-Graphs are immutable after construction; adjacency is kept as frozensets for
-O(1) edge queries, and dense matrices are only materialized at determinant
-time (linalg module).  Files and the small builders pass an edge list, which
-is checked edge by edge.  The large builders (clique_replaced, the group
-power graph, a clique expression's graph) know that a whole block of twins
-shares one closed neighbourhood: they form it once per block and pass each
-vertex that set less itself as SimpleGraph's adjacency, with no per-edge
-tuple or check.  `components` and its complement twin `co_components` are
-the package's searches: connectivity checks and the matrix-tree peel split a
+Graphs are immutable, kept as closed neighbourhoods (frozensets holding their
+vertex); dense matrices are only materialized at determinant time (linalg).
+Files and the small builders pass an edge list, checked edge by edge.  The
+large builders (clique_replaced, the group power graph, a clique expression's
+graph) form the closed neighbourhood of a block of twins once and pass that
+set for each vertex of the block.  Equal sets are one object, so a graph costs
+one set per distinct neighbourhood, not O(edges), and twins are found by
+identity.  `components` and its complement twin `co_components` are the
+package's searches: connectivity checks and the matrix-tree peel split a
 vertex set by the first, the quotient and `spectra.graph_expr` by both.
 """
 
@@ -19,21 +19,23 @@ from .numth import Value, divisors_desc
 
 
 class SimpleGraph:
-    """Undirected simple graph on vertices 0..n-1."""
+    """Undirected simple graph on vertices 0..n-1; closed[v] is v and its
+    neighbours.  The open sets `adj` are derived on first use and stay only
+    because perfbench reads them: dropping them needs a benchmark change."""
 
-    __slots__ = ("n", "adj", "labels", "_edge_count")
+    __slots__ = ("n", "closed", "labels", "_adj", "_edge_count")
 
-    def __init__(self, n: int, edges=(), labels=None, *, adjacency=None):
-        """Files and the small builders give edges, which are checked edge by
-        edge.  A builder that forms its neighbour frozensets itself passes
-        them as adjacency, in place of edges: they are taken as they are, the
-        builder guaranteeing that they are symmetric and loop-free."""
+    def __init__(self, n: int, edges=(), labels=None, *, closed=None):
+        """Files and the small builders give edges, checked edge by edge.  A
+        builder that forms the closed sets itself passes them as closed, taken
+        as they are: it makes them symmetric, each holding its vertex, and
+        equal sets one object (a lookup compares distinct ones in full)."""
         if n < 0:
             raise ValueError("vertex count must be >= 0")
         if labels is not None and len(labels) != n:
             raise ValueError("label count must match vertex count")
-        if adjacency is None:
-            sets = [set() for _ in range(n)]
+        if closed is None:
+            sets = [{v} for v in range(n)]
             for u, v in edges:
                 if not (0 <= u < n and 0 <= v < n):
                     raise ValueError(f"edge ({u},{v}) out of range for n={n}")
@@ -41,16 +43,24 @@ class SimpleGraph:
                     raise ValueError(f"self-loop at vertex {u}")
                 sets[u].add(v)
                 sets[v].add(u)
-            adjacency = map(frozenset, sets)
+            interned = {}
+            closed = [interned.setdefault(c, c) for c in map(frozenset, sets)]
         self.n = n
-        self.adj = tuple(adjacency)
-        if len(self.adj) != n:
+        self.closed = tuple(closed)
+        if len(self.closed) != n:
             raise ValueError("one neighbour set per vertex required")
         self.labels = tuple(labels) if labels is not None else None
-        self._edge_count = sum(map(len, self.adj)) // 2
+        self._adj = None
+        self._edge_count = (sum(map(len, self.closed)) - n) // 2
+
+    @property
+    def adj(self) -> tuple[frozenset, ...]:
+        if self._adj is None:  # the open neighbourhoods, closed[v] less v
+            self._adj = tuple(c - {v} for v, c in enumerate(self.closed))
+        return self._adj
 
     def degree(self, v: int) -> int:
-        return len(self.adj[v])
+        return len(self.closed[v]) - 1
 
     @property
     def edge_count(self) -> int:
@@ -58,7 +68,7 @@ class SimpleGraph:
 
     def edges(self):
         for u in range(self.n):
-            for v in sorted(self.adj[u]):
+            for v in sorted(self.closed[u]):
                 if u < v:
                     yield (u, v)
 
@@ -66,49 +76,54 @@ class SimpleGraph:
         return self.labels[v] if self.labels is not None else str(v)
 
     def is_connected(self) -> bool:
-        return len(components(self.adj, set(range(self.n)))) == 1
+        return len(components(self.closed, set(range(self.n)))) == 1
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SimpleGraph):
             return NotImplemented
-        return self.n == other.n and self.adj == other.adj
+        return self.n == other.n and self.closed == other.closed
 
     def __hash__(self):
-        return hash((self.n, self.adj))
+        return hash((self.n, self.closed))
 
     def __repr__(self):
         return f"SimpleGraph(n={self.n}, edges={self.edge_count})"
 
 
-def components(adj, rest: set) -> list[list[int]]:
+def components(closed, rest: set) -> list[list[int]]:
     """Connected components of the subgraph induced on the vertex set `rest`,
-    given the whole graph's adjacency sets; `rest` is emptied.  A component
-    lists its vertices in the order the search reaches them.
+    given the whole graph's closed neighbourhoods; `rest` is emptied.  A
+    component lists its vertices in the order the search reaches them.
 
-    Each visited vertex u costs one intersection adj[u] & rest, so the search
-    takes sum_u min(deg u, |rest|) set probes over the visited vertices.  The
-    matrix-tree peel calls it once per level, on what that level leaves."""
-    comps = []
+    Each visited vertex u (no longer in rest) costs one intersection
+    closed[u] & rest, min(deg u, |rest|) set probes.  rest is compacted each
+    time it halves, as a set keeps its table and iterating it scans the old
+    one.  The matrix-tree peel calls it once per level, on what is left."""
+    comps, size = [], len(rest)
     while rest:
         comp = [rest.pop()]
         for u in comp:
-            fresh = adj[u] & rest
+            fresh = closed[u] & rest
             rest -= fresh
             comp.extend(fresh)
+            if 2 * len(rest) < size:
+                rest &= rest  # a fresh table, sized to what is left
+                size = len(rest)
         comps.append(comp)
     return comps
 
 
-def co_components(adj, rest: set) -> list[list[int]]:
-    """`components` of the complement of the subgraph induced on `rest`.  The
-    unvisited set is rebuilt as it shrinks: a set keeps its table size, and
-    iterating a shrunken one would cost its old size."""
+def co_components(closed, rest: set) -> list[list[int]]:
+    """`components` of the complement of the subgraph induced on `rest`,
+    given the closed neighbourhoods (u has left rest when closed[u] is read).
+    The unvisited set is rebuilt as it shrinks: a set keeps its table size,
+    and iterating a shrunken one would cost its old size."""
     comps = []
     while rest:
         comp = [rest.pop()]
         for u in comp:
-            comp.extend(rest - adj[u])
-            rest = rest & adj[u]
+            comp.extend(rest - closed[u])
+            rest = rest & closed[u]
         comps.append(comp)
     return comps
 
@@ -132,7 +147,7 @@ def join(g1: SimpleGraph, g2: SimpleGraph) -> SimpleGraph:
 
 def universal_vertices(g: SimpleGraph) -> list[int]:
     """Vertices adjacent to every other vertex."""
-    return [v for v in range(g.n) if len(g.adj[v]) == g.n - 1]
+    return [v for v in range(g.n) if len(g.closed[v]) == g.n]
 
 
 def divisor_graph(n: int) -> SimpleGraph:
@@ -175,9 +190,9 @@ class CliqueReplacedSpec(Value):
 
     @property
     def m(self) -> tuple[int, ...]:
-        """m_i per block i: x_i plus its neighbours' sizes, one more than its degree."""
+        """m_i per block i: the sizes over its closed neighbourhood, one more than its degree."""
         sizes = self.sizes
-        return tuple(x + sum(sizes[j] for j in nb) for x, nb in zip(sizes, self.base.adj))
+        return tuple(sum(sizes[j] for j in c) for c in self.base.closed)
 
 
 def twin_quotient(g: SimpleGraph) -> CliqueReplacedSpec | None:
@@ -185,13 +200,12 @@ def twin_quotient(g: SimpleGraph) -> CliqueReplacedSpec | None:
     neighbourhood form one block (a clique), numbered by first vertex, and
     two blocks are adjacent iff their vertices are.  None if g is disconnected."""
     block: dict[frozenset, int] = {}
-    member = [block.setdefault(g.adj[v] | {v}, len(block)) for v in range(g.n)]
+    member = [block.setdefault(c, len(block)) for c in g.closed]
     sizes = [0] * len(block)
     for b in member:
         sizes[b] += 1
-    # one vertex per block gives all of the block's neighbours
-    adjacency = [frozenset(member[w] for w in nb) - {b} for nb, b in block.items()]
-    base = SimpleGraph(len(block), adjacency=adjacency)
+    # one vertex per block gives its closed set in the base, where none repeats
+    base = SimpleGraph(len(block), closed=[frozenset(member[w] for w in c) for c in block])
     try:  # the spec searches the base's components; no second search here
         return CliqueReplacedSpec(base, tuple(sizes))
     except ValueError:  # sizes fit by construction, so the base is disconnected
@@ -203,22 +217,22 @@ def clique_replaced(spec: CliqueReplacedSpec) -> SimpleGraph:
     complete bipartite connections between blocks.
 
     Blocks are laid out consecutively in base-vertex order.  Block i's
-    vertices share the closed neighbourhood made of its own interval and the
-    intervals of its neighbouring blocks, formed once per block.
+    vertices share the closed neighbourhood made of the intervals of the
+    blocks in i's closed neighbourhood, formed once per block.
     """
     base, sizes = spec.base, spec.sizes
     starts = [0]
     for x in sizes:
         starts.append(starts[-1] + x)
     blocks = [range(starts[i], starts[i + 1]) for i in range(base.n)]
-    adj = []
-    for i, block in enumerate(blocks):
-        closed = frozenset(block).union(*(blocks[j] for j in base.adj[i]))
-        adj.extend(closed - {a} for a in block)
+    closed, interned = [], {}
+    for c, x in zip(base.closed, sizes):
+        shared = frozenset().union(*(blocks[j] for j in c))
+        closed += [interned.setdefault(shared, shared)] * x
     labels = [
         f"{base.label(i)}.{t}" for i in range(base.n) for t in range(sizes[i])
     ]
-    return SimpleGraph(len(adj), labels=labels, adjacency=adj)
+    return SimpleGraph(len(closed), labels=labels, closed=closed)
 
 
 # --- file formats ---

@@ -488,12 +488,13 @@ def power_graph(group: FiniteGroup) -> SimpleGraph:
     for d in generators:
         for c in {cyclic[x] for x in d}:
             containing[c].append(d)
-    adj = [None] * group.order
+    closed, interned = [None] * group.order, {}
     for c, gens in generators.items():
-        closed = c.union(*(generators[d] for d in containing[c]))
+        shared = c.union(*(generators[d] for d in containing[c]))
+        shared = interned.setdefault(shared, shared)  # equal sets are one object
         for u in gens:
-            adj[u] = closed - {u}
-    return SimpleGraph(group.order, labels=group.element_names, adjacency=adj)
+            closed[u] = shared
+    return SimpleGraph(group.order, labels=group.element_names, closed=closed)
 
 
 def clique_spec(group: FiniteGroup) -> CliqueReplacedSpec:

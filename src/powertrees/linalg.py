@@ -11,7 +11,7 @@ without pivoting; the generic pivoting `det_bareiss` stays behind
 `kappa_via_jl`, the route that cross-checks it.
 
 The characteristic polynomial det(mu*I - L) comes from the Faddeev-LeVerrier
-trace recurrence in integer matrix products read off the adjacency sets, with
+trace recurrence in integer matrix products read off the neighbourhoods, with
 every division checked exact; no determinant is taken for it, so it checks the
 Bareiss route independently.
 
@@ -141,16 +141,16 @@ def _laplacian_rows(g, shift: int = 0) -> list[list[int]]:
     n = g.n
     rows = [[0] * n for _ in range(n)]
     for v in range(n):
-        rows[v][v] = g.degree(v) + shift
-        for w in g.adj[v]:
+        for w in g.closed[v]:
             rows[v][w] = -1
+        rows[v][v] = g.degree(v) + shift
     return rows
 
 
-def _block_det(adj, comp: list[int]) -> int:
+def _block_det(closed, comp: list[int]) -> int:
     """det L[comp] for the whole graph's Laplacian L, by `_det_psd_upper`."""
     return _det_psd_upper(
-        [[len(adj[v])] + [-(w in adj[v]) for w in comp[i + 1 :]] for i, v in enumerate(comp)]
+        [[len(closed[v]) - 1] + [-(w in closed[v]) for w in comp[i + 1 :]] for i, v in enumerate(comp)]
     )
 
 
@@ -159,8 +159,8 @@ def kappa_matrix_tree(g) -> int:
 
     For a connected vertex set C whose vertices all have s neighbours outside
     C, L[C] = L_{G[C]} + sI, and let f(C, s) = prod_{j>=2} (mu_j(G[C]) + s).
-    If C has u universal vertices U_C (read off G's degrees: len(adj[v]) - s
-    == |C| - 1), then G[C] = K_u v H with H = G[C - U_C], whose Laplacian
+    If C has u universal vertices U_C (read off G's degrees: len(closed[v]) - s
+    == |C|), then G[C] = K_u v H with H = G[C - U_C], whose Laplacian
     eigenvalues are 0, h = |C| (u times) and mu_j(H) + u (j >= 2).  H's
     spectrum is the union of its c components' spectra, so its mu_j, j >= 2,
     are c - 1 zeros and the mu_j, j >= 2, of each component C'; every vertex
@@ -184,12 +184,12 @@ def kappa_matrix_tree(g) -> int:
     n = g.n
     if n == 0:
         raise DimensionError("graph must have at least one vertex")
-    adj = g.adj
-    if not any(len(adj[v]) == n - 1 for v in range(n)):
-        root = max(range(n), key=lambda v: len(adj[v]))
+    closed = g.closed
+    if not any(len(closed[v]) == n for v in range(n)):
+        root = max(range(n), key=lambda v: len(closed[v]))
         kappa = 1
-        for comp in components(adj, set(range(n)) - {root}):
-            kappa *= _block_det(adj, comp)
+        for comp in components(closed, set(range(n)) - {root}):
+            kappa *= _block_det(closed, comp)
             if not kappa:
                 return 0
         return kappa
@@ -199,17 +199,17 @@ def kappa_matrix_tree(g) -> int:
     while work:
         comp, s = work.pop()
         h = len(comp)
-        universal = [v for v in comp if len(adj[v]) - s == h - 1]
+        universal = [v for v in comp if len(closed[v]) - s == h]
         if len(universal) == h:
             powers[h + s] += h - 1
         elif universal:
             t = len(universal) + s
-            children = components(adj, set(comp).difference(universal))
+            children = components(closed, set(comp).difference(universal))
             powers[h + s] += len(universal)
             powers[t] += len(children) - 1
             work.extend((child, t) for child in children)
         else:
-            leaf, r = divmod(_block_det(adj, comp), s)
+            leaf, r = divmod(_block_det(closed, comp), s)
             if r:
                 raise InternalConsistencyError(f"leaf determinant not divisible by its shift {s}")
             kappa *= leaf
@@ -245,16 +245,17 @@ def laplacian_char_poly(g) -> tuple[int, ...]:
     """Coefficients (c_0, ..., c_n), constant term first, of the
     characteristic polynomial det(mu*I - L) = sum c_k mu^k of the graph
     Laplacian, by the Faddeev-LeVerrier recurrence: c_n = 1, M_0 = 0,
-    M_k = L*M_{k-1} + c_{n-k+1}*I and c_{n-k} = -tr(L*M_k)/k.  Row v of L*M
-    is deg(v) * M[v] minus the rows M[w] of v's neighbours w.  Each division
+    M_k = L*M_{k-1} + c_{n-k+1}*I and c_{n-k} = -tr(L*M_k)/k.  Row v of L*M,
+    deg(v) * M[v] less v's neighbours' rows, is |closed(v)| * M[v] less the
+    rows M[w] over v's closed neighbourhood.  Each division
     by k is checked exact, and the constant term det(-L) is checked zero.
     """
-    n, adj = g.n, g.adj
+    n, closed = g.n, g.closed
     coeffs = [0] * n + [1]
     m = [[int(i == j) for j in range(n)] for i in range(n)]  # M_1 = I
     for k in range(1, n + 1):
         lm = [
-            [len(adj[v]) * x - sum(ys) for x, *ys in zip(m[v], *(m[w] for w in adj[v]))]
+            [len(closed[v]) * x - sum(ys) for x, *ys in zip(m[v], *(m[w] for w in closed[v]))]
             for v in range(n)
         ]
         c, r = divmod(-sum(lm[i][i] for i in range(n)), k)

@@ -223,16 +223,15 @@ def expr_to_graph(expr: CliqueExpr) -> graphs.SimpleGraph:
     clique leaf are closed twins: their closed neighbourhood is the leaf's
     interval plus, for each join above it, the join's interval less that of
     the part on the way down, at most two ranges.  It is formed once per
-    leaf and goes, less each vertex, into SimpleGraph's adjacency.
+    leaf and shared by the leaf's vertices, and equal sets are one object.
     """
-    adj = []
+    closed, interned = [], {}
 
     def lay_out(node, start, outside):
         stop = start + node.n
         if isinstance(node, Clique):
-            leaf = range(start, stop)
-            closed = frozenset(leaf).union(*outside)
-            adj.extend(closed - {v} for v in leaf)
+            shared = frozenset(range(start, stop)).union(*outside)
+            closed.extend([interned.setdefault(shared, shared)] * node.n)
             return
         if not isinstance(node, (Union, Join)):
             raise TypeError(f"not a clique expression: {node!r}")
@@ -246,7 +245,7 @@ def expr_to_graph(expr: CliqueExpr) -> graphs.SimpleGraph:
             lo = hi
 
     lay_out(expr, 0, [])
-    return graphs.SimpleGraph(expr.n, adjacency=adj)
+    return graphs.SimpleGraph(expr.n, closed=closed)
 
 
 def graph_expr(g: graphs.SimpleGraph) -> CliqueExpr | None:
@@ -264,7 +263,7 @@ def graph_expr(g: graphs.SimpleGraph) -> CliqueExpr | None:
     def node(vertices, union):
         if len(vertices) == 1:
             return Clique(1)
-        groups = (graphs.components if union else graphs.co_components)(g.adj, set(vertices))
+        groups = (graphs.components if union else graphs.co_components)(g.closed, set(vertices))
         if len(groups) == 1:
             return None
         parts = [node(group, not union) for group in groups if union or len(group) > 1]

@@ -399,16 +399,16 @@ def _cotree_vectors(g: SimpleGraph):
     which passes shift + h - |P| down to each part P.  That is n vectors on
     a cograph; a set that splits neither way has an induced P4, a
     ValueError."""
-    adj = g.adj
+    closed = g.closed
     work = []
-    for comp in components(adj, set(range(g.n))):
+    for comp in components(closed, set(range(g.n))):
         yield 0, dict.fromkeys(comp, 1), comp[0]
         work.append((comp, False, 0))
     while work:
         vertices, union, shift = work.pop()
         if len(vertices) == 1:
             continue
-        parts = (components if union else co_components)(adj, set(vertices))
+        parts = (components if union else co_components)(closed, set(vertices))
         if len(parts) == 1:
             raise ValueError(f"{len(vertices)} vertices at {vertices[0]} have an induced P4")
         lam = shift if union else shift + len(vertices)
@@ -418,10 +418,11 @@ def _cotree_vectors(g: SimpleGraph):
         work.extend((part, not union, lam - (0 if union else len(part))) for part in parts)
 
 
-def _certified_counts(adj, vectors) -> Counter:
+def _certified_counts(closed, vectors) -> Counter:
     """How many of `vectors` ((lam, vector, pivot) as `_cotree_vectors`
     gives them) are proved independent eigenvectors, per lam.  L v = lam v
-    is checked exactly by scattering v's entries over adj.  Each vector must
+    is checked exactly by scattering v's entries over the closed sets (x's
+    own term takes back the c its diagonal |closed(x)| - lam adds).  Each vector must
     be nonzero at its pivot, and no earlier vector of its lam nonzero there,
     so each lam's vectors are triangular, hence independent.  The first
     vector that fails is a ValueError."""
@@ -429,8 +430,8 @@ def _certified_counts(adj, vectors) -> Counter:
     for lam, vec, pivot in vectors:
         residual = defaultdict(int)  # (L - lam*I) v
         for x, c in vec.items():
-            residual[x] += (len(adj[x]) - lam) * c
-            for y in adj[x]:
+            residual[x] += (len(closed[x]) - lam) * c
+            for y in closed[x]:
                 residual[y] -= c
         if any(residual.values()):
             raise ValueError(f"a vector claimed for {lam} is no eigenvector")
@@ -454,7 +455,7 @@ def spectrum_mismatch(g: SimpleGraph, spec) -> str:
     if spec.n != g.n:
         return f"spectrum claims {spec.n} eigenvalues for {g.n} vertices"
     try:
-        certified = _certified_counts(g.adj, _cotree_vectors(g))
+        certified = _certified_counts(g.closed, _cotree_vectors(g))
     except ValueError as why:
         return f"no eigenvector certificate: {why}"
     if certified.total() != g.n:

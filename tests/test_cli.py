@@ -2,6 +2,7 @@ import argparse
 import json
 import os
 import random
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -583,6 +584,25 @@ def test_kappa_loads_no_process_pool():
     proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
                           capture_output=True, text=True, check=True, timeout=60)
     assert proc.stdout.splitlines() == ["7823278080", "[]"]
+
+
+def test_cyclic_30030_quotient_fits_in_one_gib():
+    # its power graph has 284M edges, whose sets once exhausted memory; kept
+    # as one set per distinct closed neighbourhood it fits well within the
+    # cap, and the quotient of the group equals the cyclic closed form
+    src = Path(cli.__file__).resolve().parents[1]
+
+    def capped():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    def kappa(*argv):
+        proc = subprocess.run([sys.executable, "-m", "powertrees.cli", "kappa", *argv, "--output", "factored"],
+                              env={**os.environ, "PYTHONPATH": str(src)}, preexec_fn=capped,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr[-500:]
+        return proc.stdout
+
+    assert kappa("group", "cyclic:30030", "--method", "quotient") == kappa("zn", "30030")
 
 
 def test_startup_loads_no_dataclasses():

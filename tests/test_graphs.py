@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -15,9 +16,12 @@ from powertrees.graphs import (
     path_graph,
     to_dot,
     to_edge_list_text,
+    twin_quotient,
     universal_vertices,
 )
+from powertrees.formulas import kappa_quotient
 from powertrees.groups import GroupSpec, build_group, power_graph
+from powertrees.linalg import kappa_matrix_tree
 from powertrees.numth import divisors_desc, euler_phi
 from powertrees.spectra import expr_to_graph, graph_expr, parse_expr
 from powertrees.verify import connected_labeled_graphs
@@ -68,6 +72,60 @@ def test_components_match_a_bfs_on_random_subsets():
             seen["singleton"] += len(subset) == 1
             seen["disconnected"] += len(comps) >= 2
     assert all(seen.values()), seen
+
+
+def test_components_of_a_30k_star_in_one_pass():
+    # the hub empties rest at once; each of the other visits must not scan
+    # the emptied set's old table, which took seconds at this size
+    n = 30_000
+    g = SimpleGraph(n, closed=[frozenset(range(n))] + [frozenset((0, v)) for v in range(1, n)])
+    start = time.perf_counter()
+    comps = components(g.closed, set(range(n)))
+    assert time.perf_counter() - start < 1.0
+    assert len(comps) == 1 and sorted(comps[0]) == list(range(n))
+
+
+def check_closed_sets(g):
+    """closed[v] holds v, the sets are symmetric, equal sets are one object,
+    and adj and edge_count agree with them."""
+    closed = g.closed
+    assert all(v in closed[v] for v in range(g.n))
+    assert all(u in closed[v] for u in range(g.n) for v in closed[u])
+    assert len(set(map(id, closed))) == len(set(closed))
+    assert g.adj == tuple(closed[v] - {v} for v in range(g.n))
+    pairs = {frozenset((u, v)) for u in range(g.n) for v in closed[u] if u != v}
+    assert g.edge_count == len(pairs) == len(list(g.edges()))
+
+
+def test_each_builder_shares_one_closed_set_per_block_of_twins():
+    for text in ("cyclic:12", "dihedral:6", "quaternion:3", "psl2:2:2"):
+        group = build_group(GroupSpec.parse(text))
+        g = power_graph(group)
+        check_closed_sets(g)
+        first = {}  # generators of one cyclic subgroup are twins
+        for u, c in enumerate(group.cyclic_subgroups):
+            assert g.closed[u] is g.closed[first.setdefault(c, u)], (text, u)
+        check_closed_sets(twin_quotient(g).base)
+    spec = CliqueReplacedSpec(divisor_graph(12), (1, 2, 2, 2, 1, 1))
+    g = clique_replaced(spec)
+    check_closed_sets(g)
+    assert g.closed[1] is g.closed[2]  # 6's block
+    assert g.closed[0] is g.closed[-1]  # 12's block and 1's, both universal
+    g = expr_to_graph(parse_expr("K(1)*K(1)*(K(2)+K(3))"))
+    check_closed_sets(g)
+    assert g.closed[0] is g.closed[1] and g.closed[2] is g.closed[3]
+    assert g.closed[4] is g.closed[5] is g.closed[6]
+    g = SimpleGraph(4, [(0, 1), (0, 2), (0, 3), (1, 2)])
+    check_closed_sets(g)
+    assert g.closed[1] is g.closed[2]  # closed twins from an edge list
+
+
+def test_the_count_routes_leave_the_open_sets_underived():
+    g = power_graph(build_group(GroupSpec.parse("dihedral:15")))
+    kappa = kappa_matrix_tree(g)
+    spec = twin_quotient(g)
+    assert kappa_quotient(spec).value() == kappa
+    assert g._adj is None and spec.base._adj is None
 
 
 def test_co_components_are_the_components_of_the_complement():

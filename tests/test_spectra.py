@@ -467,7 +467,7 @@ def test_certified_multiplicities_equal_exact_rank_nullities(laplacian_nullity):
         g = expr_to_graph(_random_expr(rng, rng.randint(1, 14)))
         vectors = list(V._cotree_vectors(g))
         assert len(vectors) == g.n
-        certified = V._certified_counts(g.adj, vectors)
+        certified = V._certified_counts(g.closed, vectors)
         for mu in range(g.n + 2):
             assert certified[mu] == laplacian_nullity(g, mu), (list(g.edges()), mu)
 
@@ -475,12 +475,12 @@ def test_certified_multiplicities_equal_exact_rank_nullities(laplacian_nullity):
 def test_certificate_rejects_a_perturbed_coefficient():
     g = expr_to_graph(parse_expr("K(1)*(K(2)+3#K(3))"))
     vectors = list(V._cotree_vectors(g))
-    assert sum(V._certified_counts(g.adj, vectors).values()) == g.n
+    assert sum(V._certified_counts(g.closed, vectors).values()) == g.n
     for i, (lam, vec, pivot) in enumerate(vectors):
         for v in vec:
             bad = vectors[:i] + [(lam, {**vec, v: vec[v] + 1}, pivot)] + vectors[i + 1 :]
             with pytest.raises(ValueError, match=f"claimed for {lam} is no eigenvector"):
-                V._certified_counts(g.adj, bad)
+                V._certified_counts(g.closed, bad)
 
 
 def test_certificate_rejects_a_repeated_vector():
@@ -488,11 +488,11 @@ def test_certificate_rejects_a_repeated_vector():
     vectors = list(V._cotree_vectors(g))
     for i, (lam, _, _) in enumerate(vectors):
         with pytest.raises(ValueError, match=f"claimed for {lam} is not independent"):
-            V._certified_counts(g.adj, vectors[: i + 1] + vectors[i:])
+            V._certified_counts(g.closed, vectors[: i + 1] + vectors[i:])
     # nor may a vector vanish at its pivot
     lam, vec, pivot = vectors[-1]
     with pytest.raises(ValueError, match="not independent"):
-        V._certified_counts(g.adj, [(lam, {v: 0 for v in vec}, pivot)])
+        V._certified_counts(g.closed, [(lam, {v: 0 for v in vec}, pivot)])
 
 
 def test_spectrum_proof_of_a_p4_is_a_message():
