@@ -22,8 +22,8 @@ kappa (block sizes, m_i, eigenvalues, n) is certified, and each determinant is
 trial-divided up to max(n, 1000), n the vertex count.  The oracle knows no
 bases, so its determinant is its whole kappa.
 
-Exit codes: 0 success, 1 verification mismatch, 2 usage error, 3 internal
-consistency assertion, 4 a number beyond the certified primality range.
+Exit codes: 0 success, 1 verification mismatch, 2 usage error or out of memory,
+3 internal consistency error, 4 a number past the certified primality range.
 KAPPA_SEED fixes the randomized-case seed for verify.
 """
 
@@ -367,6 +367,9 @@ def main(argv=None) -> int:
         return 4
     except (ValueError, OSError) as exc:  # UsageError, GroupConstructionError included
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory: the request is too large for this process", file=sys.stderr)
         return 2
     except InternalConsistencyError as exc:
         print(f"internal consistency error: {exc}", file=sys.stderr)

@@ -248,15 +248,19 @@ def from_edge_list_text(text: str) -> SimpleGraph:
     lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
     if not lines:
         raise ValueError("empty edge-list input")
-    n = int(lines[0])
+    try:
+        n = int(lines[0])
+    except ValueError:
+        raise ValueError(f"bad vertex count line: {lines[0]!r}") from None
     if n < 1:
         raise ValueError(f"a graph needs at least one vertex, got {n}")
     edges = {}  # kept in file order; a repeated line would describe a multigraph
     for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise ValueError(f"bad edge line: {ln!r}")
-        u, v = int(parts[0]), int(parts[1])
+        try:
+            u, v = ln.split()
+            u, v = int(u), int(v)
+        except ValueError:  # a field count other than 2 or a field that is no integer
+            raise ValueError(f"bad edge line: {ln!r}") from None
         if not 0 <= u < v < n:
             raise ValueError(f"edge ({u},{v}) violates 0 <= u < v < n")
         if (u, v) in edges:

@@ -176,9 +176,10 @@ def _build_elementary(p: int, n: int) -> FiniteGroup:
     )
 
 
-def _build_semidirect(name: str, n: int, a: int, m: int, names=None) -> FiniteGroup:
-    # t -> a^i*t + b on Z_n as (b, i), i varying slowest, a^m = 1 mod n:
-    # (b1,i1)(b2,i2) = t -> a^i1*(a^i2*t + b2) + b1
+def _build_semidirect(name: str, n: int, a: int, m: int, names=None, c: int = 0) -> FiniteGroup:
+    # x^b y^i as (b, i), i varying slowest, with y x y^-1 = x^a and y^m = x^c:
+    # (b1,i1)(b2,i2) = x^(b1 + a^i1*b2) y^(i1+i2).  c = 0 is Z_n x| Z_m, the
+    # affine maps t -> a^i*t + b; else y^(i1+i2) carries x^c past y^m
     powers = [pow(a, i, n) for i in range(m)]
 
     def op(u, v):
@@ -186,10 +187,14 @@ def _build_semidirect(name: str, n: int, a: int, m: int, names=None) -> FiniteGr
         b2, i2 = v
         return ((powers[i1] * b2 + b1) % n, (i1 + i2) % m)
 
+    def carried(u, v):  # a wrapper, so that a split group's op does no more work
+        b, i = op(u, v)
+        return ((b + c) % n, i) if u[1] + v[1] >= m else (b, i)
+
     elements = [(b, i) for i in range(m) for b in range(n)]
     if names is None:
         names = [f"t->{powers[i]}t+{b}" for b, i in elements]
-    return FiniteGroup(name, elements, op, names)
+    return FiniteGroup(name, elements, carried if c else op, names)
 
 
 def _build_dihedral(n: int) -> FiniteGroup:
@@ -199,21 +204,10 @@ def _build_dihedral(n: int) -> FiniteGroup:
 
 
 def _build_quaternion(n: int) -> FiniteGroup:
-    # x^a y^b with a mod 2^(n-1), b in {0,1}; y^2 = x^(2^(n-2)), y x = x^-1 y
+    # x^b y^i with b mod 2^(n-1): y x y^-1 = x^-1 and y^2 = x^(2^(n-2))
     half = 2 ** (n - 1)
-    central = 2 ** (n - 2)
-
-    def op(u, v):
-        a1, b1 = u
-        a2, b2 = v
-        a = (a1 + (a2 if b1 == 0 else -a2)) % half
-        if b1 and b2:
-            return ((a + central) % half, 0)
-        return (a, b1 ^ b2)
-
-    elements = [(a, b) for b in (0, 1) for a in range(half)]
-    names = [f"x{a}" if b == 0 else f"x{a}y" for a, b in elements]
-    return FiniteGroup(f"quaternion:{n}", elements, op, names)
+    return _build_semidirect(f"quaternion:{n}", half, -1, 2,
+                             [f"x{b}{'y' * i}" for i in (0, 1) for b in range(half)], c=half // 2)
 
 
 def _build_heisenberg(p: int) -> FiniteGroup:
@@ -299,7 +293,10 @@ def _parse_cayley_text(text: str) -> list[list[int]]:
     lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
     if not lines:
         raise GroupConstructionError("empty Cayley-table input")
-    n = int(lines[0])
+    try:
+        n = int(lines[0])
+    except ValueError:
+        raise GroupConstructionError(f"bad table order line: {lines[0]!r}") from None
     if n < 1:
         raise GroupConstructionError(
             f"a group needs at least one element, got a table of order {n}"
@@ -308,7 +305,10 @@ def _parse_cayley_text(text: str) -> list[list[int]]:
         raise GroupConstructionError(f"expected {n} table rows, got {len(lines) - 1}")
     table = []
     for ln in lines[1:]:
-        row = [int(x) for x in ln.split()]
+        try:
+            row = [int(x) for x in ln.split()]
+        except ValueError:
+            raise GroupConstructionError(f"bad table row: {ln!r}") from None
         if len(row) != n:
             raise GroupConstructionError(f"row has {len(row)} entries, expected {n}")
         if any(not 0 <= x < n for x in row):
@@ -334,9 +334,7 @@ def validate_cayley_table(table: list[list[int]]) -> None:
         if not any(table[g][h] == e and table[h][g] == e for h in range(n)):
             raise GroupConstructionError(f"inverse axiom violated: {g} has no inverse")
     if n <= 256:
-        triples = (
-            (a, b, c) for a in range(n) for b in range(n) for c in range(n)
-        )
+        triples = product(range(n), repeat=3)
     else:
         import random  # only here: keeps it off the CLI's start-up
         rng = random.Random(0)

@@ -8,14 +8,17 @@ expression is a tree with one node per run of unions or of joins: a `Union`
 or `Join` holds its parts in order and flattens in a part of its own kind, so
 `c#x` is one union of c parts and every walker loops over a node's parts.
 Recursion goes only as deep as the nesting of unions inside joins, which
-`parse_expr` bounds.  `graph_expr` inverts `expr_to_graph`: it reads the
-canonical expression off any graph with no induced P4 (a cograph).  Spectra
-are stored as run-length pairs because the interesting examples have a few
-distinct eigenvalues with huge multiplicities.
+`parse_expr` bounds.  `parse_expr` reads back what `str` writes, from tokens
+that are runs of decimal digits or one of '+*()#K'.  `graph_expr` inverts
+`expr_to_graph`: it reads the canonical expression off any graph with no
+induced P4 (a cograph).  Spectra are stored as run-length pairs because the
+interesting examples have a few distinct eigenvalues with huge
+multiplicities.
 """
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 
 from . import graphs
@@ -281,17 +284,18 @@ def graph_expr(g: graphs.SimpleGraph) -> CliqueExpr | None:
 
 MAX_DEPTH = 100  # parentheses nested deeper than this are a usage error
 MAX_COPIES = 10**6  # union parts that the c#x in one text may expand to
-_TOKEN_NAMES = {"int": "a number", "hash": "'#'"}  # the kinds take() can find missing
 
 
 def parse_expr(text: str) -> CliqueExpr:
     """Parse the CLI expression syntax, e.g. 'K(2)*(K(6)+4#K(2))'.
 
-    '*' (join) binds tighter than '+' (union).  A run of '+' or of '*' is one
-    node with a part per operand, so '(a*b)*c' and 'a*(b*c)' parse to the
-    same tree.  'c#x' binds tightest and stands for c copies of the factor x,
-    unioned left to right, and 'c#d#x' for c*d copies.  For every expression
-    e, parse_expr(str(e)) == e.
+    A token is a run of decimal digits (what int reads) or one of '+*()#K';
+    whitespace between tokens is skipped, and any other character is an
+    error, raised before any other.  '*' (join) binds tighter than '+'
+    (union).  A run of '+' or of '*' is one node with a part per operand, so
+    '(a*b)*c' and 'a*(b*c)' parse to the same tree.  'c#x' binds tightest and
+    stands for c copies of the factor x, unioned left to right, and 'c#d#x'
+    for c*d copies.  For every expression e, parse_expr(str(e)) == e.
 
     Parentheses nested more than MAX_DEPTH deep, which keeps every walker
     within Python's default recursion limit, and c#x copies of more than
@@ -299,108 +303,69 @@ def parse_expr(text: str) -> CliqueExpr:
     ValueError.  A position in an error message is the 0-based character
     offset of the token it names in the text, or the text's length at its end.
     """
-    tokens, offsets = _tokenize(text)
-    pos = 0
-    copied = 0
+    # (token, offset) pairs: a number is an int, the end is None
+    tokens = []
+    for m in re.finditer(r"\d+|\S", text):
+        tok, at = m[0], m.start()
+        if tok not in "+*()#K" and not tok.isdecimal():
+            raise ValueError(f"bad character {tok!r} at position {at} in expression {text!r}")
+        tokens.append((int(tok) if tok.isdecimal() else tok, at))
+    tokens.append((None, len(text)))
+    pos = copied = 0
 
-    def peek():
-        return tokens[pos] if pos < len(tokens) else (None, None)
+    def fail(message, at):
+        raise ValueError(f"{message} at position {at} in {text!r}")
 
-    def take(kind):
+    def take(want, message=None):
+        """The next token, which must be `want` (any number for want=int)."""
         nonlocal pos
-        tok = peek()
-        if tok[0] != kind:
-            raise ValueError(f"expected {_TOKEN_NAMES[kind]} at position {offsets[pos]} in {text!r}")
+        tok, at = tokens[pos]
+        if tok != want and type(tok) is not want:
+            fail(message, at)
         pos += 1
-        return tok[1]
+        return tok
 
-    def parse_union(depth):
-        parts = [parse_join(depth)]
-        while peek() == ("op", "+"):
-            take("op")
-            parts.append(parse_join(depth))
-        return union_of(parts)
+    def run(op, part, build):
+        """The parser of a run of `part`s joined by `op`, built into one node."""
+        def parse(depth):
+            parts = [part(depth)]
+            while tokens[pos][0] == op:
+                take(op)
+                parts.append(part(depth))
+            return parts[0] if len(parts) == 1 else build(*parts)
+        return parse
 
-    def parse_join(depth):
-        parts = [parse_factor(depth)]
-        while peek() == ("op", "*"):
-            take("op")
-            parts.append(parse_factor(depth))
-        return parts[0] if len(parts) == 1 else Join(*parts)
-
-    def parse_factor(depth):
+    def factor(depth):
         nonlocal copied
-        count, start = 1, pos
-        while peek()[0] == "int":
-            count *= take("int")
-            take("hash")
+        count, start = 1, tokens[pos][1]
+        while type(tokens[pos][0]) is int:
+            count *= take(int)
+            take("#", "expected '#'")
         if count == 0:
-            raise ValueError(f"c#x needs c >= 1, at position {offsets[start]} in {text!r}")
-        tok = peek()
-        if tok == ("op", "("):
+            fail("c#x needs c >= 1,", start)
+        tok, at = tokens[pos]
+        if tok not in ("(", "K"):
+            fail("unexpected end of expression" if tok is None else f"unexpected token {tok!r}", at)
+        take(tok)
+        if tok == "(":
             if depth == MAX_DEPTH:
-                raise ValueError(
-                    f"parentheses nested more than {MAX_DEPTH} deep at position {offsets[pos]}"
-                )
-            take("op")
-            node = parse_union(depth + 1)
-            if peek() != ("op", ")"):
-                raise ValueError(f"missing ')' at position {offsets[pos]} in {text!r}")
-            take("op")
-        elif tok[0] == "K":
-            take("K")
-            if peek() != ("op", "("):
-                raise ValueError(
-                    f"K must be followed by (n) at position {offsets[pos]} in {text!r}"
-                )
-            take("op")
-            node = Clique(take("int"))
-            if peek() != ("op", ")"):
-                raise ValueError(f"missing ')' after K( at position {offsets[pos]} in {text!r}")
-            take("op")
-        elif tok[0] is None:
-            raise ValueError(f"unexpected end of expression at position {offsets[pos]} in {text!r}")
+                raise ValueError(f"parentheses nested more than {MAX_DEPTH} deep at position {at}")
+            node = union(depth + 1)
+            take(")", "missing ')'")
         else:
-            raise ValueError(f"unexpected token {tok[1]!r} at position {offsets[pos]} in {text!r}")
+            take("(", "K must be followed by (n)")
+            size, at = tokens[pos]
+            if take(int, "expected a number") < 1:
+                fail("clique size must be >= 1,", at)
+            node = Clique(size)
+            take(")", "missing ')' after K(")
         if count != 1:
             copied += count * (len(node.parts) if isinstance(node, Union) else 1)
             if copied > MAX_COPIES:
                 raise ValueError(f"c#x copies expand to more than {MAX_COPIES} parts in {text!r}")
         return copies(count, node)
 
-    node = parse_union(0)
-    if pos != len(tokens):
-        raise ValueError(f"trailing input at position {offsets[pos]} in {text!r}")
+    union = run("+", run("*", factor, Join), Union)
+    node = union(0)
+    take(None, "trailing input")
     return node
-
-
-def _tokenize(text: str):
-    """The tokens of the text and their character offsets, with the text's
-    length appended as the offset of its end."""
-    tokens, offsets = [], []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        offsets.append(i)
-        if ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            tokens.append(("int", int(text[i:j])))
-            i = j
-        elif ch in "+*()":
-            tokens.append(("op", ch))
-            i += 1
-        elif ch == "#":
-            tokens.append(("hash", "#"))
-            i += 1
-        elif ch == "K":
-            tokens.append(("K", "K"))
-            i += 1
-        else:
-            raise ValueError(f"bad character {ch!r} at position {i} in expression {text!r}")
-    offsets.append(len(text))
-    return tokens, offsets

@@ -511,6 +511,8 @@ def test_expanding_routes_build_the_group(capsys, monkeypatch, method):
     pytest.param("\n", "error: empty Cayley-table input\n", id="blank"),
     pytest.param("2\n0 1\n", "error: expected 2 table rows, got 1\n", id="one-row-of-two"),
     pytest.param("2\n0 1\n1\n", "error: row has 1 entries, expected 2\n", id="short-row"),
+    pytest.param("2\n0 1\n1 z\n", "error: bad table row: '1 z'\n", id="non-integer-entry"),
+    pytest.param("two\n0 1\n1 0\n", "error: bad table order line: 'two'\n", id="non-integer-order"),
 ])
 def test_empty_cayley_table_is_a_usage_error(capsys, tmp_path, text, message):
     path = tmp_path / "empty.tbl"
@@ -640,6 +642,12 @@ def test_a_repeated_edge_line_is_a_usage_error(capsys, tmp_path, extra):
     code, out, err = run(capsys, "kappa", kind, str(path), *extra)
     assert code == 2 and out == ""
     assert err == "error: bad edge line: '0 1 2'\n"
+    # a field that is no integer, on an edge line and on the first line
+    for text, message in (("3\n0 x\n", "bad edge line: '0 x'"),
+                          ("x\n0 1\n", "bad vertex count line: 'x'")):
+        path.write_text(text)
+        code, out, err = run(capsys, "kappa", kind, str(path), *extra)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_factored_output_multiplies_nothing_out(capsys, monkeypatch):
@@ -690,6 +698,16 @@ def test_expr_with_zero_copies_is_a_usage_error(capsys, target):
 def test_expr_beyond_the_parser_bounds_is_a_usage_error(capsys, target):
     code, out, err = run(capsys, "kappa", "expr", target)
     assert code == 2 and out == "" and len(err.splitlines()) == 1
+
+
+def test_out_of_memory_exits_2(capsys, monkeypatch):
+    # a determinant whose rows exceed the address space is no traceback
+    def exhausted(g):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "kappa_matrix_tree", exhausted)
+    code, out, err = run(capsys, "kappa", "zn", "6", "--method", "matrix-tree")
+    assert (code, out) == (2, "") and err.startswith("error: out of memory")
 
 
 def test_a_prime_beyond_the_certified_range_exits_4(capsys):

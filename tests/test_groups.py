@@ -200,6 +200,26 @@ def test_semidirect_products_compose_their_affine_maps(text, n, a, m, first):
                for k, (b, i) in enumerate(g.elements))
 
 
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_quaternion_groups_satisfy_their_relations(n):
+    # element (b, i) is x^b y^i with b mod 2^(n-1), y x y^-1 = x^-1 and
+    # y^2 = x^(2^(n-2)); with associativity these fix every product
+    g = build(f"quaternion:{n}")
+    half = 2 ** (n - 1)
+    assert g.elements == tuple((b, i) for i in (0, 1) for b in range(half))
+    x, y = g.elements.index((1, 0)), g.elements.index((0, 1))
+    xs = [0]
+    for _ in range(half):
+        xs.append(g.mul(xs[-1], x))
+    assert xs[half] == 0 and 0 not in xs[1:half]
+    assert all(g.mul(xs[b], y if i else 0) == k for k, (b, i) in enumerate(g.elements))
+    assert g.mul(y, y) == xs[half // 2]
+    assert g.mul(y, x) == g.mul(xs[half - 1], y)
+    r = range(g.order)
+    assert all(g.mul(g.mul(a, b), c) == g.mul(a, g.mul(b, c)) for a in r for b in r for c in r)
+    assert g.element_names == tuple(f"x{b}{'y' * i}" for b, i in g.elements)
+
+
 def test_spec_validation_errors():
     for bad in (
         "cyclic:0",

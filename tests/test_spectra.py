@@ -279,6 +279,38 @@ def test_parse_error_position_of_an_early_end():
     assert parse_error("K(1)+ ") == "unexpected end of expression at position 6 in 'K(1)+ '"
 
 
+def test_parse_error_position_of_a_digit_that_int_cannot_read():
+    # '²' passes str.isdigit, but a number is a run of decimal digits
+    assert parse_error("K(²)") == "bad character '²' at position 2 in expression 'K(²)'"
+
+
+def test_parse_error_position_of_a_zero_clique():
+    assert parse_error("K(1)*K(0)") == "clique size must be >= 1, at position 7 in 'K(1)*K(0)'"
+
+
+def test_mutated_expressions_round_trip_or_name_a_position():
+    # a character inserted, deleted or replaced in str(e) gives a text that
+    # reads back through str, or an error at a position; only the copy bound
+    # names none, as it counts parts across the whole text
+    rng = random.Random(35)
+    for _ in range(2000):
+        chars = list(str(_random_expr(rng, rng.randint(1, 30))))
+        for _ in range(rng.randint(1, 3)):
+            i = rng.randrange(len(chars) + 1)
+            edit = rng.choice("idr") if i < len(chars) else "i"
+            if edit == "d":
+                del chars[i]
+            else:
+                chars[i:i + (edit == "r")] = rng.choice("K()+*#0123 ²x")
+        text = "".join(chars)
+        try:
+            expr = parse_expr(text)
+        except ValueError as exc:
+            assert " at position " in str(exc) or "copies expand" in str(exc), (text, str(exc))
+        else:
+            assert parse_expr(str(expr)) == expr, text
+
+
 def test_expr_str_reparses():
     # a right-hand operand of the same operator must be parenthesised
     for expr in (
