@@ -24,7 +24,8 @@ bases, so its determinant is its whole kappa.
 
 Exit codes: 0 success, 1 verification mismatch, 2 usage error or out of memory,
 3 internal consistency error, 4 a number past the certified primality range.
-KAPPA_SEED fixes the randomized-case seed for verify.
+KAPPA_SEED fixes the randomized-case seed for verify.  `verify` (with the
+`audits` it checks) and `export` load their own modules when they run.
 """
 
 from __future__ import annotations
@@ -41,8 +42,6 @@ from .graphs import (
     SimpleGraph,
     clique_replaced,
     from_edge_list_text,
-    to_dot,
-    to_edge_list_text,
     twin_quotient,
     universal_vertices,
 )
@@ -55,7 +54,7 @@ from .groups import (
     power_graph,
 )
 from .linalg import InternalConsistencyError, kappa_matrix_tree
-from .numth import FactoredNat, PrimalityRangeError, Value, divisors_desc
+from .numth import FactoredNat, PrimalityRangeError, Value
 from .spectra import expr_to_graph, kappa_from_spectrum, parse_expr, spectrum, universal_count
 
 
@@ -262,51 +261,9 @@ def cmd_verify(args) -> int:
     return code
 
 
-def _zn_description(n: int) -> str:
-    spec = F.divisor_clique_spec(n)
-    return json.dumps(
-        {
-            "n": n,
-            "divisors": divisors_desc(n),
-            "sizes": list(spec.sizes),
-            "base_edges": list(spec.base.edges()),
-            "vertex_count": spec.n,
-        }
-    )
-
-
-def _graph_json(g: SimpleGraph) -> str:
-    return json.dumps(
-        {
-            "vertex_count": g.n,
-            "edges": list(g.edges()),
-            "labels": [g.label(v) for v in range(g.n)],
-        }
-    )
-
-
 def cmd_export(args) -> int:
-    sizes = _parse_sizes(args.kind, args.sizes)
-    req = Request(args.kind, args.target, sizes, "auto", "decimal")
-    if args.format == "json" and args.kind == "zn":
-        text = _zn_description(_zn_order(args.target))
-    else:
-        graph = _expand(_load_target(req, _family_spec(req)))
-        if args.format == "dot":
-            text = to_dot(graph)
-        elif args.format == "edges":
-            text = to_edge_list_text(graph)
-        elif args.format == "json":
-            text = _graph_json(graph)
-        else:
-            raise UsageError(f"unknown export format {args.format!r}")
-    text = text if text.endswith("\n") else text + "\n"  # json ends in no newline
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    return 0
+    from . import export  # loaded for this command only
+    return export.run(args)
 
 
 @functools.cache

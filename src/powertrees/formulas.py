@@ -196,31 +196,6 @@ def kappa_clique_replaced_smatrix(spec: CliqueReplacedSpec, convention: str = "a
     return factored_ratio(powers, {_det_int(rows): 1}, spec.n)
 
 
-def kappa_clique_replaced_path(sizes) -> FactoredNat:
-    """The published closed form for clique-replaced paths, evaluated verbatim:
-
-        (x1+x2)**(x1-1) * prod_{j=2}^{k-1} (x_{j-1}+x_j+x_{j+1})**(x_j-1)
-        * (x_{k-1}+x_k)**(x_k-1) * (x_2...x_{k-1}) * sum(x)
-
-    Note: the verification suite compares this against the matrix-tree oracle
-    per instance and reports disagreements (the formula is audited, not
-    trusted); see the path audit in the verify module.
-    """
-    xs = list(sizes)
-    k = len(xs)
-    if k < 3:
-        raise ValueError("path closed form needs k >= 3 (use kappa_cayley for k <= 2)")
-    if any(x < 1 for x in xs):
-        raise ValueError("all sizes must be >= 1")
-    powers = Counter({sum(xs): 1})
-    powers[xs[0] + xs[1]] += xs[0] - 1
-    powers[xs[-2] + xs[-1]] += xs[-1] - 1
-    for j in range(1, k - 1):
-        powers[xs[j - 1] + xs[j] + xs[j + 1]] += xs[j] - 1
-        powers[xs[j]] += 1
-    return factored_ratio(powers, {}, sum(xs))
-
-
 def divisor_clique_spec(n: int) -> CliqueReplacedSpec:
     """The divisor graph of n with block sizes phi(d_i): the clique-replaced
     description of the power graph of the cyclic group of order n."""

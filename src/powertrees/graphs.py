@@ -10,7 +10,7 @@ set for each vertex of the block.  Equal sets are one object, so a graph costs
 one set per distinct neighbourhood, not O(edges), and twins are found by
 identity.  `components` and its complement twin `co_components` are the
 package's searches: connectivity checks and the matrix-tree peel split a
-vertex set by the first, the quotient and `spectra.graph_expr` by both.
+vertex set by the first, the quotient and `audits.graph_expr` by both.
 """
 
 from __future__ import annotations
@@ -235,13 +235,7 @@ def clique_replaced(spec: CliqueReplacedSpec) -> SimpleGraph:
     return SimpleGraph(len(closed), labels=labels, closed=closed)
 
 
-# --- file formats ---
-
-
-def to_edge_list_text(g: SimpleGraph) -> str:
-    lines = [str(g.n)]
-    lines.extend(f"{u} {v}" for u, v in g.edges())
-    return "\n".join(lines) + "\n"
+# --- file formats (the writers are in `export`) ---
 
 
 def from_edge_list_text(text: str) -> SimpleGraph:
@@ -267,13 +261,3 @@ def from_edge_list_text(text: str) -> SimpleGraph:
             raise ValueError(f"edge ({u},{v}) is listed twice")
         edges[u, v] = None
     return SimpleGraph(n, edges)
-
-
-def to_dot(g: SimpleGraph) -> str:
-    lines = ["graph G {"]
-    for v in range(g.n):
-        lines.append(f'  {v} [label="{g.label(v)}"];')
-    for u, v in g.edges():
-        lines.append(f"  {u} -- {v};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"

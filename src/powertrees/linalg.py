@@ -1,5 +1,4 @@
-"""Exact integer linear algebra: Bareiss determinants, spanning-tree counts,
-and Laplacian characteristic polynomials.
+"""Exact integer linear algebra: Bareiss determinants and spanning-tree counts.
 
 `kappa_matrix_tree` counts spanning trees by peeling universal vertices:
 G = K_u v H, and each component of H is again such a join at a larger
@@ -8,12 +7,7 @@ a universal vertex; `graphs.components`, the package's one connected-components
 search, splits each level.  Only a leaf takes a determinant, of its symmetric
 positive semidefinite Laplacian block, and only its upper half is eliminated,
 without pivoting; the generic pivoting `det_bareiss` stays behind
-`kappa_via_jl`, the route that cross-checks it.
-
-The characteristic polynomial det(mu*I - L) comes from the Faddeev-LeVerrier
-trace recurrence in integer matrix products read off the neighbourhoods, with
-every division checked exact; no determinant is taken for it, so it checks the
-Bareiss route independently.
+`audits.kappa_via_jl`, the route that cross-checks it.
 
 No floating point anywhere.
 """
@@ -136,17 +130,6 @@ def _det_psd_upper(upper: list[list[int]]) -> int:
     return last
 
 
-def _laplacian_rows(g, shift: int = 0) -> list[list[int]]:
-    """Rows of L + shift*I."""
-    n = g.n
-    rows = [[0] * n for _ in range(n)]
-    for v in range(n):
-        for w in g.closed[v]:
-            rows[v][w] = -1
-        rows[v][v] = g.degree(v) + shift
-    return rows
-
-
 def _block_det(closed, comp: list[int]) -> int:
     """det L[comp] for the whole graph's Laplacian L, by `_det_psd_upper`."""
     return _det_psd_upper(
@@ -219,69 +202,3 @@ def kappa_matrix_tree(g) -> int:
     if r:
         raise InternalConsistencyError(f"peeled eigenvalue product not divisible by n = {n}")
     return kappa
-
-
-def kappa_via_jl(g) -> int:
-    """Spanning-tree count via det(J + L) / n^2, J the all-ones matrix.
-
-    Cross-check route: must agree with kappa_matrix_tree; the division by n^2
-    is asserted exact.  It stays on the generic pivoting `det_bareiss` on
-    purpose, so that it checks `kappa_matrix_tree`'s symmetric elimination
-    with independent arithmetic.
-    """
-    n = g.n
-    if n == 0:
-        raise DimensionError("graph must have at least one vertex")
-    lap = _laplacian_rows(g)
-    jl = [[lap[i][j] + 1 for j in range(n)] for i in range(n)]
-    d = det_bareiss(IntMatrix.from_rows(jl))
-    q, r = divmod(d, n * n)
-    if r:
-        raise InternalConsistencyError(f"det(J+L) = {d} not divisible by n^2 = {n * n}")
-    return q
-
-
-def laplacian_char_poly(g) -> tuple[int, ...]:
-    """Coefficients (c_0, ..., c_n), constant term first, of the
-    characteristic polynomial det(mu*I - L) = sum c_k mu^k of the graph
-    Laplacian, by the Faddeev-LeVerrier recurrence: c_n = 1, M_0 = 0,
-    M_k = L*M_{k-1} + c_{n-k+1}*I and c_{n-k} = -tr(L*M_k)/k.  Row v of L*M,
-    deg(v) * M[v] less v's neighbours' rows, is |closed(v)| * M[v] less the
-    rows M[w] over v's closed neighbourhood.  Each division
-    by k is checked exact, and the constant term det(-L) is checked zero.
-    """
-    n, closed = g.n, g.closed
-    coeffs = [0] * n + [1]
-    m = [[int(i == j) for j in range(n)] for i in range(n)]  # M_1 = I
-    for k in range(1, n + 1):
-        lm = [
-            [len(closed[v]) * x - sum(ys) for x, *ys in zip(m[v], *(m[w] for w in closed[v]))]
-            for v in range(n)
-        ]
-        c, r = divmod(-sum(lm[i][i] for i in range(n)), k)
-        if r:
-            raise InternalConsistencyError(f"trace recurrence: tr(L*M_{k}) not divisible by {k}")
-        coeffs[n - k] = c
-        for i in range(n):
-            lm[i][i] += c
-        m = lm
-    if coeffs[0] != 0:
-        raise InternalConsistencyError("Laplacian char poly must have zero constant term")
-    return tuple(coeffs)
-
-
-def shifted_product_integer_check(g, m: int) -> int:
-    """Product of (mu_i + m) over the n-1 largest Laplacian eigenvalues.
-
-    Computed exactly as det(L + m*I) / m, which is (-1)^n * sigma(-m) / m for
-    the Laplacian characteristic polynomial sigma; the division by m is
-    asserted exact.
-    """
-    if m == 0:
-        raise ValueError("shift m must be nonzero")
-    q, r = divmod(det_bareiss(IntMatrix.from_rows(_laplacian_rows(g, m))), m)
-    if r:
-        raise InternalConsistencyError(
-            f"shifted eigenvalue product not divisible by m={m}"
-        )
-    return q

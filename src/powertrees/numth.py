@@ -71,8 +71,10 @@ class InternalConsistencyError(RuntimeError):
     """An exactness invariant failed (inexact division); signals a bug."""
 
 
+@functools.lru_cache(maxsize=4096)
 def is_prime(n: int) -> bool:
-    """Deterministic primality test for 0 <= n < 3.3e24."""
+    """Deterministic primality test for 0 <= n < 3.3e24, memoized: a
+    FactoredNat checks each of its primes again whenever it is built."""
     if n >= _MR_LIMIT:
         raise PrimalityRangeError(f"cannot certify primality of {n}: out of deterministic range")
     if n < 2:

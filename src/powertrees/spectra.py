@@ -9,10 +9,10 @@ or `Join` holds its parts in order and flattens in a part of its own kind, so
 `c#x` is one union of c parts and every walker loops over a node's parts.
 Recursion goes only as deep as the nesting of unions inside joins, which
 `parse_expr` bounds.  `parse_expr` reads back what `str` writes, from tokens
-that are runs of decimal digits or one of '+*()#K'.  `graph_expr` inverts
-`expr_to_graph`: it reads the canonical expression off any graph with no
-induced P4 (a cograph).  Spectra are stored as run-length pairs because the
-interesting examples have a few distinct eigenvalues with huge
+that are runs of decimal digits or one of '+*()#K'.  `audits.graph_expr`
+inverts `expr_to_graph`: it reads the canonical expression off any graph
+with no induced P4 (a cograph).  Spectra are stored as run-length pairs
+because the interesting examples have a few distinct eigenvalues with huge
 multiplicities.
 """
 
@@ -249,35 +249,6 @@ def expr_to_graph(expr: CliqueExpr) -> graphs.SimpleGraph:
 
     lay_out(expr, 0, [])
     return graphs.SimpleGraph(expr.n, closed=closed)
-
-
-def graph_expr(g: graphs.SimpleGraph) -> CliqueExpr | None:
-    """The canonical clique expression of a graph with n >= 1, or None when it
-    has an induced P4: the inverse of expr_to_graph, up to isomorphism.
-
-    A vertex set splits into its components, a union, or if connected into
-    its co-components, a join; a set that splits neither way is prime.  Below
-    the top each set tries only the search its parent did not.  A join's
-    single vertices form one clique, and every node's parts are sorted by
-    (n, str(part)), so two graphs give equal expressions iff they are
-    isomorphic cographs.  Recursion goes only as deep as the cotree.
-    """
-
-    def node(vertices, union):
-        if len(vertices) == 1:
-            return Clique(1)
-        groups = (graphs.components if union else graphs.co_components)(g.closed, set(vertices))
-        if len(groups) == 1:
-            return None
-        parts = [node(group, not union) for group in groups if union or len(group) > 1]
-        if None in parts:
-            return None
-        if len(parts) < len(groups):
-            parts.append(Clique(len(groups) - len(parts)))
-        parts.sort(key=lambda part: (part.n, str(part)))
-        return parts[0] if len(parts) == 1 else (Union if union else Join)(*parts)
-
-    return node(range(g.n), not g.is_connected())
 
 
 # --- expression string syntax: K(n), + union, * join, c#expr copies ---

@@ -23,6 +23,8 @@ from functools import cache, partial
 from itertools import chain, islice
 
 from . import formulas as F
+from .audits import graph_expr, kappa_clique_replaced_path, kappa_via_jl, laplacian_char_poly
+from .audits import shifted_product_integer_check
 from .graphs import (
     CliqueReplacedSpec,
     SimpleGraph,
@@ -36,8 +38,7 @@ from .graphs import (
     universal_vertices,
 )
 from .groups import FAMILIES, GroupSpec, build_group, family_expr, power_graph
-from .linalg import kappa_matrix_tree, kappa_via_jl, laplacian_char_poly
-from .linalg import shifted_product_integer_check
+from .linalg import kappa_matrix_tree
 from .numth import FactoredNat, Value, product
 from .spectra import (
     Clique,
@@ -45,7 +46,6 @@ from .spectra import (
     Join,
     Union,
     expr_to_graph,
-    graph_expr,
     kappa_from_spectrum,
     parse_expr,
     spectrum,
@@ -520,7 +520,7 @@ def cases_path_audit(seed: int) -> list[CaseResult]:
     for k in (3, 4, 5, 6):
         for _ in range(5):
             sizes = tuple(rng.randint(1, 5) for _ in range(k))
-            formula = F.kappa_clique_replaced_path(sizes).value()
+            formula = kappa_clique_replaced_path(sizes).value()
             oracle = kappa_matrix_tree(clique_replaced(CliqueReplacedSpec(path_graph(k), sizes)))
             rows.append(
                 f"{sizes} | {formula} | {oracle} | {'yes' if formula == oracle else 'NO'}"

@@ -16,9 +16,9 @@ from powertrees.graphs import (
     SimpleGraph,
     clique_replaced,
     path_graph,
-    to_edge_list_text,
     universal_vertices,
 )
+from powertrees.export import to_edge_list_text
 from powertrees.groups import FAMILIES, GroupSpec, build_group, clique_spec, power_graph
 from powertrees.linalg import kappa_matrix_tree
 from powertrees.numth import FactoredNat, InternalConsistencyError, is_prime
@@ -577,15 +577,28 @@ def test_main_builds_its_parser_once(capsys, monkeypatch):
     assert built == []
 
 
-def test_kappa_loads_no_process_pool():
+def test_kappa_loads_no_process_pool(tmp_path):
+    # nor a module or a name that only verify and export run, on any kind of request
     src = Path(cli.__file__).resolve().parents[1]
+    base = tmp_path / "base.txt"
+    base.write_text("3\n0 1\n1 2\n")
+    requests = [["group", "dihedral:5"], ["group", "dihedral:5", "--method", "matrix-tree"],
+                ["zn", "12"], ["replaced", str(base), "--sizes", "2,3,1"], ["graph", str(base)],
+                ["expr", "K(1)*(K(2)+2#K(1))"]]
+    modules = ("multiprocessing", "concurrent.futures", "powertrees.audits", "powertrees.export",
+               "powertrees.verify")
+    names = ("kappa_via_jl", "laplacian_char_poly", "shifted_product_integer_check",
+             "kappa_clique_replaced_path", "graph_expr", "to_dot", "to_edge_list_text")
     code = (
-        "import sys; from powertrees import cli; cli.main(['kappa', 'zn', '12']); "
-        "print([m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules])"
+        "import sys; from powertrees import cli\n"
+        f"for argv in {requests!r}: cli.main(['kappa', *argv])\n"
+        f"print([m for m in {modules!r} if m in sys.modules])\n"
+        "print(sorted(f'{m}.{a}' for m, mod in list(sys.modules.items()) if m.startswith('powertrees')"
+        f" for a in {names!r} if hasattr(mod, a)))"
     )
     proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
                           capture_output=True, text=True, check=True, timeout=60)
-    assert proc.stdout.splitlines() == ["7823278080", "[]"]
+    assert proc.stdout.splitlines() == ["125", "125", "7823278080", "540", "1", "3", "[]", "[]"]
 
 
 def test_cyclic_30030_quotient_fits_in_one_gib():
@@ -730,13 +743,40 @@ def test_an_internal_consistency_error_exits_3(capsys, monkeypatch):
     assert (code, out, err) == (3, "", "internal consistency error: inexact division\n")
 
 
+ZN6_DOT = """graph G {
+  0 [label="6.0"];
+  1 [label="6.1"];
+  2 [label="3.0"];
+  3 [label="3.1"];
+  4 [label="2.0"];
+  5 [label="1.0"];
+  0 -- 1;
+  0 -- 2;
+  0 -- 3;
+  0 -- 4;
+  0 -- 5;
+  1 -- 2;
+  1 -- 3;
+  1 -- 4;
+  1 -- 5;
+  2 -- 3;
+  2 -- 5;
+  3 -- 5;
+  4 -- 5;
+}
+"""
+
+
 @pytest.mark.parametrize("kind,target,sizes", [
     ("group", "dihedral:5", None),
     ("expr", "K(1)*(K(2)+2#K(1))", None),
     ("replaced", "path3", "2,3,1"),
+    ("zn", "6", None),
 ])
 def test_export_prints_the_bytes_it_writes(capsys, tmp_path, kind, target, sizes):
-    if kind == "group":
+    if kind == "zn":
+        graph = clique_replaced(F.divisor_clique_spec(int(target)))
+    elif kind == "group":
         graph = power_graph(build_group(GroupSpec.parse(target)))
     elif kind == "expr":
         graph = expr_to_graph(parse_expr(target))
@@ -759,5 +799,9 @@ def test_export_prints_the_bytes_it_writes(capsys, tmp_path, kind, target, sizes
         0, kappa, "")
     record = json.loads((tmp_path / "graph.json").read_text())
     assert record["vertex_count"] == graph.n
+    if kind == "zn":  # its json is the divisor description; its dot is pinned to the byte
+        assert (record["divisors"], record["sizes"]) == ([6, 3, 2, 1], [2, 2, 1, 1])
+        assert (tmp_path / "graph.dot").read_text() == ZN6_DOT
+        return
     assert record["edges"] == [list(e) for e in graph.edges()]
     assert record["labels"] == [graph.label(v) for v in range(graph.n)]

@@ -7,6 +7,7 @@ from math import prod
 import pytest
 
 from powertrees import formulas as F
+from powertrees.audits import kappa_clique_replaced_path
 from powertrees.graphs import (
     CliqueReplacedSpec,
     SimpleGraph,
@@ -421,14 +422,14 @@ def test_quotient_takes_a_repeated_component_apart_once(monkeypatch, text, searc
 def test_path_closed_form_audited_values():
     # the published display: for all-ones sizes on a 3-path it yields 3, while
     # the expanded graph is that same path with a single spanning tree
-    assert F.kappa_clique_replaced_path((1, 1, 1)).value() == 3
+    assert kappa_clique_replaced_path((1, 1, 1)).value() == 3
     assert kappa_matrix_tree(path_graph(3)) == 1
     # sizes (1,2,1): display gives 32, the 4-vertex expansion has 8 trees
-    assert F.kappa_clique_replaced_path((1, 2, 1)).value() == 32
+    assert kappa_clique_replaced_path((1, 2, 1)).value() == 32
     oracle = kappa_matrix_tree(clique_replaced(CliqueReplacedSpec(path_graph(3), (1, 2, 1))))
     assert oracle == 8
     with pytest.raises(ValueError):
-        F.kappa_clique_replaced_path((2, 2))
+        kappa_clique_replaced_path((2, 2))
     # two blocks fall back to the complete-graph count
     assert F.kappa_cayley(4).value() == 16 == kappa_matrix_tree(
         clique_replaced(CliqueReplacedSpec(path_graph(2), (2, 2)))
@@ -439,7 +440,7 @@ def test_path_closed_form_overshoots_by_vertex_count():
     rng = random.Random(3)
     for k in (3, 4, 5):
         sizes = tuple(rng.randint(1, 4) for _ in range(k))
-        formula = F.kappa_clique_replaced_path(sizes).value()
+        formula = kappa_clique_replaced_path(sizes).value()
         oracle = kappa_matrix_tree(clique_replaced(CliqueReplacedSpec(path_graph(k), sizes)))
         assert formula == oracle * sum(sizes)
 

@@ -14,16 +14,16 @@ from powertrees.graphs import (
     from_edge_list_text,
     join,
     path_graph,
-    to_dot,
-    to_edge_list_text,
     twin_quotient,
     universal_vertices,
 )
+from powertrees.audits import graph_expr
+from powertrees.export import to_dot, to_edge_list_text
 from powertrees.formulas import kappa_quotient
 from powertrees.groups import GroupSpec, build_group, power_graph
 from powertrees.linalg import kappa_matrix_tree
 from powertrees.numth import divisors_desc, euler_phi
-from powertrees.spectra import expr_to_graph, graph_expr, parse_expr
+from powertrees.spectra import expr_to_graph, parse_expr
 from powertrees.verify import connected_labeled_graphs
 
 

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from powertrees.audits import kappa_via_jl, laplacian_char_poly, shifted_product_integer_check
 from powertrees.graphs import SimpleGraph, complete_graph, components, path_graph
 from powertrees.linalg import (
     DimensionError,
@@ -11,9 +12,6 @@ from powertrees.linalg import (
     _det_psd_upper,
     det_bareiss,
     kappa_matrix_tree,
-    kappa_via_jl,
-    laplacian_char_poly,
-    shifted_product_integer_check,
 )
 
 

@@ -13,6 +13,7 @@ from powertrees.linalg import IntMatrix
 from powertrees.numth import (
     FactoredNat,
     InternalConsistencyError,
+    PrimalityRangeError,
     Value,
     divisors_desc,
     euler_phi,
@@ -37,6 +38,9 @@ def test_is_prime_carmichael_and_big():
     assert not is_prime(561)  # Carmichael
     assert not is_prime(3215031751)  # strong pseudoprime to first four bases
     assert is_prime(2**61 - 1)
+    for _ in range(2):  # is_prime is memoized, but no error is cached
+        with pytest.raises(PrimalityRangeError):
+            is_prime(3317044064679887385961981)
 
 
 def test_trial_division_residual():

@@ -3,12 +3,13 @@ import random
 
 import pytest
 
-from powertrees import linalg
+from powertrees import audits, linalg
 from powertrees.formulas import kappa_psl2
 from powertrees import verify as V
+from powertrees.audits import graph_expr, laplacian_char_poly
 from powertrees.graphs import SimpleGraph, components, path_graph, universal_vertices
 from powertrees.groups import GroupSpec, build_group, family_expr, power_graph
-from powertrees.linalg import InternalConsistencyError, kappa_matrix_tree, laplacian_char_poly
+from powertrees.linalg import InternalConsistencyError, kappa_matrix_tree
 from powertrees.numth import FactoredNat
 from powertrees.spectra import (
     MAX_COPIES,
@@ -19,7 +20,6 @@ from powertrees.spectra import (
     Union,
     copies,
     expr_to_graph,
-    graph_expr,
     kappa_from_spectrum,
     parse_expr,
     spectrum,
@@ -483,13 +483,13 @@ def test_spectrum_suite_fails_on_a_moved_multiplicity(monkeypatch):
 
 def test_spectrum_proof_takes_no_determinant(monkeypatch):
     calls = []
-    for name in ("det_bareiss", "_det_psd_upper"):
-        real = getattr(linalg, name)
-        monkeypatch.setattr(linalg, name, lambda m, real=real: calls.append(m) or real(m))
+    for module, name in ((linalg, "det_bareiss"), (linalg, "_det_psd_upper"), (audits, "det_bareiss")):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda m, real=real: calls.append(m) or real(m))
     for expr in V._spectrum_exprs(1):
         assert V.spectrum_mismatch(expr_to_graph(expr), spectrum(expr)) == ""
     assert calls == []
-    linalg.kappa_via_jl(path_graph(4))  # the recorder does see a determinant
+    audits.kappa_via_jl(path_graph(4))  # the recorder does see a determinant
     assert calls
 
 
