@@ -263,7 +263,10 @@ def cmd_verify(args) -> int:
 
 def cmd_export(args) -> int:
     from . import export  # loaded for this command only
-    return export.run(args)
+    req = Request(args.kind, args.target, _parse_sizes(args.kind, args.sizes), "auto", "decimal")
+    zn_json = args.format == "json" and args.kind == "zn"  # the divisor description, not a graph
+    target = _zn_order(args.target) if zn_json else _expand(_load_target(req, _family_spec(req)))
+    return export.run(target, args.format, args.out)
 
 
 @functools.cache

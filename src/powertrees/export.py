@@ -1,7 +1,7 @@
-"""The `export` command: a target's graph as Graphviz dot, an edge list or
+"""The `export` command's writers: a graph as Graphviz dot, an edge list or
 json, or a zn target's divisor description as json.  Nothing a `kappa` route
-runs lives here; `cli.cmd_export` loads it for that command, never at start-up.
-"""
+runs lives here; `cli.cmd_export` resolves the target and loads this module
+for that command, never at start-up.  It imports nothing from `cli`."""
 
 from __future__ import annotations
 
@@ -9,7 +9,6 @@ import json
 import sys
 
 from . import formulas as F
-from .cli import Request, UsageError, _expand, _family_spec, _load_target, _parse_sizes, _zn_order
 from .graphs import SimpleGraph
 from .numth import divisors_desc
 
@@ -53,24 +52,21 @@ def _graph_json(g: SimpleGraph) -> str:
     )
 
 
-def run(args) -> int:
-    sizes = _parse_sizes(args.kind, args.sizes)
-    req = Request(args.kind, args.target, sizes, "auto", "decimal")
-    if args.format == "json" and args.kind == "zn":
-        text = _zn_description(_zn_order(args.target))
+def run(target: SimpleGraph | int, fmt: str, out: str | None) -> int:
+    """Write a graph, or a zn target's order n for json, to out (default stdout)."""
+    if isinstance(target, int):
+        text = _zn_description(target)
+    elif fmt == "dot":
+        text = to_dot(target)
+    elif fmt == "edges":
+        text = to_edge_list_text(target)
+    elif fmt == "json":
+        text = _graph_json(target)
     else:
-        graph = _expand(_load_target(req, _family_spec(req)))
-        if args.format == "dot":
-            text = to_dot(graph)
-        elif args.format == "edges":
-            text = to_edge_list_text(graph)
-        elif args.format == "json":
-            text = _graph_json(graph)
-        else:
-            raise UsageError(f"unknown export format {args.format!r}")
+        raise ValueError(f"unknown export format {fmt!r}")
     text = text if text.endswith("\n") else text + "\n"  # json ends in no newline
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+    if out:
+        with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)

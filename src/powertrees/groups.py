@@ -50,11 +50,10 @@ class GroupSpec(Value):
     def parse(cls, text: str) -> "GroupSpec":
         """Parse the flat CLI grammar family:param[:param], e.g. 'psl2:3:2'.
 
-        A family is named by its name or its alias (FAMILY_USAGE lists them).
+        A family is named by its registry key (FAMILY_USAGE lists them).
         Parameters are integers, except the file path of 'table:PATH'.
         """
         name, _, rest = text.partition(":")
-        name = _ALIASES.get(name, name)
         if name in FAMILIES and FAMILIES[name].params == ("PATH",):
             return cls(name, (rest,) if rest else ())
         try:
@@ -111,14 +110,14 @@ def _v_frobenius(p, q):
     _need_prime(p)
     _need_prime(q, "q")
     if not p < q:
-        raise GroupConstructionError(f"frobenius_pq needs p < q, got p={p}, q={q}")
+        raise GroupConstructionError(f"frobenius needs p < q, got p={p}, q={q}")
     if (q - 1) % p != 0:
-        raise GroupConstructionError(f"frobenius_pq needs p | q-1, got p={p}, q={q}")
+        raise GroupConstructionError(f"frobenius needs p | q-1, got p={p}, q={q}")
 
 
 def _v_cayley(path):
     if not isinstance(path, str) or not path:
-        raise GroupConstructionError("cayley_table needs a file path")
+        raise GroupConstructionError("table needs a file path")
 
 
 class FiniteGroup:
@@ -130,8 +129,7 @@ class FiniteGroup:
 
     identity = 0
 
-    def __init__(self, name, elements, op, names=None):
-        self.name = name
+    def __init__(self, elements, op, names=None):
         self.elements = tuple(elements)
         self.order = n = len(self.elements)
         self.op = op
@@ -157,26 +155,21 @@ class FiniteGroup:
         return self._index[self.op(self.elements[a], self.elements[b])]
 
     def __repr__(self):
-        return f"FiniteGroup({self.name}, order={self.order})"
+        return f"FiniteGroup(order={self.order})"
 
 
 def _build_cyclic(n: int) -> FiniteGroup:
-    return FiniteGroup(f"cyclic:{n}", range(n), lambda a, b: (a + b) % n)
+    return FiniteGroup(range(n), lambda a, b: (a + b) % n)
 
 
 def _build_elementary(p: int, n: int) -> FiniteGroup:
     # coefficient vectors, the first coordinate varying fastest
     elements = [c[::-1] for c in product(range(p), repeat=n)]
     names = ["(" + ",".join(map(str, c)) + ")" for c in elements]
-    return FiniteGroup(
-        f"elementary:{p}:{n}",
-        elements,
-        lambda u, v: tuple((a + b) % p for a, b in zip(u, v)),
-        names,
-    )
+    return FiniteGroup(elements, lambda u, v: tuple((a + b) % p for a, b in zip(u, v)), names)
 
 
-def _build_semidirect(name: str, n: int, a: int, m: int, names=None, c: int = 0) -> FiniteGroup:
+def _build_semidirect(n: int, a: int, m: int, names=None, c: int = 0) -> FiniteGroup:
     # x^b y^i as (b, i), i varying slowest, with y x y^-1 = x^a and y^m = x^c:
     # (b1,i1)(b2,i2) = x^(b1 + a^i1*b2) y^(i1+i2).  c = 0 is Z_n x| Z_m, the
     # affine maps t -> a^i*t + b; else y^(i1+i2) carries x^c past y^m
@@ -194,20 +187,19 @@ def _build_semidirect(name: str, n: int, a: int, m: int, names=None, c: int = 0)
     elements = [(b, i) for i in range(m) for b in range(n)]
     if names is None:
         names = [f"t->{powers[i]}t+{b}" for b, i in elements]
-    return FiniteGroup(name, elements, carried if c else op, names)
+    return FiniteGroup(elements, carried if c else op, names)
 
 
 def _build_dihedral(n: int) -> FiniteGroup:
     # r^b s^i is t -> (-1)^i*t + b
-    return _build_semidirect(f"dihedral:{n}", n, -1, 2,
-                             [f"{'s' * i}r{b}" for i in (0, 1) for b in range(n)])
+    return _build_semidirect(n, -1, 2, [f"{'s' * i}r{b}" for i in (0, 1) for b in range(n)])
 
 
 def _build_quaternion(n: int) -> FiniteGroup:
     # x^b y^i with b mod 2^(n-1): y x y^-1 = x^-1 and y^2 = x^(2^(n-2))
     half = 2 ** (n - 1)
-    return _build_semidirect(f"quaternion:{n}", half, -1, 2,
-                             [f"x{b}{'y' * i}" for i in (0, 1) for b in range(half)], c=half // 2)
+    return _build_semidirect(half, -1, 2, [f"x{b}{'y' * i}" for i in (0, 1) for b in range(half)],
+                             c=half // 2)
 
 
 def _build_heisenberg(p: int) -> FiniteGroup:
@@ -218,12 +210,12 @@ def _build_heisenberg(p: int) -> FiniteGroup:
 
     elements = [(x, y, z) for x in range(p) for y in range(p) for z in range(p)]
     names = [f"({x},{y},{z})" for x, y, z in elements]
-    return FiniteGroup(f"heisenberg:{p}", elements, op, names)
+    return FiniteGroup(elements, op, names)
 
 
-def _build_extraspecial_exp_p2(p: int) -> FiniteGroup:
-    # t -> (1+p)^i*t + b on Z_(p^2), with (1+p)^i = 1 + i*p
-    return _build_semidirect(f"extraspecial_exp_p2:{p}", p * p, 1 + p, p)
+def _build_extraspecial(p: int) -> FiniteGroup:
+    # exponent p^2: t -> (1+p)^i*t + b on Z_(p^2), with (1+p)^i = 1 + i*p
+    return _build_semidirect(p * p, 1 + p, p)
 
 
 def _psl2_order(q: int) -> int:
@@ -274,7 +266,7 @@ def _build_psl2(p: int, n: int) -> FiniteGroup:
         )
 
     names = [f"[{a},{b};{c},{d}]" for a, b, c, d in elements]
-    group = FiniteGroup(f"psl2:{p}:{n}", elements, op, names)
+    group = FiniteGroup(elements, op, names)
     expected = _psl2_order(q)
     if group.order != expected:
         raise GroupConstructionError(
@@ -283,10 +275,10 @@ def _build_psl2(p: int, n: int) -> FiniteGroup:
     return group
 
 
-def _build_frobenius_pq(p: int, q: int) -> FiniteGroup:
+def _build_frobenius(p: int, q: int) -> FiniteGroup:
     # a is the smallest c > 1 with c^p = 1 mod q, of order p as p is prime
     a = next(c for c in range(2, q) if pow(c, p, q) == 1)
-    return _build_semidirect(f"frobenius_pq:{p}:{q}", q, a, p)
+    return _build_semidirect(q, a, p)
 
 
 def _parse_cayley_text(text: str) -> list[list[int]]:
@@ -349,11 +341,11 @@ def validate_cayley_table(table: list[list[int]]) -> None:
             )
 
 
-def _build_cayley_table(path: str) -> FiniteGroup:
+def _build_table(path: str) -> FiniteGroup:
     with open(path, "r", encoding="utf-8") as fh:
         table = _parse_cayley_text(fh.read())
     validate_cayley_table(table)
-    return FiniteGroup(f"cayley_table:{path}", range(len(table)), lambda a, b: table[a][b])
+    return FiniteGroup(range(len(table)), lambda a, b: table[a][b])
 
 
 class Family(Value):
@@ -367,7 +359,7 @@ class Family(Value):
 
     counts takes the parameters and returns (order, universal count) of the
     power graph without building the group; `verify` audits it against the
-    built power graph.  cayley_table, which every route builds, has none.
+    built power graph.  The table family, which every route builds, has none.
 
     examples are small parameter tuples (orders up to 168), the groups on
     which `verify` checks the family: its counts, its clique form where it
@@ -376,20 +368,19 @@ class Family(Value):
     """
 
     __slots__ = ("name", "params", "validate", "build", "closed_form", "clique_expr", "counts",
-                 "examples", "alias")
+                 "examples")
 
     def __init__(self, name: str, params: tuple[str, ...], validate: Callable[..., None],
                  build: Callable[..., FiniteGroup],
                  closed_form: Callable[..., FactoredNat] | None = None,
                  clique_expr: Callable[..., CliqueExpr] | None = None,
                  counts: Callable[..., tuple[int, int]] | None = None,
-                 examples: tuple[tuple, ...] = (), alias: str | None = None):
-        super().__init__(name, params, validate, build, closed_form, clique_expr, counts,
-                         examples, alias)
+                 examples: tuple[tuple, ...] = ()):
+        super().__init__(name, params, validate, build, closed_form, clique_expr, counts, examples)
 
     @property
     def usage(self) -> str:
-        return ":".join([self.alias or self.name, *self.params])
+        return ":".join([self.name, *self.params])
 
 
 def _elementary_counts(p, n):
@@ -430,22 +421,21 @@ FAMILIES = {
         # whose count p^(2p^3-5) matches neither published exponent, 2p^3-p-5
         # nor 2p^3-p-4; verify's audit row refutes all three at p = 3 with
         # the determinant oracle (3^49 against 3^37 * 7^2)
-        Family("extraspecial_exp_p2", ("p",), _need_odd_prime, _build_extraspecial_exp_p2,
+        Family("extraspecial", ("p",), _need_odd_prime, _build_extraspecial,
                clique_expr=lambda p: Join(Clique(p), copies(p + 1, Clique(p * p - p))),
                counts=lambda p: (p**3, 1),
-               examples=((3,),), alias="extraspecial"),
+               examples=((3,),)),
         Family("psl2", ("p", "n"), _v_psl2, _build_psl2,
                closed_form=lambda p, n: F.kappa_psl2(p, n),
                counts=lambda p, n: (_psl2_order(p**n), 1), examples=((2, 2), (5, 1), (7, 1))),
-        Family("frobenius_pq", ("p", "q"), _v_frobenius, _build_frobenius_pq,
+        Family("frobenius", ("p", "q"), _v_frobenius, _build_frobenius,
                closed_form=lambda p, q: F.kappa_frobenius_pq(p, q),
                clique_expr=lambda p, q: epo_expr({p: q, q: 1}),
                counts=lambda p, q: (p * q, 1),
-               examples=((2, 3), (2, 5), (2, 7), (3, 7), (5, 11)), alias="frobenius"),
-        Family("cayley_table", ("PATH",), _v_cayley, _build_cayley_table, alias="table"),
+               examples=((2, 3), (2, 5), (2, 7), (3, 7), (5, 11))),
+        Family("table", ("PATH",), _v_cayley, _build_table),
     )
 }
-_ALIASES = {f.alias: f.name for f in FAMILIES.values() if f.alias}
 FAMILY_USAGE = ", ".join(f.usage for f in FAMILIES.values())
 
 
@@ -456,7 +446,7 @@ def build_group(spec: GroupSpec) -> FiniteGroup:
 def family_expr(spec: GroupSpec) -> CliqueExpr:
     """The clique expression of the power graph, for families that have one.
 
-    For extraspecial_exp_p2 it is the published decomposition
+    For extraspecial (exponent p^2) it is the published decomposition
     K(p) * (p+1)#K(p^2-p), which the verify audit row
     extraspecial-27-structural-vs-oracle refutes.
     """

@@ -69,7 +69,7 @@ def _vs(expected: int, actual: int) -> str:
 def _examples(*claims: str) -> list[str]:
     """The example groups (`Family.examples`), in the CLI grammar, of every
     registry family that has each named claim, e.g. 'counts'."""
-    return [":".join([f.alias or f.name, *map(str, params)]) for f in FAMILIES.values()
+    return [":".join([f.name, *map(str, params)]) for f in FAMILIES.values()
             if all(getattr(f, claim) for claim in claims) for params in f.examples]
 
 

@@ -454,7 +454,7 @@ def _counted_specs():
 def test_family_counts_equal_the_built_groups_counts():
     specs = [GroupSpec.parse(text) for text in _counted_specs()]
     assert {s.family for s in specs} == {name for name, f in FAMILIES.items() if f.counts}
-    assert [name for name, f in FAMILIES.items() if not f.counts] == ["cayley_table"]
+    assert [name for name, f in FAMILIES.items() if not f.counts] == ["table"]
     for spec in specs:
         expected = cli._vertex_counts(clique_spec(build_group(spec)))
         assert FAMILIES[spec.family].counts(*spec.params) == expected, str(spec)
@@ -805,3 +805,16 @@ def test_export_prints_the_bytes_it_writes(capsys, tmp_path, kind, target, sizes
         return
     assert record["edges"] == [list(e) for e in graph.edges()]
     assert record["labels"] == [graph.label(v) for v in range(graph.n)]
+
+
+def test_export_as_main_loads_cli_once():
+    # export imports nothing from cli, so `-m powertrees.cli export` does not
+    # compile cli a second time under its module name
+    src = Path(cli.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "powertrees.cli",
+                           "export", "zn", "6", "--format", "dot"],
+                          env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, check=True, timeout=60)
+    assert proc.stdout == ZN6_DOT
+    loaded = [line.split("|")[-1].strip() for line in proc.stderr.splitlines()]
+    assert "powertrees.export" in loaded and "powertrees.cli" not in loaded

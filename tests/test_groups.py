@@ -234,16 +234,19 @@ def test_spec_validation_errors():
         "frobenius:3:5",  # 3 does not divide 4
         "frobenius:5:3",  # p > q
         "nosuch:1",
+        "frobenius_pq:2:3",  # a family is named only by its registry key
+        "extraspecial_exp_p2:3",
+        "cayley_table:x",
     ):
         with pytest.raises(GroupConstructionError):
             GroupSpec.parse(bad)
 
 
 def test_spec_string_roundtrip():
-    spec = GroupSpec.parse("psl2:3:2")
-    assert str(spec) == "psl2:3:2"
-    assert GroupSpec.parse("extraspecial:3").family == "extraspecial_exp_p2"
-    assert GroupSpec.parse("frobenius:2:3").family == "frobenius_pq"
+    # a family has one name: every registry example prints as it parses
+    texts = ["psl2:3:2", "table:q8.txt", *verify._examples()]
+    assert [str(GroupSpec.parse(t)) for t in texts] == texts
+    assert {GroupSpec.parse(t).family for t in texts} == set(FAMILIES)
 
 
 # --- power graphs ---
@@ -566,7 +569,7 @@ def test_family_examples_cover_the_former_verify_lists():
 
 def test_every_family_example_is_a_valid_small_group():
     for family in FAMILIES.values():
-        assert family.examples or family.name == "cayley_table", family.name
+        assert family.examples or family.name == "table", family.name
         for params in family.examples:
             spec = GroupSpec(family.name, params)
             group = build_group(spec)
