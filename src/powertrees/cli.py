@@ -255,7 +255,7 @@ def cmd_verify(args) -> int:
     if args.jobs < 1:
         raise UsageError(f"--jobs must be >= 1, got {args.jobs}")
     started = time.perf_counter()
-    report, code = verify.run_suite(args.suite, seed=verify.default_seed(), jobs=args.jobs)
+    report, code = verify.run_suite(args.suite, jobs=args.jobs)
     print(report, end="")
     print(f"elapsed: {time.perf_counter() - started:.1f}s", file=sys.stderr)
     return code

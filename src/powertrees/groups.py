@@ -124,7 +124,9 @@ class FiniteGroup:
     """A finite group given by its concrete elements and their multiply, with
     each element's cyclic subgroup cached; its size is the element's order.
 
-    Elements are addressed by their index; element 0 is the identity.
+    Elements are addressed by their index; element 0 is the identity.  A
+    group built without names has element_names None: its power graph's
+    labels are then the indices.
     """
 
     identity = 0
@@ -134,7 +136,7 @@ class FiniteGroup:
         self.order = n = len(self.elements)
         self.op = op
         self._index = {e: i for i, e in enumerate(self.elements)}
-        self.element_names = tuple(names) if names is not None else tuple(map(str, range(n)))
+        self.element_names = tuple(names) if names is not None else None
         subgroups = [None] * n
         for g in range(n):
             if subgroups[g] is not None:

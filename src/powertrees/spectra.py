@@ -11,9 +11,9 @@ Recursion goes only as deep as the nesting of unions inside joins, which
 `parse_expr` bounds.  `parse_expr` reads back what `str` writes, from tokens
 that are runs of decimal digits or one of '+*()#K'.  `audits.graph_expr`
 inverts `expr_to_graph`: it reads the canonical expression off any graph
-with no induced P4 (a cograph).  Spectra are stored as run-length pairs
-because the interesting examples have a few distinct eigenvalues with huge
-multiplicities.
+with no induced P4 (a cograph).  A spectrum is a Counter of eigenvalue to
+multiplicity because the interesting examples have a few distinct
+eigenvalues with huge multiplicities.
 """
 
 from __future__ import annotations
@@ -119,41 +119,9 @@ def epo_expr(counts: dict[int, int]) -> CliqueExpr:
 # --- spectra ---
 
 
-class IntSpectrum(Value):
-    """Multiset of integer Laplacian eigenvalues as (value, multiplicity) pairs,
-    sorted by decreasing eigenvalue."""
-
-    __slots__ = ("pairs",)
-
-    def __init__(self, pairs: tuple[tuple[int, int], ...]):
-        object.__setattr__(self, "pairs", pairs)
-        last = None
-        for value, mult in pairs:
-            if value < 0 or mult < 1:
-                raise ValueError("eigenvalues must be >= 0 with multiplicity >= 1")
-            if last is not None and value >= last:
-                raise ValueError("pairs must be sorted by strictly decreasing value")
-            last = value
-
-    @property
-    def n(self) -> int:
-        return sum(m for _, m in self.pairs)
-
-    def multiplicity(self, value: int) -> int:
-        for v, m in self.pairs:
-            if v == value:
-                return m
-        return 0
-
-    def eigenvalue_sum(self) -> int:
-        return sum(v * m for v, m in self.pairs)
-
-    def __str__(self):
-        return "{" + ", ".join(f"{v}^{m}" if m > 1 else str(v) for v, m in self.pairs) + "}"
-
-
-def spectrum(expr: CliqueExpr) -> IntSpectrum:
-    """Laplacian spectrum of a clique expression.
+def spectrum(expr: CliqueExpr) -> Counter:
+    """Laplacian spectrum of a clique expression, as a Counter of eigenvalue
+    to multiplicity with no zero counts.
 
     K(n) has eigenvalue n with multiplicity n-1 plus a zero; a union takes
     the multiset union of its parts' spectra.  A join of r parts, n_i
@@ -164,11 +132,6 @@ def spectrum(expr: CliqueExpr) -> IntSpectrum:
     gains N - n_i, and on the vectors constant on each block it is N*I minus
     a rank-one map onto the ones vector.  Equal parts are evaluated once.
     """
-    counts = _spectrum_counts(expr)
-    return IntSpectrum(tuple(sorted(counts.items(), reverse=True)))
-
-
-def _spectrum_counts(expr: CliqueExpr) -> Counter:
     if isinstance(expr, Clique):
         k = expr.size
         return Counter({k: k - 1, 0: 1} if k > 1 else {0: 1})
@@ -177,7 +140,7 @@ def _spectrum_counts(expr: CliqueExpr) -> Counter:
     join = isinstance(expr, Join)
     out = Counter({expr.n: len(expr.parts) - 1, 0: 1}) if join else Counter()
     for part, copies_of_part in Counter(expr.parts).items():
-        counts = _spectrum_counts(part)
+        counts = spectrum(part)
         shift = expr.n - part.n if join else 0
         if join:
             if counts[0] < 1:
@@ -189,20 +152,21 @@ def _spectrum_counts(expr: CliqueExpr) -> Counter:
     return out
 
 
-def kappa_from_spectrum(spec: IntSpectrum) -> FactoredNat:
-    """Spanning-tree count from an integer spectrum: product of the nonzero
-    eigenvalues divided by the vertex count, returned in factored form.
+def kappa_from_spectrum(spec: Counter) -> FactoredNat:
+    """Spanning-tree count from an integer spectrum, a Counter of eigenvalue
+    to multiplicity: product of the nonzero eigenvalues divided by the vertex
+    count spec.total(), returned in factored form.
 
     A spectrum with several zero eigenvalues is disconnected: returns 0.
     """
-    zeros = spec.multiplicity(0)
-    if zeros == 0:
+    if spec[0] == 0:
         raise ValueError("a Laplacian spectrum must contain 0")
-    if zeros > 1:
+    if spec[0] > 1:
         return FactoredNat.zero()
-    powers = Counter({value: mult for value, mult in spec.pairs if value})
-    powers[spec.n] -= 1
-    return factored_ratio(powers, {}, spec.n)
+    n = spec.total()
+    powers = spec - Counter({0: 1})
+    powers[n] -= 1
+    return factored_ratio(powers, {}, n)
 
 
 def universal_count(expr: CliqueExpr) -> int:

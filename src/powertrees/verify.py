@@ -443,8 +443,9 @@ def _certified_counts(closed, vectors) -> Counter:
     return counts
 
 
-def spectrum_mismatch(g: SimpleGraph, spec) -> str:
-    """Why spec is not the Laplacian spectrum of g, or '' when it is proved.
+def spectrum_mismatch(g: SimpleGraph, spec: Counter) -> str:
+    """Why spec, a Counter of eigenvalue to multiplicity, is not the
+    Laplacian spectrum of g, or '' when it is proved.
 
     The proof is a certificate (McConnell et al. 2011): the n eigenvectors
     of `_cotree_vectors`, each checked by `_certified_counts`.  Eigenvectors
@@ -452,18 +453,17 @@ def spectrum_mismatch(g: SimpleGraph, spec) -> str:
     certified count the nullity of L - mu*I; the counts are compared with
     spec in ascending mu.  The checker takes nothing on trust from the
     cotree walk, so a fault there can only fail a true claim."""
-    if spec.n != g.n:
-        return f"spectrum claims {spec.n} eigenvalues for {g.n} vertices"
+    if spec.total() != g.n:
+        return f"spectrum claims {spec.total()} eigenvalues for {g.n} vertices"
     try:
         certified = _certified_counts(g.closed, _cotree_vectors(g))
     except ValueError as why:
         return f"no eigenvector certificate: {why}"
     if certified.total() != g.n:
         return f"the certificate proves {certified.total()} eigenvectors, not {g.n}"
-    claimed = dict(spec.pairs)
-    for mu in sorted(certified.keys() | claimed.keys()):
-        if certified[mu] != claimed.get(mu, 0):
-            return f"nullity of L - {mu}I is {certified[mu]}, spectrum claims {claimed.get(mu, 0)}"
+    for mu in sorted(certified.keys() | spec.keys()):
+        if certified[mu] != spec[mu]:
+            return f"nullity of L - {mu}I is {certified[mu]}, spectrum claims {spec[mu]}"
     return ""
 
 
@@ -476,7 +476,7 @@ def cases_spectrum_charpoly(seed: int) -> list[CaseResult]:
         i, expr = case
         g = expr_to_graph(expr)
         spec = spectrum(expr)
-        if spec.n != g.n or spec.eigenvalue_sum() != 2 * g.edge_count:
+        if spec.total() != g.n or sum(v * m for v, m in spec.items()) != 2 * g.edge_count:
             return f"expr {i} ({expr}): spectrum totals wrong"
         mismatch = spectrum_mismatch(g, spec)
         if mismatch:

@@ -24,7 +24,7 @@ from powertrees.numth import (
     product,
     trial_division,
 )
-from powertrees.spectra import Clique, IntSpectrum, Join, Union, parse_expr
+from powertrees.spectra import Clique, Join, Union, parse_expr
 from powertrees.verify import CaseResult
 
 
@@ -180,14 +180,13 @@ RECORDS = [
     Clique(3),
     Union(Clique(1), Clique(2)),
     Join(Clique(1), Union(Clique(2), Clique(3))),
-    IntSpectrum(((3, 1), (0, 1))),
     CaseResult("case", True, "1/1 ok"),
 ]
 
 
 def test_every_record_type_is_a_value():
     types = {type(r) for r in RECORDS}
-    assert len(types) == 12 and all(issubclass(t, Value) for t in types)
+    assert len(types) == 11 and all(issubclass(t, Value) for t in types)
     assert {Family, Union, Join} <= types
 
 
@@ -216,7 +215,7 @@ def test_equal_fields_under_another_class_are_unequal():
     assert Union(a, b).parts == Join(a, b).parts and Union(a, b).n == Join(a, b).n
     assert Union(a, b) != Join(a, b) and not Union(a, b) == Join(a, b)
     assert FactoredNat(((2, 3),), 1) != (((2, 3),), 1)
-    assert Clique(3) != 3 and IntSpectrum(((3, 1),)) != ((3, 1),)
+    assert Clique(3) != 3
 
 
 def test_pickle_round_trips_to_equal_values():

@@ -1,6 +1,10 @@
 import re
+from pathlib import Path
 
 from powertrees import verify
+
+# the whole seed-0 `verify full` report, byte for byte
+GOLDEN_FULL_SEED_0 = Path(__file__).with_name("verify_full_seed0.txt")
 
 # the aggregate lines of `verify full` and their case totals at seed 0
 AGGREGATE_TOTALS = {
@@ -34,3 +38,4 @@ def test_verify_full_fails_only_on_the_recorded_discrepancy():
             totals[match[1]] = int(match[3])
     assert totals == AGGREGATE_TOTALS
     assert report.endswith("\n58/59 cases passed\n")
+    assert report == GOLDEN_FULL_SEED_0.read_text(encoding="utf-8")
