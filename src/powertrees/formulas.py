@@ -1,7 +1,8 @@
 """Closed-form spanning-tree counts for clique-replaced graphs and for the
 power graphs of the cataloged group families, each cross-checkable against
 the exact matrix-tree determinant.  A family's closed form assumes the
-parameter range that its `groups.FAMILIES` row validates.
+parameter range that its `groups.FAMILIES` row states: its parameter kinds
+and `needs`.
 
 All arithmetic is in exact integers; every division is asserted exact,
 never rounded.

@@ -23,7 +23,7 @@ class SimpleGraph:
     neighbours.  The open sets `adj` are derived on first use and stay only
     because perfbench reads them: dropping them needs a benchmark change."""
 
-    __slots__ = ("n", "closed", "labels", "_adj", "_edge_count")
+    __slots__ = ("n", "closed", "labels", "edge_count", "_adj")
 
     def __init__(self, n: int, edges=(), labels=None, *, closed=None):
         """Files and the small builders give edges, checked edge by edge.  A
@@ -50,8 +50,8 @@ class SimpleGraph:
         if len(self.closed) != n:
             raise ValueError("one neighbour set per vertex required")
         self.labels = tuple(labels) if labels is not None else None
+        self.edge_count = (sum(map(len, self.closed)) - n) // 2
         self._adj = None
-        self._edge_count = (sum(map(len, self.closed)) - n) // 2
 
     @property
     def adj(self) -> tuple[frozenset, ...]:
@@ -61,10 +61,6 @@ class SimpleGraph:
 
     def degree(self, v: int) -> int:
         return len(self.closed[v]) - 1
-
-    @property
-    def edge_count(self) -> int:
-        return self._edge_count
 
     def edges(self):
         for u in range(self.n):
@@ -171,8 +167,7 @@ class CliqueReplacedSpec(Value):
     __slots__ = ("base", "sizes")
 
     def __init__(self, base: SimpleGraph, sizes: tuple[int, ...]):
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "sizes", sizes)
+        super().__init__(base, sizes)
         if len(sizes) != base.n:
             raise ValueError("one size per base vertex required")
         if any(x < 1 for x in sizes):

@@ -9,7 +9,8 @@ extraspecial groups, the affine maps t -> a^i*t + b of one Z_n x| Z_m
 constructor; a Cayley-table input multiplies by table lookup.  Downstream
 code sees element indices, and element 0 is always the identity.  No order x
 order table is built: the cyclic subgroups come from repeated
-multiplication, and a power graph is built only when asked for.
+multiplication, and a power graph is built only when asked for.  A family's
+parameters are checked by kind, read from their names, then by its `needs`.
 """
 
 from __future__ import annotations
@@ -35,8 +36,7 @@ class GroupSpec(Value):
     __slots__ = ("family", "params")
 
     def __init__(self, family: str, params: tuple = ()):
-        object.__setattr__(self, "family", family)
-        object.__setattr__(self, "params", params)
+        super().__init__(family, params)
         known = FAMILIES.get(family)
         if known is None:
             raise GroupConstructionError(f"unknown family {family!r}; known: {FAMILY_USAGE}")
@@ -44,7 +44,17 @@ class GroupSpec(Value):
             raise GroupConstructionError(
                 f"{known.usage} takes {len(known.params)} parameter(s), got {len(params)}"
             )
-        known.validate(*params)
+        for name, x in zip(known.params, params):  # a parameter's name is its kind
+            if name == "PATH":
+                ok, kind = isinstance(x, str) and x, "a file path"
+            elif name in ("p", "q"):
+                ok, kind = isinstance(x, int) and is_prime(x), "prime"
+            else:
+                ok, kind = isinstance(x, int) and x >= 1, "an integer >= 1"
+            if not ok:
+                raise GroupConstructionError(f"{known.usage}: {name} = {x!r} must be {kind}")
+        if need := known.needs and known.needs(*params):
+            raise GroupConstructionError(f"{known.usage} needs {need}")
 
     @classmethod
     def parse(cls, text: str) -> "GroupSpec":
@@ -64,60 +74,6 @@ class GroupSpec(Value):
 
     def __str__(self) -> str:
         return ":".join([self.family, *map(str, self.params)])
-
-
-def _need_prime(p, what="p"):
-    if not isinstance(p, int) or not is_prime(p):
-        raise GroupConstructionError(f"{what} = {p!r} must be prime")
-
-
-def _need_odd_prime(p):
-    _need_prime(p)
-    if p == 2:
-        raise GroupConstructionError("p must be an odd prime")
-
-
-def _v_cyclic(n):
-    if not isinstance(n, int) or n < 1:
-        raise GroupConstructionError(f"cyclic(n) needs an integer n >= 1, got {n!r}")
-
-
-def _v_elementary(p, n):
-    _need_prime(p)
-    if not isinstance(n, int) or n < 1:
-        raise GroupConstructionError("elementary(p, n) needs n >= 1")
-
-
-def _v_dihedral(n):
-    if not isinstance(n, int) or n < 2:
-        raise GroupConstructionError("dihedral(n) needs n >= 2 (order 2n)")
-
-
-def _v_quaternion(n):
-    if not isinstance(n, int) or n < 3:
-        raise GroupConstructionError("quaternion(n) needs n >= 3 (order 2^n)")
-
-
-def _v_psl2(p, n):
-    _need_prime(p)
-    if not isinstance(n, int) or n < 1:
-        raise GroupConstructionError("psl2(p, n) needs n >= 1")
-    if p**n < 4:
-        raise GroupConstructionError(f"psl2 needs q = p^n >= 4, got q = {p ** n}")
-
-
-def _v_frobenius(p, q):
-    _need_prime(p)
-    _need_prime(q, "q")
-    if not p < q:
-        raise GroupConstructionError(f"frobenius needs p < q, got p={p}, q={q}")
-    if (q - 1) % p != 0:
-        raise GroupConstructionError(f"frobenius needs p | q-1, got p={p}, q={q}")
-
-
-def _v_cayley(path):
-    if not isinstance(path, str) or not path:
-        raise GroupConstructionError("table needs a file path")
 
 
 class FiniteGroup:
@@ -365,20 +321,24 @@ class Family(Value):
 
     examples are small parameter tuples (orders up to 168), the groups on
     which `verify` checks the family: its counts, its clique form where it
-    also has a closed form, and the twin-quotient route.  validate is the
-    one statement of the parameter range; the closed forms assume it.
+    also has a closed form, and the twin-quotient route.
+
+    Each parameter's name is its kind: p and q are primes, n an integer >= 1,
+    PATH a file path.  needs, given parameters of their kinds, returns a falsy
+    value when they qualify, else the requirement they miss.  The kinds and
+    needs are the one statement of the parameter range the closed forms assume.
     """
 
-    __slots__ = ("name", "params", "validate", "build", "closed_form", "clique_expr", "counts",
+    __slots__ = ("name", "params", "build", "needs", "closed_form", "clique_expr", "counts",
                  "examples")
 
-    def __init__(self, name: str, params: tuple[str, ...], validate: Callable[..., None],
-                 build: Callable[..., FiniteGroup],
+    def __init__(self, name: str, params: tuple[str, ...], build: Callable[..., FiniteGroup],
+                 needs: Callable[..., object] | None = None,
                  closed_form: Callable[..., FactoredNat] | None = None,
                  clique_expr: Callable[..., CliqueExpr] | None = None,
                  counts: Callable[..., tuple[int, int]] | None = None,
                  examples: tuple[tuple, ...] = ()):
-        super().__init__(name, params, validate, build, closed_form, clique_expr, counts, examples)
+        super().__init__(name, params, build, needs, closed_form, clique_expr, counts, examples)
 
     @property
     def usage(self) -> str:
@@ -399,23 +359,23 @@ def _cyclic_counts(n):
 FAMILIES = {
     f.name: f
     for f in (
-        Family("cyclic", ("n",), _v_cyclic, _build_cyclic,
+        Family("cyclic", ("n",), _build_cyclic,
                closed_form=lambda n: F.kappa_cyclic(n),
                counts=_cyclic_counts, examples=tuple((n,) for n in (*range(3, 10), 12, 25, 30))),
-        Family("elementary", ("p", "n"), _v_elementary, _build_elementary,
+        Family("elementary", ("p", "n"), _build_elementary,
                closed_form=lambda p, n: F.kappa_epo(_elementary_counts(p, n)),
                clique_expr=lambda p, n: epo_expr(_elementary_counts(p, n)),
                counts=lambda p, n: (p**n, p if n == 1 else 1),
                examples=((2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (5, 1))),
-        Family("dihedral", ("n",), _v_dihedral, _build_dihedral,
+        Family("dihedral", ("n",), _build_dihedral, lambda n: n < 2 and "n >= 2 (order 2n)",
                counts=lambda n: (2 * n, 1), examples=tuple((n,) for n in range(3, 9))),
-        Family("quaternion", ("n",), _v_quaternion, _build_quaternion,
+        Family("quaternion", ("n",), _build_quaternion, lambda n: n < 3 and "n >= 3 (order 2^n)",
                closed_form=lambda n: F.kappa_quaternion(n),
                clique_expr=lambda n: Join(
                    Clique(2), union_of([Clique(2 ** (n - 1) - 2)] + [Clique(2)] * 2 ** (n - 2))
                ),
                counts=lambda n: (2**n, 2), examples=((3,), (4,), (5,))),
-        Family("heisenberg", ("p",), _need_odd_prime, _build_heisenberg,
+        Family("heisenberg", ("p",), _build_heisenberg, lambda p: p == 2 and "an odd prime p",
                closed_form=lambda p: F.kappa_heisenberg(p),
                clique_expr=lambda p: epo_expr({p: p * p + p + 1}),
                counts=lambda p: (p**3, 1), examples=((3,),)),
@@ -423,19 +383,20 @@ FAMILIES = {
         # whose count p^(2p^3-5) matches neither published exponent, 2p^3-p-5
         # nor 2p^3-p-4; verify's audit row refutes all three at p = 3 with
         # the determinant oracle (3^49 against 3^37 * 7^2)
-        Family("extraspecial", ("p",), _need_odd_prime, _build_extraspecial,
+        Family("extraspecial", ("p",), _build_extraspecial, lambda p: p == 2 and "an odd prime p",
                clique_expr=lambda p: Join(Clique(p), copies(p + 1, Clique(p * p - p))),
                counts=lambda p: (p**3, 1),
                examples=((3,),)),
-        Family("psl2", ("p", "n"), _v_psl2, _build_psl2,
+        Family("psl2", ("p", "n"), _build_psl2,
+               lambda p, n: p**n < 4 and f"q = p^n >= 4, got q = {p ** n}",
                closed_form=lambda p, n: F.kappa_psl2(p, n),
                counts=lambda p, n: (_psl2_order(p**n), 1), examples=((2, 2), (5, 1), (7, 1))),
-        Family("frobenius", ("p", "q"), _v_frobenius, _build_frobenius,
+        Family("frobenius", ("p", "q"), _build_frobenius, lambda p, q: (q - 1) % p and "p | q - 1",
                closed_form=lambda p, q: F.kappa_frobenius_pq(p, q),
                clique_expr=lambda p, q: epo_expr({p: q, q: 1}),
                counts=lambda p, q: (p * q, 1),
                examples=((2, 3), (2, 5), (2, 7), (3, 7), (5, 11))),
-        Family("table", ("PATH",), _v_cayley, _build_table),
+        Family("table", ("PATH",), _build_table),
     )
 }
 FAMILY_USAGE = ", ".join(f.usage for f in FAMILIES.values())

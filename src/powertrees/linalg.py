@@ -30,9 +30,7 @@ class IntMatrix(Value):
     __slots__ = ("rows", "cols", "data")
 
     def __init__(self, rows: int, cols: int, data: tuple[int, ...]):
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "data", data)
+        super().__init__(rows, cols, data)
         if rows < 0 or cols < 0:
             raise DimensionError("negative dimensions")
         if len(data) != rows * cols:

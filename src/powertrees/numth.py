@@ -33,7 +33,7 @@ class Value:
             cls._key = attrgetter(*cls._fields)  # one field alone, or a tuple of them
 
     def __init__(self, *values, **named):
-        """Every field, in order or by name; a class with checks sets its own."""
+        """Every field, in order or by name; a class with checks calls this first."""
         if named:
             values += tuple(named.pop(f) for f in self._fields[len(values):] if f in named)
         if named or len(values) != len(self._fields):
@@ -197,8 +197,7 @@ class FactoredNat(Value):
     __slots__ = ("factors", "residual")
 
     def __init__(self, factors: tuple[tuple[int, int], ...] = (), residual: int = 1):
-        object.__setattr__(self, "factors", factors)
-        object.__setattr__(self, "residual", residual)
+        super().__init__(factors, residual)
         if residual < 0:
             raise ValueError("residual must be >= 0")
         if residual == 0 and factors:

@@ -32,7 +32,7 @@ class Clique(Value):
     __slots__ = ("size",)
 
     def __init__(self, size: int):
-        object.__setattr__(self, "size", size)
+        super().__init__(size)
         if size < 1:
             raise ValueError("clique size must be >= 1")
 

@@ -242,6 +242,35 @@ def test_spec_validation_errors():
             GroupSpec.parse(bad)
 
 
+# per family: its smallest valid specs, and the parameters just outside its
+# range with the requirement the rejection names
+BOUNDARY = {
+    "cyclic": (["cyclic:1"], [((0,), "n = 0 must be an integer >= 1")]),
+    "elementary": (["elementary:2:1"], [((4, 1), "p = 4 must be prime")]),
+    "dihedral": (["dihedral:2"], [((1,), "n >= 2")]),  # dihedral:2 is the Klein four-group
+    "quaternion": (["quaternion:3"], [((2,), "n >= 3")]),
+    "heisenberg": (["heisenberg:3"], [((2,), "an odd prime p")]),
+    "extraspecial": (["extraspecial:3"], [((2,), "an odd prime p")]),
+    "psl2": (["psl2:2:2", "psl2:5:1"], [((3, 1), "q = p^n >= 4, got q = 3")]),
+    "frobenius": (["frobenius:2:3"], [((3, 5), "p | q - 1")]),
+    "table": ([], [(("",), "PATH = '' must be a file path")]),
+}
+
+
+@pytest.mark.parametrize("name", list(FAMILIES))
+def test_each_family_builds_its_smallest_specs_and_rejects_the_next_below(name):
+    family = FAMILIES[name]
+    valid, invalid = BOUNDARY[name]
+    for text in valid:
+        spec = GroupSpec.parse(text)
+        assert build_group(spec).order == family.counts(*spec.params)[0], text
+    for params, requirement in invalid:
+        with pytest.raises(GroupConstructionError) as err:
+            GroupSpec(name, params)
+        message = str(err.value)
+        assert message.startswith(family.usage) and requirement in message, message
+
+
 def test_spec_string_roundtrip():
     # a family has one name: every registry example prints as it parses
     texts = ["psl2:3:2", "table:q8.txt", *verify._examples()]
@@ -588,7 +617,7 @@ def _totals():
 def test_a_new_family_row_is_swept_by_every_aggregate_case(monkeypatch):
     before = _totals()
     q = FAMILIES["quaternion"]
-    copy = Family("quaternion_copy", q.params, q.validate, q.build, closed_form=q.closed_form,
+    copy = Family("quaternion_copy", q.params, q.build, q.needs, closed_form=q.closed_form,
                   clique_expr=q.clique_expr, counts=q.counts, examples=((3,),))
     monkeypatch.setitem(FAMILIES, copy.name, copy)
     after = _totals()
