@@ -4,6 +4,17 @@
     powertrees verify {quick,full} [--jobs K]
     powertrees export {group,graph,expr,zn,replaced} TARGET --format {dot,edges,json}
 
+TARGET is a group spec FAMILY:PARAMS (dihedral:5), an edge-list file, a clique
+expression (K(1)*(K(2)+2#K(1))) or n.  -h or --help prints this text.  Options
+come anywhere after the command, as --flag VALUE or --flag=VALUE:
+
+    --sizes X1,X2,...  block sizes of a replaced target, comma-separated
+    --method M         kappa's route: auto (default), matrix-tree, quotient, formula, spectrum
+    --output O         kappa's output: decimal (default), factored or json
+    --format F         export's format, required: dot, edges or json
+    --out FILE         export's output file (default stdout)
+    --jobs K           verify's worker processes (default 1)
+
 Methods, each a row of `ROUTES`: `matrix-tree` is the determinant oracle on
 the explicit graph (linalg.kappa_matrix_tree peels its universal vertices off
 level by level and takes one determinant per non-clique component left).
@@ -30,8 +41,6 @@ KAPPA_SEED fixes the randomized-case seed for verify.  `verify` (with the
 
 from __future__ import annotations
 
-import argparse
-import functools
 import json
 import sys
 import time
@@ -47,7 +56,6 @@ from .graphs import (
 )
 from .groups import (
     FAMILIES,
-    FAMILY_USAGE,
     GroupSpec,
     build_group,
     family_expr,
@@ -64,7 +72,7 @@ class UsageError(ValueError):
 
 METHODS = ("auto", "matrix-tree", "quotient", "formula", "spectrum")
 KINDS = ("group", "graph", "expr", "zn", "replaced")
-TARGET_HELP = f"group spec ({FAMILY_USAGE}), edge-list file, expression string, or n"
+OUTPUTS = ("decimal", "factored", "json")
 
 
 class Request(Value):
@@ -109,20 +117,15 @@ def _load_target(req: Request, spec: GroupSpec | None):
     kind = req.kind
     if kind == "group":
         return power_graph(build_group(spec))
-    if kind == "graph":
-        with open(req.target, "r", encoding="utf-8") as fh:
-            return from_edge_list_text(fh.read())
     if kind == "expr":
         return parse_expr(req.target)
     if kind == "zn":
         return F.divisor_clique_spec(*spec.params)
-    if kind == "replaced":
-        if not req.sizes:
-            raise UsageError("replaced targets need --sizes x1,x2,...")
-        with open(req.target, "r", encoding="utf-8") as fh:
-            base = from_edge_list_text(fh.read())
-        return CliqueReplacedSpec(base, req.sizes)
-    raise UsageError(f"unknown target kind {kind!r}")
+    if kind == "replaced" and not req.sizes:
+        raise UsageError("replaced targets need --sizes x1,x2,...")
+    with open(req.target, "r", encoding="utf-8") as fh:  # a graph, or a replaced target's base
+        graph = from_edge_list_text(fh.read())
+    return CliqueReplacedSpec(graph, req.sizes) if kind == "replaced" else graph
 
 
 def _expand(target) -> SimpleGraph:
@@ -211,13 +214,9 @@ def compute_kappa(req: Request) -> ResultRecord:
 
 
 def _emit_record(record: ResultRecord, output: str) -> str:
-    if output == "decimal":
-        return str(record.kappa.value())
-    if output == "factored":
-        return str(record.kappa)
     if output == "json":
         return record.to_json()
-    raise UsageError(f"unknown output format {output!r}")
+    return str(record.kappa.value() if output == "decimal" else record.kappa)
 
 
 def _zn_order(text: str) -> int:
@@ -241,76 +240,94 @@ def _parse_sizes(kind: str, text: str | None) -> tuple[int, ...] | None:
         raise UsageError(f"bad --sizes value {text!r}: {exc}") from None
 
 
-def cmd_kappa(args) -> int:
-    req = Request(args.kind, args.target, _parse_sizes(args.kind, args.sizes), args.method,
-                  args.output)
+def cmd_kappa(kind, target, sizes, method, output) -> int:
+    req = Request(kind, target, _parse_sizes(kind, sizes), method, output)
     record = compute_kappa(req)
     print(_emit_record(record, req.output))
     return 0
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(suite, jobs) -> int:
     from . import verify  # loaded for this command only
 
-    if args.jobs < 1:
-        raise UsageError(f"--jobs must be >= 1, got {args.jobs}")
+    if jobs < 1:
+        raise UsageError(f"--jobs must be >= 1, got {jobs}")
     started = time.perf_counter()
-    report, code = verify.run_suite(args.suite, jobs=args.jobs)
+    report, code = verify.run_suite(suite, jobs=jobs)
     print(report, end="")
     print(f"elapsed: {time.perf_counter() - started:.1f}s", file=sys.stderr)
     return code
 
 
-def cmd_export(args) -> int:
+def cmd_export(kind, target, sizes, format, out) -> int:
     from . import export  # loaded for this command only
-    req = Request(args.kind, args.target, _parse_sizes(args.kind, args.sizes), "auto", "decimal")
-    zn_json = args.format == "json" and args.kind == "zn"  # the divisor description, not a graph
-    target = _zn_order(args.target) if zn_json else _expand(_load_target(req, _family_spec(req)))
-    return export.run(target, args.format, args.out)
+    req = Request(kind, target, _parse_sizes(kind, sizes), "auto", "decimal")
+    zn_json = format == "json" and kind == "zn"  # the divisor description, not a graph
+    loaded = _zn_order(target) if zn_json else _expand(_load_target(req, _family_spec(req)))
+    return export.run(loaded, format, out)
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The one argument parser of the process; main parses every argv with it."""
-    parser = argparse.ArgumentParser(
-        prog="powertrees",
-        description="Exact spanning-tree counts for power graphs and clique-replaced graphs.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+REQUIRED = ...  # the default of an option that must be given
+TARGET = (("kind", KINDS), ("target", str))
+SIZES = ("--sizes", str, None)
 
-    p_kappa = sub.add_parser("kappa", help="compute a spanning-tree count")
-    p_kappa.add_argument("kind", choices=KINDS)
-    p_kappa.add_argument("target", help=TARGET_HELP)
-    p_kappa.add_argument("--sizes", help="comma-separated block sizes for 'replaced'")
-    p_kappa.add_argument("--method", choices=METHODS, default="auto",
-                         help="route: matrix-tree (the determinant oracle on the "
-                              "explicit graph, peeled at its universal vertices), quotient "
-                              "(the clique spec's base split by components and co-components, "
-                              "one determinant per distinct prime part: a zn or replaced spec "
-                              "as given, a group or graph through its closed-twin blocks), "
-                              "formula or spectrum; auto takes formula where the target has "
-                              "it, else quotient, else spectrum.  Every route certifies the "
-                              "primes of the small bases (sizes, degrees, eigenvalues, n) and "
-                              "trial-divides each determinant (the whole kappa on matrix-tree) "
-                              "up to max(n, 1000), n the vertex count")
-    p_kappa.add_argument("--output", choices=("decimal", "factored", "json"), default="decimal")
-    p_kappa.set_defaults(fn=cmd_kappa)
+# Each command's row: its function, its positionals (a name, and its choices
+# or a type) and its options (a flag, its choices or a type, and its default
+# or REQUIRED).  The function takes every positional and option by name.
+COMMANDS = {
+    "kappa": (cmd_kappa, TARGET,
+              (SIZES, ("--method", METHODS, "auto"), ("--output", OUTPUTS, "decimal"))),
+    "verify": (cmd_verify, (("suite", ("quick", "full")),), (("--jobs", int, 1),)),
+    "export": (cmd_export, TARGET,
+               (SIZES, ("--format", ("dot", "edges", "json"), REQUIRED), ("--out", str, None))),
+}
 
-    p_verify = sub.add_parser("verify", help="run the formula-vs-oracle suites")
-    p_verify.add_argument("suite", choices=("quick", "full"))
-    p_verify.add_argument("--jobs", type=int, default=1, metavar="K",
-                          help="worker processes for independent cases")
-    p_verify.set_defaults(fn=cmd_verify)
 
-    p_export = sub.add_parser("export", help="write a constructed graph to a file")
-    p_export.add_argument("kind", choices=KINDS)
-    p_export.add_argument("target", help=TARGET_HELP)
-    p_export.add_argument("--sizes", help="comma-separated block sizes for 'replaced'")
-    p_export.add_argument("--format", choices=("dot", "edges", "json"), required=True)
-    p_export.add_argument("--out", help="output file (default stdout)")
-    p_export.set_defaults(fn=cmd_export)
+def build_parser() -> dict:
+    """The command table that parse_args reads every argv against."""
+    return COMMANDS
 
-    return parser
+
+def _convert(name: str, kind, word: str):
+    """word as the value of argument name: one of its choices, or of its type."""
+    if isinstance(kind, tuple) and word not in kind:
+        raise UsageError(f"argument {name}: invalid choice: {word!r} (choose from {', '.join(kind)})")
+    try:
+        return word if isinstance(kind, tuple) else kind(word)
+    except ValueError:
+        raise UsageError(f"argument {name}: invalid {kind.__name__} value: {word!r}") from None
+
+
+def parse_args(argv: list[str]):
+    """(the command's function, its arguments by name), read from argv against
+    the command's row of COMMANDS.  A word that starts with -- is a flag, so
+    a negative number is a value.  A malformed argv raises UsageError."""
+    if not argv:
+        raise UsageError("the following arguments are required: command")
+    fn, positionals, options = COMMANDS[_convert("command", tuple(COMMANDS), argv[0])]
+    kinds = {flag: kind for flag, kind, _ in options}
+    args = {flag[2:]: default for flag, _, default in options}
+    words, seen, extra = iter(argv[1:]), 0, []
+    for word in words:
+        flag, eq, value = word.partition("=")
+        if flag in kinds:
+            value = value if eq else next(words, "--")
+            if value.startswith("--"):
+                raise UsageError(f"argument {flag}: expected one argument")
+            args[flag[2:]] = _convert(flag, kinds[flag], value)
+        elif word.startswith("--") or seen == len(positionals):
+            extra.append(word)
+        else:
+            name, kind = positionals[seen]
+            args[name] = _convert(name, kind, word)
+            seen += 1
+    missing = [name for name, _ in positionals[seen:]]
+    missing += [flag for flag, _, _ in options if args[flag[2:]] is REQUIRED]
+    if missing:
+        raise UsageError(f"the following arguments are required: {', '.join(missing)}")
+    if extra:
+        raise UsageError(f"unrecognized arguments: {' '.join(extra)}")
+    return fn, args
 
 
 def main(argv=None) -> int:
@@ -318,10 +335,13 @@ def main(argv=None) -> int:
     # (Python >= 3.10.7); older versions have no limit to lift
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    if "-h" in argv or "--help" in argv:
+        print(__doc__, end="")
+        return 0
     try:
-        return args.fn(args)
+        fn, args = parse_args(argv)
+        return fn(**args)
     except PrimalityRangeError as exc:
         print(f"error: beyond the certified range: {exc}", file=sys.stderr)
         return 4

@@ -1,7 +1,7 @@
-import argparse
 import json
 import os
 import random
+import re
 import resource
 import subprocess
 import sys
@@ -150,10 +150,8 @@ def test_factor_bound_is_an_unrecognized_argument(capsys, tmp_path, bound):
         ("kappa", "replaced", str(base), "--sizes", "2,3", "--method", "quotient"),
     ):
         for value in (bound, "5"):
-            with pytest.raises(SystemExit) as exc:
-                cli.main([*argv, "--factor-bound", value])
-            out, err = capsys.readouterr()
-            assert exc.value.code == 2 and out == ""
+            code, out, err = run(capsys, *argv, "--factor-bound", value)
+            assert code == 2 and out == ""
             assert f"unrecognized arguments: --factor-bound {value}" in err
 
 
@@ -402,10 +400,59 @@ def test_replaced_quotient_equals_formula_and_the_oracle(capsys, tmp_path):
 
 @pytest.mark.parametrize("kind,target", [("zn", "12"), ("group", "cyclic:12")])
 def test_smatrix_is_no_method(capsys, kind, target):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["kappa", kind, target, "--method", "smatrix"])
-    assert exc.value.code == 2
-    assert "invalid choice: 'smatrix'" in capsys.readouterr().err
+    code, out, err = run(capsys, "kappa", kind, target, "--method", "smatrix")
+    assert code == 2 and out == ""
+    assert "invalid choice: 'smatrix'" in err
+
+
+MALFORMED = [
+    ([], "the following arguments are required: command"),
+    (["count", "zn", "12"], "argument command: invalid choice: 'count'"),
+    (["kappa", "zn"], "the following arguments are required: target"),
+    (["export", "zn", "6"], "the following arguments are required: --format"),
+    (["kappa", "ring", "12"], "argument kind: invalid choice: 'ring'"),
+    (["kappa", "zn", "12", "--method", "det"], "argument --method: invalid choice: 'det'"),
+    (["kappa", "zn", "12", "--output", "hex"], "argument --output: invalid choice: 'hex'"),
+    (["export", "zn", "6", "--format=png"], "argument --format: invalid choice: 'png'"),
+    (["verify", "slow"], "argument suite: invalid choice: 'slow'"),
+    (["verify", "quick", "--jobs", "x"], "argument --jobs: invalid int value: 'x'"),
+    (["kappa", "zn", "12", "--output"], "argument --output: expected one argument"),
+    (["kappa", "zn", "12", "--method", "--output", "json"], "argument --method: expected one argument"),
+    (["kappa", "zn", "12", "--verbose"], "unrecognized arguments: --verbose"),
+    (["kappa", "zn", "12", "13"], "unrecognized arguments: 13"),
+    (["kappa", "zn", "12", "--out", "json"], "unrecognized arguments: --out json"),
+]
+
+
+@pytest.mark.parametrize("argv,cause", MALFORMED, ids=[" ".join(a) or "empty" for a, _ in MALFORMED])
+def test_a_malformed_command_line_exits_2_naming_its_cause(capsys, argv, cause):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {cause}") and err.count("\n") == 1
+
+
+def test_flags_may_come_anywhere_after_the_command(capsys, tmp_path):
+    base = tmp_path / "path3.txt"
+    base.write_text("3\n0 1\n1 2\n")
+    for target, expected in ((["zn", "12"], "2^14 * 3^6 * 5 * 131\n"),
+                             (["replaced", str(base), "--sizes", "2,3,1"], "2^2 * 3^3 * 5\n")):
+        flags = ["--method", "formula", "--output", "factored"]
+        outs = {run(capsys, "kappa", *target, *flags),
+                run(capsys, "kappa", *flags, *target),
+                run(capsys, "kappa", "--output=factored", *target[:2], "--method=formula",
+                    *target[2:])}
+        assert outs == {(0, expected, "")}
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["-h"], ["kappa", "zn", "12", "--help"]])
+def test_help_prints_the_module_docstring_naming_every_flag(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (0, cli.__doc__, "")
+    assert "    powertrees kappa  {group,graph,expr,zn,replaced} TARGET" in out
+    flags = [flag for _, _, options in cli.COMMANDS.values() for flag, _, _ in options]
+    assert sorted(set(flags)) == ["--format", "--jobs", "--method", "--out", "--output", "--sizes"]
+    for flag in flags:
+        assert re.search(rf"^ +{flag}\b", out, re.M), flag
 
 
 def test_every_route_is_a_method_and_every_method_a_route():
@@ -560,23 +607,6 @@ def test_empty_graph_file_is_a_usage_error(capsys, tmp_path, header):
         assert "at least one vertex" in err
 
 
-def test_main_builds_its_parser_once(capsys, monkeypatch):
-    run(capsys, "kappa", "zn", "4")
-    built = []
-    init = argparse.ArgumentParser.__init__
-
-    def counted(self, *args, **kwargs):
-        built.append(args)
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
-    for argv in (("kappa", "zn", "4"), ("kappa", "expr", "K(3)", "--output", "json"),
-                 ("export", "zn", "6", "--format", "json")):
-        code, _, _ = run(capsys, *argv)
-        assert code == 0
-    assert built == []
-
-
 def test_kappa_loads_no_process_pool(tmp_path):
     # nor a module or a name that only verify and export run, on any kind of request
     src = Path(cli.__file__).resolve().parents[1]
@@ -623,8 +653,8 @@ def test_cyclic_30030_quotient_fits_in_one_gib():
 def test_startup_loads_no_dataclasses():
     # -S: no site hook preloads a module before the check
     src = Path(cli.__file__).resolve().parents[1]
-    code = ("import powertrees.cli, sys; "
-            "print([m for m in ('dataclasses', 'inspect') if m in sys.modules])")
+    modules = ("dataclasses", "inspect", "argparse", "gettext")
+    code = f"import powertrees.cli, sys; print([m for m in {modules!r} if m in sys.modules])"
     proc = subprocess.run([sys.executable, "-S", "-c", code],
                           env={**os.environ, "PYTHONPATH": str(src)},
                           capture_output=True, text=True, check=True, timeout=60)
